@@ -43,8 +43,9 @@ from .weyl import (
     Symbol2D,
     _operator_kernel,
     _require_dual_pair,
+    _symmetric_expand,
 )
-from .wigner import Theta, Window, windowed_adjoint, windowed_transform
+from .wigner import Theta, Window, windowed_transform
 
 __all__ = [
     "PhaseOperator",
@@ -52,8 +53,6 @@ __all__ = [
     "EvolutionResult",
     "apply_extended",
     "apply_bopp",
-    "intertwiner",
-    "intertwiner_adjoint",
     "bopp_intertwining_residual",
     "dense_matrix",
     "bopp_spectrum",
@@ -62,6 +61,7 @@ __all__ = [
 
 REPRESENTATIONS = ("extended", "bopp_conjugated", "bopp_direct")
 DENSE_MAX_N = 64
+_DENSE_CHUNK = 512
 DENSE_STATE_MAX_N = 256
 ZERO_PUSHFORWARD_TOL = 1.0e-10
 PAIRING_GAP = 1.0e-4
@@ -181,30 +181,13 @@ def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.n
 def _direct_action(
     coeffs: np.ndarray, values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D
 ) -> np.ndarray:
-    """Symmetric-ordered polynomial in the two phase-plane generators.
-
-    Mirrors the 1D quantization word for word: x^i xi^j becomes
-    2^{-i} sum_r C(i, r) X^r P^j X^{i-r} with X and P the phase-plane
-    generators, applied right to left.
-    """
-    total = np.zeros_like(values, dtype=np.complex128)
-    for i in range(coeffs.shape[0]):
-        for j in range(coeffs.shape[1]):
-            c = coeffs[i, j]
-            if c == 0:
-                continue
-            word = np.zeros_like(total)
-            for r in range(i + 1):
-                term = np.asarray(values, dtype=np.complex128)
-                for _ in range(i - r):
-                    term = _position_action(term, grid_x, grid_p)
-                for _ in range(j):
-                    term = _momentum_action(term, grid_x, grid_p)
-                for _ in range(r):
-                    term = _position_action(term, grid_x, grid_p)
-                word += math.comb(i, r) * term
-            total += c * 0.5**i * word
-    return total
+    """Symmetric-ordered polynomial in the two phase-plane generators: the
+    1D quantization word for word, with X and P the generators."""
+    return _symmetric_expand(
+        coeffs, values,
+        lambda v: _position_action(v, grid_x, grid_p),
+        lambda v: _momentum_action(v, grid_x, grid_p),
+    )
 
 
 def apply_bopp(op: PhaseOperator, phase: PhaseFunction2D) -> PhaseFunction2D:
@@ -225,25 +208,6 @@ def apply_bopp(op: PhaseOperator, phase: PhaseFunction2D) -> PhaseFunction2D:
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
     down = propagate(phase, -THETA_WIGNER)
     return propagate(apply_extended(op, down), THETA_WIGNER)
-
-
-# --------------------------------------------------------------------------
-# intertwiners
-
-
-def intertwiner(psi: SampledFunction1D, window: Window) -> PhaseFunction2D:
-    """Tensor lift psi (x) conj(FT window), the zero-angle analysis map.
-
-    Delegates to the windowed transform at angle zero, which realizes the
-    tensor product bitwise; the extended action on a lift is the lift of the
-    1D action.
-    """
-    return windowed_transform(psi, window, Theta(0.0))
-
-
-def intertwiner_adjoint(phase: PhaseFunction2D, window: Window) -> SampledFunction1D:
-    """Adjoint of the tensor lift: contract against the window transform."""
-    return windowed_adjoint(phase, window, Theta(0.0))
 
 
 def _lift_angle(representation: str) -> Theta:
@@ -290,7 +254,7 @@ def bopp_intertwining_residual(
 # dense assembly and spectra
 
 
-def dense_matrix(op: PhaseOperator, chunk: int = 512) -> np.ndarray:
+def dense_matrix(op: PhaseOperator) -> np.ndarray:
     """Assemble the phase-plane operator as a dense matrix.
 
     The phase plane is the symbol's position grid crossed with its dual;
@@ -311,8 +275,8 @@ def dense_matrix(op: PhaseOperator, chunk: int = 512) -> np.ndarray:
     if op.representation != "bopp_direct":
         kernel_values = grid.dx * op.kernel().values
     matrix = np.empty((n * n, n * n), dtype=np.complex128)
-    for start in range(0, n * n, chunk):
-        stop = min(start + chunk, n * n)
+    for start in range(0, n * n, _DENSE_CHUNK):
+        stop = min(start + _DENSE_CHUNK, n * n)
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)
         flat = np.arange(start, stop)
         basis[np.arange(stop - start), flat // n, flat % n] = 1.0
@@ -453,18 +417,11 @@ def bopp_spectrum(
 # paired evolution
 
 
-def _eigh_propagator(
-    hermitian: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(hermitian)
-    return vals, vecs
-
-
 def _evolve_dense(
     hermitian: np.ndarray, start: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """Exact evolution exp(-i t H) start at each requested time (columns)."""
-    vals, vecs = _eigh_propagator(hermitian)
+    vals, vecs = np.linalg.eigh(hermitian)
     coeffs = vecs.conj().T @ start
     phases = np.exp(-1j * np.outer(vals, times))
     return vecs @ (phases * coeffs[:, None])

@@ -14,9 +14,15 @@ winning over config values.  Runs are deterministic for a fixed config and
 seed; nothing here consults the clock.  Thread count for the FFT layer
 comes from the PHASEKIT_THREADS environment variable.
 
+Each subcommand is one entry in a command table: the flags it takes (from
+one shared flag table), the flags it requires, its compute step, and its
+artifacts.  One finisher writes the artifacts and the manifest and prints
+the summary line for all of them.
+
 State and window specs are small strings: "gaussian", "hermite:2",
 "coherent:0.6+0.4j", "chirp", "chirp:0.8", or a path to a function1d grid
-file.  Exit codes: 0 success, 1 numerical failure (verify), 2 usage.
+file.  Exit codes: 0 success, 1 numerical failure (verify), 2 usage,
+including unreadable inputs, unwritable outputs and non-finite angles.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,16 +53,19 @@ from .weyl import (
     symbol_xi,
     theta_product,
 )
-from .wigner import Window, wigner_fractional, wigner_metaplectic, windowed_adjoint
+from .wigner import (
+    Window,
+    _finite_angle,
+    wigner_fractional,
+    wigner_metaplectic,
+    windowed_adjoint,
+)
 
 __all__ = ["main"]
 
 EXIT_PASS = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
-
-COMMANDS = ("flow", "propagate", "wigner", "fracwigner", "reconstruct",
-            "weyl-symbol", "star", "expect", "bopp-spectrum", "evolve", "verify")
 
 _GRID_DEFAULTS = {"n": 256, "x_min": -8.0, "dx": 0.0625}
 
@@ -101,12 +111,10 @@ class Settings:
             return self.config[key]
         return default
 
-    def theta(self) -> float:
+    def theta(self, default: float = THETA_WIGNER) -> float:
+        """The one reader of --theta (or the config's theta); finite only."""
         value = self.get("theta")
-        return THETA_WIGNER if value is None else float(value)
-
-    def seed(self) -> int:
-        return int(self.get("seed", 0))
+        return _finite_angle(default if value is None else float(value))
 
     def payload(self) -> str:
         value = self.get("payload", "csv")
@@ -133,8 +141,14 @@ class Settings:
         except ConfigurationError as exc:
             raise UsageError(str(exc))
 
-    def describe_grid(self, grid: Grid1D) -> dict:
-        return {"n": grid.n, "x_min": grid.x_min, "dx": grid.dx}
+
+def _read_kind(path: str, kinds: tuple[type, ...], what: str):
+    obj = gridfile.read(path)
+    if not isinstance(obj, kinds):
+        names = "|".join(k.__name__ for k in kinds)
+        raise UsageError(f"{path}: expected {what} ({names}), "
+                         f"got {type(obj).__name__}")
+    return obj
 
 
 def _resolve_state(spec: str, grid: Grid1D) -> SampledFunction1D:
@@ -158,78 +172,163 @@ def _resolve_state(spec: str, grid: Grid1D) -> SampledFunction1D:
         except ValueError:
             raise UsageError(f"chirp spec rate must be a number: {spec!r}")
     if os.path.exists(spec):
-        obj = gridfile.read(spec)
-        if not isinstance(obj, SampledFunction1D):
-            raise UsageError(f"{spec}: expected a function1d grid file")
-        return obj
+        return _read_kind(spec, (SampledFunction1D,), "a function1d grid file")
     raise UsageError(
         f"unknown state spec {spec!r} (gaussian, hermite:M, coherent:Z, "
         "chirp[:RATE], or a function1d file path)"
     )
 
 
-def _read_kind(path: str, kinds: tuple[type, ...], what: str):
-    obj = gridfile.read(path)
-    if not isinstance(obj, kinds):
-        names = "|".join(k.__name__ for k in kinds)
-        raise UsageError(f"{path}: expected {what} ({names}), "
-                         f"got {type(obj).__name__}")
-    return obj
+def _window(s: Settings, grid: Grid1D) -> tuple[str, Window]:
+    spec = s.get("window", "gaussian")
+    return spec, Window(_resolve_state(spec, grid))
+
+
+_BUILTIN_SYMBOLS = ("oscillator", "x", "xi")
+
+
+def _resolve_symbol(spec: str, grid: Grid1D, kinds: tuple[type, ...] = (Symbol2D,),
+                    what: str = "a symbol grid file"):
+    """A builtin symbol on grid, or an operator of one of kinds from a file."""
+    if spec in _BUILTIN_SYMBOLS:
+        return {"oscillator": symbol_oscillator,
+                "x": symbol_x, "xi": symbol_xi}[spec](grid)
+    if os.path.exists(spec):
+        return _read_kind(spec, kinds, what)
+    raise UsageError(f"unknown symbol spec {spec!r} "
+                     f"(one of {_BUILTIN_SYMBOLS} or {what})")
+
+
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_manifest(path: str, payload: dict) -> None:
-    payload = {"format_version": gridfile.FORMAT_VERSION, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"format_version": gridfile.FORMAT_VERSION, **payload})
 
 
 def _float_csv(value: float) -> str:
     return repr(float(value) + 0.0)  # the +0.0 folds -0.0 into 0.0
 
 
+def _csv(rows, header: str | None = None) -> str:
+    """CSV text: floats as round-trippable reprs, ints as is, None empty."""
+    lines = [] if header is None else [header]
+    for row in rows:
+        lines.append(",".join("" if v is None else str(v) if isinstance(v, int)
+                              else _float_csv(v) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns an exit code
+# the command table
 
 
-def _cmd_flow(s: Settings) -> int:
-    theta = 0.0 if s.get("theta") is None else float(s.get("theta"))
-    M = flow_matrix(theta)
-    output = s.get("output", "flow.csv")
-    with open(output, "w", encoding="utf-8") as fh:
-        for row in M:
-            fh.write(",".join(_float_csv(v) for v in row) + "\n")
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "flow",
-        "inputs": {"theta": theta},
-        "outputs": {"matrix": output},
-    })
-    print(f"flow matrix at theta={theta:g} -> {output}")
-    return EXIT_PASS
+#: Every flag any subcommand takes; a command lists the names it accepts.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "config": {"help": "JSON config file; flags win over it"},
+    "output": {"help": "output path (or base path)"},
+    "manifest": {"help": "manifest path (default: <output>.manifest.json)"},
+    "payload": {"choices": gridfile.PAYLOADS,
+                "help": "grid file payload encoding (default csv)"},
+    "n": {"type": int, "help": "grid size (even)"},
+    "x-min": {"type": float, "help": "left grid edge"},
+    "dx": {"type": float, "help": "grid spacing"},
+    "half-width": {"type": float,
+                   "help": "centered grid shortcut: x_min=-H, dx=2H/n"},
+    "theta": {"type": float,
+              "help": "angle (default: the distinguished angle; flow: 0)"},
+    "input": {"help": "phase2d grid file"},
+    "state": {"help": "state spec (default gaussian)"},
+    "phi": {"help": "second state spec (default: same)"},
+    "gaussian": {"action": "store_true", "help": "shorthand for --state gaussian"},
+    "window": {"help": "window spec (default gaussian)"},
+    "kernel": {"help": "kernel grid file"},
+    "a": {"help": "first symbol (file or builtin oscillator/x/xi)"},
+    "b": {"help": "second symbol"},
+    "method": {"choices": ("algebraic", "kernel", "quadrature")},
+    "op": {"help": "kernel/symbol file or builtin symbol"},
+    "symbol": {"help": "symbol file or builtin oscillator/x/xi "
+                       "(evolve: default oscillator)"},
+    "count": {"type": int, "help": "number of clusters"},
+    "representation": {"choices": REPRESENTATIONS},
+    "gap": {"type": float, "help": "cluster gap threshold"},
+    "t": {"type": float, "help": "final time"},
+    "steps": {"type": int, "help": "checkpoint count (default 16)"},
+    "suite": {"help": "criterion or alias (default all)"},
+    "seed": {"type": int, "help": "seed for randomized checks"},
+    "tolerance": {"action": "append", "metavar": "CHECK=VALUE",
+                  "help": "override a tolerance, e.g. "
+                          "propagator/group-law=1e-5 (repeatable)"},
+}
+_COMMON = ("config", "output", "manifest", "payload")
+_GRID = ("n", "x-min", "dx", "half-width")
 
 
-def _cmd_propagate(s: Settings) -> int:
+@dataclass
+class _Run:
+    """One command's result: manifest inputs, artifact contents keyed like
+    the manifest's outputs (a grid object, a dict written as JSON, or CSV
+    text), the summary line, extra manifest fields, and a failure note."""
+
+    inputs: dict
+    artifacts: dict
+    summary: str
+    extra: dict = field(default_factory=dict)
+    failure: str | None = None
+
+
+class _Command(NamedTuple):
+    """Help text, accepted and required flags, compute step, default
+    output path (or base), and {manifest output key: suffix to the base}."""
+
+    help: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...]
+    run: Callable[[Settings, dict], _Run]
+    output: str
+    outputs: dict[str, str]
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, flags: tuple[str, ...], output: str,
+             outputs: dict[str, str], required: tuple[str, ...] = ()):
+    def register(run):
+        _COMMANDS[name] = _Command(help, flags, required, run, output, outputs)
+        return run
+    return register
+
+
+@_command("flow", "closed-form 4x4 flow matrix as CSV", ("theta",),
+          "flow.csv", {"matrix": ""})
+def _run_flow(s: Settings, out: dict) -> _Run:
+    theta = s.theta(0.0)
+    return _Run({"theta": theta}, {"matrix": _csv(flow_matrix(theta))},
+                f"flow matrix at theta={theta:g} -> {out['matrix']}")
+
+
+@_command("propagate", "apply the phase-plane propagator", ("input", "theta"),
+          "propagate.csv", {"phase2d": ""}, required=("input",))
+def _run_propagate(s: Settings, out: dict) -> _Run:
     path = s.get("input")
-    if not path:
-        raise UsageError("propagate needs --input <phase2d grid file>")
     F = _read_kind(path, (PhaseFunction2D,), "a phase-plane function")
     theta = s.theta()
-    out_obj = propagate(F, theta)
-    output = s.get("output", "propagate.csv")
-    gridfile.write(output, out_obj, s.payload())
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "propagate",
-        "inputs": {"input": path, "theta": theta, "payload": s.payload()},
-        "outputs": {"phase2d": output},
-    })
-    print(f"propagated by theta={theta:g} -> {output}")
-    return EXIT_PASS
+    return _Run({"input": path, "theta": theta}, {"phase2d": propagate(F, theta)},
+                f"propagated by theta={theta:g} -> {out['phase2d']}")
 
 
-def _wigner_common(s: Settings, theta: float | None, default_out: str,
-                   command: str) -> int:
+@_command("fracwigner", "distribution at any angle",
+          ("state", "phi", "gaussian", "theta", *_GRID), "fracwigner.csv",
+          {"phase2d": ""})
+@_command("wigner", "distribution at the distinguished angle",
+          ("state", "phi", "gaussian", *_GRID), "wigner.csv", {"phase2d": ""})
+def _run_wigner(s: Settings, out: dict) -> _Run:
+    command = s.args.command
+    theta = s.theta() if command == "fracwigner" else None
     grid = s.grid()
     psi_spec = "gaussian" if s.get("gaussian") else s.get("state", "gaussian")
     phi_spec = s.get("phi", psi_spec)
@@ -237,57 +336,35 @@ def _wigner_common(s: Settings, theta: float | None, default_out: str,
     phi = _resolve_state(phi_spec, psi.grid)
     if theta is None:
         W = wigner_metaplectic(psi, phi)
-        theta_used = THETA_WIGNER
+        theta = THETA_WIGNER
     else:
         W = wigner_fractional(psi, phi, theta)
-        theta_used = theta
-    output = s.get("output", default_out)
-    gridfile.write(output, W, s.payload())
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": command,
-        "inputs": {"state": psi_spec, "phi": phi_spec, "theta": theta_used,
-                   "grid": s.describe_grid(psi.grid), "payload": s.payload()},
-        "outputs": {"phase2d": output},
-    })
-    print(f"{command}({psi_spec}, {phi_spec}) at theta={theta_used:g} -> {output}")
-    return EXIT_PASS
+    g = psi.grid
+    return _Run({"state": psi_spec, "phi": phi_spec, "theta": theta,
+                 "grid": {"n": g.n, "x_min": g.x_min, "dx": g.dx}},
+                {"phase2d": W},
+                f"{command}({psi_spec}, {phi_spec}) at theta={theta:g} -> "
+                f"{out['phase2d']}")
 
 
-def _cmd_wigner(s: Settings) -> int:
-    return _wigner_common(s, None, "wigner.csv", "wigner")
-
-
-def _cmd_fracwigner(s: Settings) -> int:
-    return _wigner_common(s, s.theta(), "fracwigner.csv", "fracwigner")
-
-
-def _cmd_reconstruct(s: Settings) -> int:
+@_command("reconstruct", "windowed adjoint of a phase-plane function",
+          ("input", "window", "theta"), "reconstruct.csv", {"function1d": ""},
+          required=("input",))
+def _run_reconstruct(s: Settings, out: dict) -> _Run:
     path = s.get("input")
-    if not path:
-        raise UsageError("reconstruct needs --input <phase2d grid file>")
     F = _read_kind(path, (PhaseFunction2D,), "a phase-plane function")
-    window_spec = s.get("window", "gaussian")
-    window = Window(_resolve_state(window_spec, F.grid_x))
+    window_spec, window = _window(s, F.grid_x)
     theta = s.theta()
-    psi = windowed_adjoint(F, window, theta)
-    output = s.get("output", "reconstruct.csv")
-    gridfile.write(output, psi, s.payload())
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "reconstruct",
-        "inputs": {"input": path, "window": window_spec, "theta": theta,
-                   "payload": s.payload()},
-        "outputs": {"function1d": output},
-    })
-    print(f"reconstructed with window {window_spec} at theta={theta:g} -> {output}")
-    return EXIT_PASS
+    return _Run({"input": path, "window": window_spec, "theta": theta},
+                {"function1d": windowed_adjoint(F, window, theta)},
+                f"reconstructed with window {window_spec} at theta={theta:g} "
+                f"-> {out['function1d']}")
 
 
-def _cmd_weyl_symbol(s: Settings) -> int:
+@_command("weyl-symbol", "angle symbol of an operator kernel", ("kernel", "theta"),
+          "weyl-symbol.csv", {"symbol": ""}, required=("kernel",))
+def _run_weyl_symbol(s: Settings, out: dict) -> _Run:
     path = s.get("kernel")
-    if not path:
-        raise UsageError("weyl-symbol needs --kernel <kernel grid file>")
     kernel = _read_kind(path, (OperatorKernel,), "an operator kernel")
     theta = s.theta()
     # The distinguished angle has an exact route; other angles go through
@@ -296,77 +373,34 @@ def _cmd_weyl_symbol(s: Settings) -> int:
         symbol = kernel_to_symbol(kernel)
     else:
         symbol = fractional_symbol(kernel, theta)
-    output = s.get("output", "weyl-symbol.csv")
-    gridfile.write(output, symbol, s.payload())
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "weyl-symbol",
-        "inputs": {"kernel": path, "theta": theta, "payload": s.payload()},
-        "outputs": {"symbol": output},
-    })
-    print(f"symbol at theta={theta:g} -> {output}")
-    return EXIT_PASS
+    return _Run({"kernel": path, "theta": theta}, {"symbol": symbol},
+                f"symbol at theta={theta:g} -> {out['symbol']}")
 
 
-_BUILTIN_SYMBOLS = ("oscillator", "x", "xi")
-
-
-def _resolve_symbol(spec: str, grid: Grid1D | None) -> Symbol2D:
-    if spec in _BUILTIN_SYMBOLS:
-        if grid is None:
-            raise UsageError(f"builtin symbol {spec!r} needs a grid "
-                             "(--n/--x-min/--dx or --half-width)")
-        return {"oscillator": symbol_oscillator,
-                "x": symbol_x, "xi": symbol_xi}[spec](grid)
-    if os.path.exists(spec):
-        obj = gridfile.read(spec)
-        if not isinstance(obj, Symbol2D):
-            raise UsageError(f"{spec}: expected a symbol grid file")
-        return obj
-    raise UsageError(f"unknown symbol spec {spec!r} "
-                     f"(one of {_BUILTIN_SYMBOLS} or a symbol file path)")
-
-
-def _cmd_star(s: Settings) -> int:
+@_command("star", "star product of two symbols", ("a", "b", "theta", "method", *_GRID),
+          "star.csv", {"symbol": ""}, required=("a", "b"))
+def _run_star(s: Settings, out: dict) -> _Run:
     a_spec, b_spec = s.get("a"), s.get("b")
-    if not a_spec or not b_spec:
-        raise UsageError("star needs --a and --b (symbol files or builtins)")
-    grid = s.grid()
-    a = _resolve_symbol(a_spec, grid)
+    a = _resolve_symbol(a_spec, s.grid())
     b = _resolve_symbol(b_spec, a.grid_x)
     theta = s.theta()
     method = s.get("method")
-    product = theta_product(a, b, theta, method=method)
-    output = s.get("output", "star.csv")
-    gridfile.write(output, product, s.payload())
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "star",
-        "inputs": {"a": a_spec, "b": b_spec, "theta": theta,
-                   "method": method or "auto", "payload": s.payload()},
-        "outputs": {"symbol": output},
-    })
-    print(f"star product at theta={theta:g} -> {output}")
-    return EXIT_PASS
+    return _Run({"a": a_spec, "b": b_spec, "theta": theta, "method": method or "auto"},
+                {"symbol": theta_product(a, b, theta, method=method)},
+                f"star product at theta={theta:g} -> {out['symbol']}")
 
 
-def _cmd_expect(s: Settings) -> int:
+@_command("expect", "operator expectation in a state", ("op", "state", "theta", *_GRID),
+          "expect.json", {"expectation": ""}, required=("op",))
+def _run_expect(s: Settings, out: dict) -> _Run:
     op_spec = s.get("op")
-    if not op_spec:
-        raise UsageError("expect needs --op <kernel or symbol grid file>")
-    grid = s.grid()
-    if op_spec in _BUILTIN_SYMBOLS:
-        op: OperatorKernel | Symbol2D = _resolve_symbol(op_spec, grid)
-        op_grid = op.grid_x
-    else:
-        op = _read_kind(op_spec, (OperatorKernel, Symbol2D),
-                        "an operator kernel or symbol")
-        op_grid = op.grid if isinstance(op, OperatorKernel) else op.grid_x
+    op = _resolve_symbol(op_spec, s.grid(), (OperatorKernel, Symbol2D),
+                         "a kernel or symbol grid file")
+    op_grid = op.grid if isinstance(op, OperatorKernel) else op.grid_x
     state_spec = s.get("state", "gaussian")
     state = _resolve_state(state_spec, op_grid)
     theta = s.theta()
     result = expectation(op, state, theta)
-    output = s.get("output", "expect.json")
     record = {
         "value": [result.value.real, result.value.imag],
         "phase_value": [result.phase_value.real, result.phase_value.imag],
@@ -376,39 +410,26 @@ def _cmd_expect(s: Settings) -> int:
     if result.adjoint_value is not None:
         record["adjoint_value"] = [result.adjoint_value.real,
                                    result.adjoint_value.imag]
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = s.get("manifest", output + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "expect",
-        "inputs": {"op": op_spec, "state": state_spec, "theta": theta},
-        "outputs": {"expectation": output},
-        "results": record,
-    })
-    print(f"expectation value {result.value:.12g} "
-          f"(phase-space route residual {result.residual:.3e}) -> {output}")
-    return EXIT_PASS
+    return _Run({"op": op_spec, "state": state_spec, "theta": theta},
+                {"expectation": record},
+                f"expectation value {result.value:.12g} (phase-space route "
+                f"residual {result.residual:.3e}) -> {out['expectation']}",
+                {"results": record})
 
 
-def _cmd_bopp_spectrum(s: Settings) -> int:
-    symbol_spec = s.get("symbol")
-    count = s.get("count")
-    if not symbol_spec or count is None:
-        raise UsageError("bopp-spectrum needs --symbol and --count")
-    grid = s.grid()
-    symbol = _resolve_symbol(symbol_spec, grid)
-    window_spec = s.get("window", "gaussian")
-    window = Window(_resolve_state(window_spec, symbol.grid_x))
+@_command("bopp-spectrum", "eigenvalue clusters of a phase-plane operator",
+          ("symbol", "count", "window", "representation", "gap", *_GRID),
+          "bopp-spectrum", {"report_json": ".json", "report_csv": ".csv"},
+          required=("symbol", "count"))
+def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
+    symbol_spec, count = s.get("symbol"), int(s.get("count"))
+    symbol = _resolve_symbol(symbol_spec, s.grid())
+    window_spec, window = _window(s, symbol.grid_x)
     representation = s.get("representation", "bopp_conjugated")
-    kwargs = {}
     gap = s.get("gap")
-    if gap is not None:
-        kwargs["gap"] = float(gap)
-    report = bopp_spectrum(symbol, int(count), window,
+    kwargs = {} if gap is None else {"gap": float(gap)}
+    report = bopp_spectrum(symbol, count, window,
                            representation=representation, **kwargs)
-    base = s.get("output", "bopp-spectrum")
-    json_path, csv_path = base + ".json", base + ".csv"
     # pushforward_residuals is per cluster, nan where unpaired or skipped;
     # nan is not valid JSON, so those slots become null.
     pushforwards = [None if np.isnan(r) else float(r)
@@ -423,82 +444,51 @@ def _cmd_bopp_spectrum(s: Settings) -> int:
         "pushforward_skipped": [int(i) for i in report.pushforward_skipped],
         "gap": float(report.gap),
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue,multiplicity,residual,reference,pushforward\n")
-        for i, (lam, mult, res) in enumerate(zip(
-                record["eigenvalues"], record["multiplicities"],
-                record["residuals"])):
-            ref = report.pairing.get(i)
-            ref_txt = _float_csv(record["reference_eigenvalues"][ref]) \
-                if ref is not None else ""
-            push_txt = _float_csv(pushforwards[i]) \
-                if pushforwards[i] is not None else ""
-            fh.write(f"{i},{_float_csv(lam)},{mult},{_float_csv(res)},"
-                     f"{ref_txt},{push_txt}\n")
-    manifest = s.get("manifest", base + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "bopp-spectrum",
-        "inputs": {"symbol": symbol_spec, "count": int(count),
-                   "window": window_spec, "representation": representation,
-                   "gap": record["gap"]},
-        "outputs": {"report_json": json_path, "report_csv": csv_path},
-        "results": {"eigenvalues": record["eigenvalues"],
-                    "max_residual": max(record["residuals"], default=0.0)},
-    })
-    eig_txt = ", ".join(f"{v:.6f}" for v in record["eigenvalues"])
-    print(f"lowest {count} cluster eigenvalues: {eig_txt} -> {json_path}, {csv_path}")
-    return EXIT_PASS
+    eigenvalues = record["eigenvalues"]
+    references = [record["reference_eigenvalues"][report.pairing[i]]
+                  if i in report.pairing else None for i in range(len(eigenvalues))]
+    table = _csv(zip(range(len(eigenvalues)), eigenvalues, record["multiplicities"],
+                     record["residuals"], references, pushforwards),
+                 "index,eigenvalue,multiplicity,residual,reference,pushforward")
+    eig_txt = ", ".join(f"{v:.6f}" for v in eigenvalues)
+    return _Run({"symbol": symbol_spec, "count": count, "window": window_spec,
+                 "representation": representation, "gap": record["gap"]},
+                {"report_json": record, "report_csv": table},
+                f"lowest {count} cluster eigenvalues: {eig_txt} -> "
+                f"{out['report_json']}, {out['report_csv']}",
+                {"results": {"eigenvalues": eigenvalues,
+                             "max_residual": max(record["residuals"], default=0.0)}})
 
 
-def _cmd_evolve(s: Settings) -> int:
+@_command("evolve", "evolve a state and its phase-plane lift side by side",
+          ("symbol", "state", "window", "t", "steps", "representation", *_GRID),
+          "evolve", {"state": "-state.csv", "phase": "-phase.csv",
+                     "divergence_table": "-divergence.csv"}, required=("t",))
+def _run_evolve(s: Settings, out: dict) -> _Run:
     symbol_spec = s.get("symbol", "oscillator")
-    t_final = s.get("t")
-    if t_final is None:
-        raise UsageError("evolve needs --t <final time>")
+    t_final = float(s.get("t"))
     steps = int(s.get("steps", 16))
-    grid = s.grid()
-    symbol = _resolve_symbol(symbol_spec, grid)
+    symbol = _resolve_symbol(symbol_spec, s.grid())
     state_spec = s.get("state", "gaussian")
     state = _resolve_state(state_spec, symbol.grid_x)
-    window_spec = s.get("window", "gaussian")
-    window = Window(_resolve_state(window_spec, symbol.grid_x))
+    window_spec, window = _window(s, symbol.grid_x)
     representation = s.get("representation", "bopp_conjugated")
-    result = evolve_pair(symbol, state, window, float(t_final), steps,
+    result = evolve_pair(symbol, state, window, t_final, steps,
                          representation=representation)
-    base = s.get("output", "evolve")
-    state_path, phase_path = base + "-state.csv", base + "-phase.csv"
-    table_path = base + "-divergence.csv"
-    payload = s.payload()
-    gridfile.write(state_path, result.state, payload)
-    gridfile.write(phase_path, result.phase, payload)
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("time,divergence\n")
-        for t, d in zip(result.times, result.divergences):
-            fh.write(f"{_float_csv(t)},{_float_csv(d)}\n")
-    manifest = s.get("manifest", base + ".manifest.json")
-    _write_manifest(manifest, {
-        "command": "evolve",
-        "inputs": {"symbol": symbol_spec, "state": state_spec,
-                   "window": window_spec, "t": float(t_final), "steps": steps,
-                   "representation": representation, "payload": payload},
-        "outputs": {"state": state_path, "phase": phase_path,
-                    "divergence_table": table_path},
-        "results": {"divergence": result.divergence,
-                    "state_norm_drift": result.state_norm_drift,
-                    "phase_norm_drift": result.phase_norm_drift},
-    })
-    print(f"evolved to t={float(t_final):g} in {steps} checkpoints; "
-          f"divergence {result.divergence:.3e} -> {state_path}, {phase_path}")
-    return EXIT_PASS
+    table = _csv(zip(result.times, result.divergences), "time,divergence")
+    return _Run({"symbol": symbol_spec, "state": state_spec, "window": window_spec,
+                 "t": t_final, "steps": steps, "representation": representation},
+                {"state": result.state, "phase": result.phase,
+                 "divergence_table": table},
+                f"evolved to t={t_final:g} in {steps} checkpoints; divergence "
+                f"{result.divergence:.3e} -> {out['state']}, {out['phase']}",
+                {"results": {"divergence": result.divergence,
+                             "state_norm_drift": result.state_norm_drift,
+                             "phase_norm_drift": result.phase_norm_drift}})
 
 
 def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for key, value in s.config.get("tolerances", {}).items():
-        overrides[str(key)] = float(value)
+    overrides = {str(k): float(v) for k, v in s.config.get("tolerances", {}).items()}
     for item in (getattr(s.args, "tolerance", None) or []):
         key, sep, value = item.partition("=")
         if not sep:
@@ -510,87 +500,45 @@ def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:
     return overrides
 
 
-def _cmd_verify(s: Settings) -> int:
+# verify writes no artifacts, so its manifest path ignores --output
+@_command("verify", "run acceptance criteria", ("suite", "seed", "tolerance"),
+          "verify", {})
+def _run_verify(s: Settings, out: dict) -> _Run:
     suite = s.get("suite", "all")
     try:
         names = verify.resolve_suite(suite)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    seed = s.seed()
+    seed = int(s.get("seed", 0))
     overrides = _parse_tolerance_overrides(s)
-    results = verify.run_all(seed=seed, names=names)
-
     rows = []
     failing: list[str] = []
-    for r in results:
-        key = f"{r.criterion}/{r.check}"
-        tolerance = float(overrides.get(key, r.tolerance))
+    for r in verify.run_all(seed=seed, names=names):
+        tolerance = float(overrides.get(f"{r.criterion}/{r.check}", r.tolerance))
         passed = bool(float(r.error) <= tolerance)
         rows.append({"criterion": r.criterion, "check": r.check,
                      "tolerance": tolerance, "error": float(r.error),
                      "passed": passed, "detail": r.detail})
         if not passed and r.criterion not in failing:
             failing.append(r.criterion)
-
-    width = max(len(f"{row['criterion']}/{row['check']}") for row in rows)
-    for row in rows:
-        status = "pass" if row["passed"] else "FAIL"
-        name = f"{row['criterion']}/{row['check']}"
-        print(f"{status}  {name:<{width}}  error={row['error']:.3e}  "
-              f"tolerance={row['tolerance']:.1e}")
-    total = len(rows)
+    labels = [f"{row['criterion']}/{row['check']}" for row in rows]
+    width = max(len(label) for label in labels)
+    lines = [f"{'pass' if row['passed'] else 'FAIL'}  {label:<{width}}  "
+             f"error={row['error']:.3e}  tolerance={row['tolerance']:.1e}"
+             for label, row in zip(labels, rows)]
     good = sum(row["passed"] for row in rows)
-    print(f"{good}/{total} checks passed (suite {suite}, seed {seed})")
-
-    manifest = s.get("manifest", "verify.manifest.json")
-    _write_manifest(manifest, {
-        "command": "verify",
-        "inputs": {"suite": suite, "seed": seed,
-                   "criteria": list(names),
-                   "tolerance_overrides": overrides},
-        "outputs": {},
-        "checks": rows,
-        "passed": not failing,
-    })
-    if failing:
-        print(f"failing criteria: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_PASS
+    lines.append(f"{good}/{len(rows)} checks passed (suite {suite}, seed {seed})")
+    return _Run({"suite": suite, "seed": seed, "criteria": list(names),
+                 "tolerance_overrides": overrides},
+                {}, "\n".join(lines), {"checks": rows, "passed": not failing},
+                f"failing criteria: {', '.join(failing)}" if failing else None)
 
 
-_HANDLERS = {
-    "flow": _cmd_flow,
-    "propagate": _cmd_propagate,
-    "wigner": _cmd_wigner,
-    "fracwigner": _cmd_fracwigner,
-    "reconstruct": _cmd_reconstruct,
-    "weyl-symbol": _cmd_weyl_symbol,
-    "star": _cmd_star,
-    "expect": _cmd_expect,
-    "bopp-spectrum": _cmd_bopp_spectrum,
-    "evolve": _cmd_evolve,
-    "verify": _cmd_verify,
-}
+COMMANDS = tuple(_COMMANDS)
 
 
 # --------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(parser: argparse.ArgumentParser, grid: bool = True) -> None:
-    parser.add_argument("--config", help="JSON config file; flags win over it")
-    parser.add_argument("--output", help="output path (or base path)")
-    parser.add_argument("--manifest", help="manifest path "
-                        "(default: <output>.manifest.json)")
-    parser.add_argument("--payload", choices=gridfile.PAYLOADS,
-                        help="grid file payload encoding (default csv)")
-    if grid:
-        parser.add_argument("--n", type=int, help="grid size (even)")
-        parser.add_argument("--x-min", type=float, dest="x_min",
-                            help="left grid edge")
-        parser.add_argument("--dx", type=float, help="grid spacing")
-        parser.add_argument("--half-width", type=float, dest="half_width",
-                            help="centered grid shortcut: x_min=-H, dx=2H/n")
+# argument parsing and the one finisher
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,94 +548,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("flow", help="closed-form 4x4 flow matrix as CSV")
-    p.add_argument("--theta", type=float, help="flow parameter (default 0)")
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("propagate", help="apply the phase-plane propagator")
-    p.add_argument("--input", help="phase2d grid file")
-    p.add_argument("--theta", type=float,
-                   help="angle (default: the distinguished angle)")
-    _add_common(p, grid=False)
-
-    for name, text in (("wigner", "distribution at the distinguished angle"),
-                       ("fracwigner", "distribution at any angle")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--state", help="state spec (default gaussian)")
-        p.add_argument("--phi", help="second state spec (default: same)")
-        p.add_argument("--gaussian", action="store_true",
-                       help="shorthand for --state gaussian")
-        if name == "fracwigner":
-            p.add_argument("--theta", type=float, help="angle (default: "
-                           "the distinguished angle)")
-        _add_common(p)
-
-    p = sub.add_parser("reconstruct", help="windowed adjoint of a "
-                       "phase-plane function")
-    p.add_argument("--input", help="phase2d grid file")
-    p.add_argument("--window", help="window spec (default gaussian)")
-    p.add_argument("--theta", type=float)
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("weyl-symbol", help="angle symbol of an operator kernel")
-    p.add_argument("--kernel", help="kernel grid file")
-    p.add_argument("--theta", type=float)
-    _add_common(p, grid=False)
-
-    p = sub.add_parser("star", help="star product of two symbols")
-    p.add_argument("--a", help="first symbol (file or builtin oscillator/x/xi)")
-    p.add_argument("--b", help="second symbol")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--method", choices=("algebraic", "kernel", "quadrature"))
-    _add_common(p)
-
-    p = sub.add_parser("expect", help="operator expectation in a state")
-    p.add_argument("--op", help="kernel/symbol file or builtin symbol")
-    p.add_argument("--state", help="state spec (default gaussian)")
-    p.add_argument("--theta", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("bopp-spectrum", help="eigenvalue clusters of a "
-                       "phase-plane operator")
-    p.add_argument("--symbol", help="symbol file or builtin oscillator/x/xi")
-    p.add_argument("--count", type=int, help="number of clusters")
-    p.add_argument("--window", help="window spec (default gaussian)")
-    p.add_argument("--representation", choices=REPRESENTATIONS)
-    p.add_argument("--gap", type=float, help="cluster gap threshold")
-    _add_common(p)
-
-    p = sub.add_parser("evolve", help="evolve a state and its phase-plane "
-                       "lift side by side")
-    p.add_argument("--symbol", help="generator symbol (default oscillator)")
-    p.add_argument("--state", help="initial state spec (default gaussian)")
-    p.add_argument("--window", help="window spec (default gaussian)")
-    p.add_argument("--t", type=float, help="final time")
-    p.add_argument("--steps", type=int, help="checkpoint count (default 16)")
-    p.add_argument("--representation", choices=REPRESENTATIONS)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run acceptance criteria")
-    p.add_argument("--suite", help="criterion or alias (default all)")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--tolerance", action="append", metavar="CHECK=VALUE",
-                   help="override a tolerance, e.g. "
-                        "propagator/group-law=1e-5 (repeatable)")
-    _add_common(p, grid=False)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags + _COMMON:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
+
+
+def _finish(s: Settings) -> int:
+    """Run the invoked command, write its artifacts and manifest, print."""
+    name = s.args.command
+    command = _COMMANDS[name]
+    for flag in command.required:
+        if s.get(flag) in (None, ""):
+            raise UsageError(f"{name} needs --{flag}: {_FLAGS[flag]['help']}")
+    base = s.get("output", command.output) if command.outputs else command.output
+    out = {key: base + suffix for key, suffix in command.outputs.items()}
+    run = command.run(s, out)
+    for key, content in run.artifacts.items():
+        if isinstance(content, str):
+            with open(out[key], "w", encoding="utf-8") as fh:
+                fh.write(content)
+        elif isinstance(content, dict):
+            _write_json(out[key], content)
+        else:
+            # grid files record the payload encoding they were written with
+            run.inputs["payload"] = s.payload()
+            gridfile.write(out[key], content, run.inputs["payload"])
+    _write_manifest(s.get("manifest", base + ".manifest.json"), {
+        "command": name, "inputs": run.inputs, "outputs": out, **run.extra})
+    print(run.summary)
+    if run.failure:
+        print(run.failure, file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_PASS
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = Settings(args)
-        return _HANDLERS[args.command](settings)
-    except (UsageError, ConfigurationError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+        return _finish(Settings(args))
+    except (UsageError, ConfigurationError, FileFormatError, OSError) as exc:
+        # OSError covers unreadable inputs and unwritable outputs alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,7 @@ then real and imaginary parts, written with round-trippable float reprs) or
 raw little-endian complex128 bytes in row-major order; the raw encoding
 round-trips bit-exactly.  Readers check that the payload length matches the
 shape the header promises, so truncated files fail loudly instead of
-shifting data.
+shifting data, and reject non-finite values and repeated CSV indices.
 
 Polynomial tags on symbols survive the trip through an optional header
 field; without that, a tagged symbol would silently lose its exact-algebra
@@ -146,12 +146,33 @@ def _parse_csv(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
                 f"line {lineno}: index {idx} outside shape {shape}"
             ) from None
         seen[idx] = True
-    if not seen.all():
+    # One line per entry, all finite, is the common case and costs no
+    # per-line work; anything else is rescanned to name the bad line.
+    complete = bool(seen.all())
+    if len(lines) != values.size or not complete or not np.isfinite(values).all():
+        _reject_bad_line(lines, len(shape))
+    if not complete:
         missing = int(seen.size - seen.sum())
         raise FileFormatError(
             f"payload incomplete: {missing} of {seen.size} entries missing"
         )
     return values
+
+
+def _reject_bad_line(lines: list[str], ndim: int) -> None:
+    """Raise for the first line that repeats an index or holds a non-finite
+    value; the lines already parsed, so only those two faults remain."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        idx = tuple(int(p) for p in parts[:ndim])
+        if idx in seen:
+            raise FileFormatError(f"line {lineno}: index {idx} appears twice")
+        if not np.isfinite([float(parts[-2]), float(parts[-1])]).all():
+            raise FileFormatError(f"line {lineno}: value is not finite")
+        seen.add(idx)
 
 
 # --------------------------------------------------------------------------
@@ -253,4 +274,8 @@ def read(path: str) -> GridObject:
         values = (
             np.frombuffer(body, dtype="<c16").astype(np.complex128).reshape(shape)
         )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            index = tuple(int(i) for i in np.unravel_index(bad[0], shape))
+            raise FileFormatError(f"binary payload entry {index} is not finite")
     return _assemble(header, values)

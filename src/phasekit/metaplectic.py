@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .grid import (
     ConfigurationError,
@@ -68,12 +67,7 @@ class ShearFactorization:
         return M
 
     @classmethod
-    def factor(
-        cls,
-        A: np.ndarray,
-        pivot_tol: float = _PIVOT_TOL,
-        allow_quarter: bool = True,
-    ) -> "ShearFactorization":
+    def factor(cls, A: np.ndarray, allow_quarter: bool = True) -> "ShearFactorization":
         """Factor a unimodular 2x2 matrix into quarter turns and shears.
 
         The three-shear form shear_x(b) shear_xi(c) shear_x(d) pivots on
@@ -100,7 +94,7 @@ class ShearFactorization:
             if np.abs(residual - np.eye(2)).max() <= _IDENTITY_TOL:
                 return cls(quarters)
             c = residual[1, 0]
-            if abs(c) >= pivot_tol:
+            if abs(c) >= _PIVOT_TOL:
                 b = (residual[0, 0] - 1.0) / c
                 d = (residual[1, 1] - 1.0) / c
                 worst = max(abs(b), abs(c), abs(d))
@@ -121,8 +115,8 @@ class ShearFactorization:
         return cls(best[2])
 
 
-def shear_factorization(theta: float, pivot_tol: float = _PIVOT_TOL) -> ShearFactorization:
-    return ShearFactorization.factor(substitution_matrix(theta), pivot_tol)
+def shear_factorization(theta: float) -> ShearFactorization:
+    return ShearFactorization.factor(substitution_matrix(theta))
 
 
 def _factor_for_grids(A: np.ndarray, grid_x: Grid1D, grid_e: Grid1D) -> ShearFactorization:
@@ -211,32 +205,17 @@ def _resample_trig(
     return out
 
 
-def _resample_cubic(
-    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, A: np.ndarray
-) -> np.ndarray:
-    x = grid_x.nodes()[:, None]
-    eta = grid_e.nodes()[None, :]
-    xp = A[0, 0] * x + A[0, 1] * eta
-    ep = A[1, 0] * x + A[1, 1] * eta
-    ci = (xp - grid_x.x_min) / grid_x.dx
-    cj = (ep - grid_e.x_min) / grid_e.dx
-    return map_coordinates(values, [ci, cj], order=3, mode="grid-wrap")
-
-
 # --- public operations -----------------------------------------------------
 
 
 def coordinate_transform(
-    F: PhaseFunction2D,
-    theta: float,
-    method: str = "spectral",
-    interpolation: str = "trig",
+    F: PhaseFunction2D, theta: float, method: str = "spectral"
 ) -> PhaseFunction2D:
     """Substitute the flow at -theta into a mixed-plane function.
 
     method="spectral" is the exactly-unitary shear pipeline;
-    method="resample" evaluates the interpolant directly at the mapped
-    nodes (interpolation "trig" or "cubic") and is test-only.
+    method="resample" evaluates the trigonometric interpolant directly at
+    the mapped nodes and is test-only.
     """
     F.grid_x.require_centered()
     F.grid_p.require_centered()
@@ -245,14 +224,7 @@ def coordinate_transform(
         fact = _factor_for_grids(A, F.grid_x, F.grid_p)
         out = _apply_substitution(F.values, F.grid_x, F.grid_p, fact)
     elif method == "resample":
-        if interpolation == "trig":
-            out = _resample_trig(F.values, F.grid_x, F.grid_p, A)
-        elif interpolation == "cubic":
-            out = _resample_cubic(F.values, F.grid_x, F.grid_p, A)
-        else:
-            raise ConfigurationError(
-                f"interpolation must be trig or cubic, got {interpolation!r}"
-            )
+        out = _resample_trig(F.values, F.grid_x, F.grid_p, A)
     else:
         raise ConfigurationError(f"method must be spectral or resample, got {method!r}")
     return PhaseFunction2D(F.grid_x, F.grid_p, out)

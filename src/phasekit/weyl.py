@@ -48,7 +48,7 @@ from .grid import (
 )
 from .metaplectic import propagate
 from .symplectic import THETA_WIGNER
-from .wigner import Theta, wigner_fractional
+from .wigner import Theta, _as_theta, wigner_fractional
 
 __all__ = [
     "OperatorKernel",
@@ -224,7 +224,7 @@ def fractional_symbol(kernel: OperatorKernel, theta: Theta | float) -> Symbol2D:
     angle this reproduces kernel_to_symbol up to resampling error; at other
     angles it provides an independent route to theta_symbol.
     """
-    theta = theta if isinstance(theta, Theta) else Theta(float(theta))
+    theta = _as_theta(theta)
     grid = kernel.grid
     grid.require_centered()
     seed = (grid.length / SQRT_TWO_PI) * _centered_ifft(kernel.values, axis=1)
@@ -241,21 +241,19 @@ def theta_symbol(symbol: Symbol2D, theta: Theta | float) -> Symbol2D:
     does not map polynomials to polynomials), so the output carries the
     tag only in the identity case.
     """
-    theta = theta if isinstance(theta, Theta) else Theta(float(theta))
+    theta = _as_theta(theta)
     if theta.value == THETA_WIGNER:
         poly = None if symbol.poly is None else symbol.poly.copy()
         return Symbol2D(symbol.grid_x, symbol.grid_xi, symbol.values.copy(), poly)
-    _require_decaying(symbol)
-    out = propagate(symbol.as_phase_function(), theta.value - THETA_WIGNER)
-    return Symbol2D(out.grid_x, out.grid_p, out.values)
+    return _transport(symbol, theta.value - THETA_WIGNER)
 
 
-def _require_decaying(symbol: Symbol2D) -> None:
-    """Refuse to push a polynomial symbol through the propagator.
+def _transport(symbol: Symbol2D, angle: float) -> Symbol2D:
+    """Carry a decaying symbol through the propagator by `angle`.
 
-    Polynomial symbols carry their mass out to the box edge, so the shear
-    factorization wraps it around and the transported values are noise.
-    Failing here turns that into a visible error instead.
+    Polynomial symbols are refused: they carry their mass out to the box
+    edge, so the shear factorization wraps it around and the transported
+    values are noise.  Failing here turns that into a visible error.
     """
     if symbol.poly is not None:
         raise ConfigurationError(
@@ -263,13 +261,7 @@ def _require_decaying(symbol: Symbol2D) -> None:
             "numerically (no decay at the box edge); work at the standard "
             "angle, where the algebraic product is exact"
         )
-
-
-def _to_standard_angle(symbol: Symbol2D, theta: Theta) -> Symbol2D:
-    if theta.value == THETA_WIGNER:
-        return symbol
-    _require_decaying(symbol)
-    out = propagate(symbol.as_phase_function(), THETA_WIGNER - theta.value)
+    out = propagate(symbol.as_phase_function(), angle)
     return Symbol2D(out.grid_x, out.grid_p, out.values)
 
 
@@ -380,34 +372,46 @@ def _derivative_matrix(grid: Grid1D) -> np.ndarray:
     return _centered_ifft(grid.dual().nodes()[:, None] * forward, axis=0)
 
 
-def mccoy_kernel(symbol: Symbol2D) -> OperatorKernel:
-    """Quantize a polynomial-tagged symbol by symmetric-ordering expansion.
+def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:
+    """Symmetric-ordered polynomial in two operators, applied to `start`.
 
-    Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r D^j X^{i-r}
-    with X the position multiplier and D the spectral derivative matrix.
+    Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r P^j X^{i-r},
+    applied right to left by the callables x_act and p_act.  Kernels use
+    the identity matrix as start; phase-plane actions use the data itself.
     """
-    if symbol.poly is None:
-        raise ConfigurationError("mccoy_kernel requires a polynomial-tagged symbol")
-    _require_dual_pair(symbol.grid_x, symbol.grid_xi)
-    grid = symbol.grid_x
-    coeffs = symbol.poly
-    xpow = [np.eye(grid.n, dtype=np.complex128)]
-    for _ in range(coeffs.shape[0] - 1):
-        xpow.append(xpow[-1] * grid.nodes()[None, :])  # right-multiply by diag(x)
-    dmat = _derivative_matrix(grid)
-    dpow = [np.eye(grid.n, dtype=np.complex128)]
-    for _ in range(coeffs.shape[1] - 1):
-        dpow.append(dpow[-1] @ dmat)
-    total = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    total = np.zeros_like(start, dtype=np.complex128)
     for i in range(coeffs.shape[0]):
         for j in range(coeffs.shape[1]):
             c = coeffs[i, j]
             if c == 0:
                 continue
-            word = np.zeros((grid.n, grid.n), dtype=np.complex128)
+            word = np.zeros_like(total)
             for r in range(i + 1):
-                word += math.comb(i, r) * (xpow[r] @ dpow[j] @ xpow[i - r])
-            total += c * (0.5**i) * word
+                term = np.asarray(start, dtype=np.complex128)
+                for _ in range(i - r):
+                    term = x_act(term)
+                for _ in range(j):
+                    term = p_act(term)
+                for _ in range(r):
+                    term = x_act(term)
+                word += math.comb(i, r) * term
+            total += c * 0.5**i * word
+    return total
+
+
+def mccoy_kernel(symbol: Symbol2D) -> OperatorKernel:
+    """Quantize a polynomial-tagged symbol by symmetric-ordering expansion,
+    with X the position multiplier and P the spectral derivative matrix."""
+    if symbol.poly is None:
+        raise ConfigurationError("mccoy_kernel requires a polynomial-tagged symbol")
+    _require_dual_pair(symbol.grid_x, symbol.grid_xi)
+    grid = symbol.grid_x
+    nodes = grid.nodes()[:, None]
+    dmat = _derivative_matrix(grid)
+    total = _symmetric_expand(
+        symbol.poly, np.eye(grid.n, dtype=np.complex128),
+        lambda m: nodes * m, lambda m: dmat @ m,
+    )
     return OperatorKernel(grid, total / grid.dx)
 
 
@@ -499,14 +503,13 @@ def theta_product(
     pushes the result forward.  At the standard angle itself the pullback
     is skipped entirely, so the result is identical to moyal_product.
     """
-    theta = theta if isinstance(theta, Theta) else Theta(float(theta))
+    theta = _as_theta(theta)
     _require_common_grids(a, b)
     if theta.value == THETA_WIGNER:
         return moyal_product(a, b, method=method)
-    base = moyal_product(_to_standard_angle(a, theta), _to_standard_angle(b, theta),
-                         method=method)
-    out = propagate(base.as_phase_function(), theta.value - THETA_WIGNER)
-    return Symbol2D(out.grid_x, out.grid_p, out.values)
+    back = THETA_WIGNER - theta.value
+    base = moyal_product(_transport(a, back), _transport(b, back), method=method)
+    return _transport(base, theta.value - THETA_WIGNER)
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +540,7 @@ def expectation(
     kernel that is not conj-symmetric within SELF_ADJOINT_TOL triggers a
     warning and the result also reports (psi, A psi).
     """
-    theta = theta if isinstance(theta, Theta) else Theta(float(theta))
+    theta = _as_theta(theta)
     kernel = _operator_kernel(op)
     if not state.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match operator grid")

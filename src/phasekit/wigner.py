@@ -12,6 +12,7 @@ isometry from states to phase-space functions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,30 +49,30 @@ _WINDOW_NORM_WARN = 1.0e-6
 _WINDOW_NORM_MIN = 1.0e-12
 
 
+def _finite_angle(value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"angle theta={value} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Theta:
     """Transform angle, stored reduced to the fundamental interval [0, PERIOD).
 
     Angles differing by the flow period give the same propagator, so the
-    reduction is exact bookkeeping, not an approximation.
+    reduction is exact bookkeeping, not an approximation.  Non-finite
+    angles are rejected.
     """
 
     value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(np.remainder(self.value, PERIOD)))
-
-    @classmethod
-    def kirkwood(cls) -> "Theta":
-        return cls(0.0)
+        value = _finite_angle(float(self.value))
+        object.__setattr__(self, "value", float(np.remainder(value, PERIOD)))
 
     @classmethod
     def wigner(cls) -> "Theta":
         return cls(THETA_WIGNER)
-
-    @classmethod
-    def standard_ordered(cls) -> "Theta":
-        return cls(2.0 * THETA_WIGNER)
 
 
 class Window:
@@ -99,18 +100,9 @@ class Window:
         return self.state.grid
 
 
-def _as_theta(theta) -> Theta:
-    if isinstance(theta, Theta):
-        return theta
-    return Theta(float(theta))
-
-
-def _window_transform_values(phi: SampledFunction1D) -> SampledFunction1D:
-    return fourier_1d(phi)
-
-
-def _tensor_with_conj_transform(psi: SampledFunction1D, phi_hat: SampledFunction1D) -> PhaseFunction2D:
-    return tensor_outer(psi, conjugate(phi_hat))
+def _as_theta(theta: Theta | float) -> Theta:
+    """The one coercion from a raw angle to a reduced Theta."""
+    return theta if isinstance(theta, Theta) else Theta(theta)
 
 
 def windowed_transform(psi: SampledFunction1D, window: Window, theta) -> PhaseFunction2D:
@@ -118,7 +110,7 @@ def windowed_transform(psi: SampledFunction1D, window: Window, theta) -> PhaseFu
     theta = _as_theta(theta)
     if not psi.grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
-    seed = _tensor_with_conj_transform(psi, window.transform)
+    seed = tensor_outer(psi, conjugate(window.transform))
     return propagate(seed, theta.value)
 
 
@@ -151,7 +143,7 @@ def wigner_fractional(psi: SampledFunction1D, phi: SampledFunction1D, theta) -> 
     theta = _as_theta(theta)
     if not psi.grid.matches(phi.grid):
         raise ConfigurationError("states live on different grids")
-    seed = _tensor_with_conj_transform(psi, _window_transform_values(phi))
+    seed = tensor_outer(psi, conjugate(fourier_1d(phi)))
     out = propagate(seed, theta.value)
     return PhaseFunction2D(out.grid_x, out.grid_p, out.values / SQRT_TWO_PI)
 

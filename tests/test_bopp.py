@@ -13,7 +13,13 @@ from phasekit.bopp import (
     evolve_pair,
 )
 from phasekit.grid import ConfigurationError, Grid1D
-from phasekit.weyl import Symbol2D, symbol_oscillator, symbol_x, symbol_xi
+from phasekit.weyl import (
+    Symbol2D,
+    polynomial_symbol,
+    symbol_oscillator,
+    symbol_x,
+    symbol_xi,
+)
 from phasekit.wigner import Theta, Window, windowed_transform
 
 
@@ -45,7 +51,14 @@ def test_conjugated_and_direct_agree_on_smooth_data():
     grid = Grid1D.centered(64, 10.0)
     lifted = windowed_transform(states.hermite(grid, 2), _window(grid),
                                 Theta.wigner())
-    for sym in (symbol_x(grid), symbol_xi(grid), symbol_oscillator(grid)):
+    # the mixed words x*xi^2, x^2*xi^2 and x^3*xi exercise every ordering
+    # branch of the symmetric expansion
+    mixed = []
+    for word in ((1, 2), (2, 2), (3, 1)):
+        coeffs = np.zeros((4, 4))
+        coeffs[word] = 1.0
+        mixed.append(polynomial_symbol(coeffs, grid))
+    for sym in (symbol_x(grid), symbol_xi(grid), symbol_oscillator(grid), *mixed):
         conj = PhaseOperator(sym, "bopp_conjugated").apply(lifted)
         direct = PhaseOperator(sym, "bopp_direct").apply(lifted)
         scale = np.max(np.abs(direct.values))

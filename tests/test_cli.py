@@ -292,24 +292,105 @@ def test_config_bad_payload_value(tmp_path, capsys):
     assert "payload" in capsys.readouterr().err
 
 
-def test_repeat_runs_are_bit_identical(tmp_path):
-    outs = []
-    for name in ("a.bin", "b.bin"):
-        out = tmp_path / name
-        rc = cli.main(["wigner", "--gaussian", *SMALL,
-                       "--output", str(out), "--payload", "binary",
-                       "--manifest", str(out) + ".man"])
+def _repeat_argv(command, inputs):
+    """Small-grid arguments for one run of each subcommand."""
+    tiny = ["--n", "16", "--half-width", "5.0"]
+    return {
+        "flow": ["--theta", "0.4"],
+        "propagate": ["--input", inputs["phase"], "--theta", "0.3"],
+        "wigner": ["--state", "hermite:1", *SMALL],
+        "fracwigner": ["--state", inputs["state"], "--phi", "chirp", "--theta", "0.7"],
+        "reconstruct": ["--input", inputs["phase"], "--theta", "0.2"],
+        "weyl-symbol": ["--kernel", inputs["kernel"], "--theta", "0.5"],
+        "star": ["--a", "x", "--b", "oscillator", *SMALL],
+        "expect": ["--op", inputs["kernel"], "--state", "coherent:0.3+0.2j",
+                   "--theta", "0.4"],
+        "bopp-spectrum": ["--symbol", "oscillator", "--count", "2", *tiny],
+        "evolve": ["--t", "0.5", "--steps", "2", *tiny],
+        "verify": ["--suite", "flow"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_repeat_runs_are_bit_identical(tmp_path, command):
+    grid = Grid1D.centered(32, 6.0)
+    rng = np.random.default_rng(3)
+    inputs = {name: str(tmp_path / f"{name}.bin") for name in ("phase", "state", "kernel")}
+    g = states.gaussian(grid).values
+    gridfile.write(inputs["phase"], windowed_transform(
+        states.hermite(grid, 2), Window(states.gaussian(grid)), 0.4), "binary")
+    gridfile.write(inputs["state"], states.random_wave(grid, rng), "binary")
+    gridfile.write(inputs["kernel"], OperatorKernel(grid, np.outer(g, g)), "binary")
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        man_path = str(tmp_path / name / "run.man")
+        rc = cli.main([command, *_repeat_argv(command, inputs), "--payload", "binary",
+                       "--output", str(tmp_path / name / "out"),
+                       "--manifest", man_path])
         assert rc == 0
-        outs.append(out)
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    # manifests record their own output path, so compare them with the
-    # path-bearing lines stripped
+        runs.append(_manifest(man_path))
+    first, second = runs
+    assert list(first["outputs"]) == list(second["outputs"])
+    for key, path in first["outputs"].items():
+        with open(path, "rb") as fh_a, open(second["outputs"][key], "rb") as fh_b:
+            assert fh_a.read() == fh_b.read(), key
+    # manifests record their own output paths, so compare them with the
+    # path-bearing entries stripped
     men = []
-    for out in outs:
-        man = _manifest(str(out) + ".man")
+    for man in runs:
         man["outputs"] = None
         men.append(json.dumps(man, sort_keys=True))
     assert men[0] == men[1]
+
+
+@pytest.mark.parametrize("command", ["flow", "propagate", "fracwigner", "star"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_usage_error(tmp_path, capsys, command, bad):
+    src = str(tmp_path / "in.bin")
+    grid = Grid1D.centered(16, 4.0)
+    gridfile.write(src, PhaseFunction2D(grid, grid.dual(), np.ones((16, 16))), "binary")
+    extra = {"propagate": ["--input", src], "star": ["--a", "x", "--b", "xi"]}
+    out = tmp_path / "o.csv"
+    rc = cli.main([command, f"--theta={bad}", *extra.get(command, []),
+                   "--output", str(out)])
+    assert rc == 2
+    assert f"error: angle theta={bad} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"theta": NaN}')
+    rc = cli.main(["flow", "--config", str(cfg), "--output", str(tmp_path / "f.csv")])
+    assert rc == 2
+    assert "theta=nan" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    # an existing directory cannot be opened as the artifact
+    rc = cli.main(["wigner", "--gaussian", *SMALL, "--output", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    # nor can a manifest path inside a missing directory
+    rc = cli.main(["flow", "--output", str(tmp_path / "f.csv"),
+                   "--manifest", str(tmp_path / "absent" / "m.json")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ["csv", "binary"])
+def test_non_finite_state_file_is_usage_error(tmp_path, capsys, payload):
+    grid = Grid1D.centered(16, 4.0)
+    values = states.gaussian(grid).values.astype(complex)
+    values[3] = np.nan
+    src = str(tmp_path / "state.in")
+    gridfile.write(src, SampledFunction1D(grid, values), payload)
+    out = tmp_path / "w.csv"
+    rc = cli.main(["wigner", "--state", src, "--output", str(out)])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -213,6 +213,49 @@ def test_csv_non_numeric_value(tmp_path):
         gridfile.read(path)
 
 
+@pytest.mark.parametrize("replace", [False, True])
+def test_csv_duplicate_index_row(tmp_path, replace):
+    # a repeated index would otherwise overwrite the first row silently,
+    # whether it comes as an extra line or in place of another row
+    def repeat_row(raw):
+        lines = raw.decode("utf-8").splitlines()
+        if replace:
+            lines[4] = lines[2]
+        else:
+            lines.insert(4, lines[2])
+        return "\n".join(lines).encode("utf-8") + b"\n"
+
+    path = _write_then_corrupt(tmp_path, repeat_row)
+    with pytest.raises(FileFormatError, match="line 5: index .* twice"):
+        gridfile.read(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", [-2, -1])
+def test_csv_non_finite_value(tmp_path, token, part):
+    def poison(raw):
+        lines = raw.decode("utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[part] = token
+        lines[3] = ",".join(fields)
+        return "\n".join(lines).encode("utf-8") + b"\n"
+
+    path = _write_then_corrupt(tmp_path, poison)
+    with pytest.raises(FileFormatError, match="line 4: value is not finite"):
+        gridfile.read(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binary_non_finite_value(tmp_path, bad):
+    obj = _objects()["phase2d"]
+    values = obj.values.copy()
+    values[2, 5] = complex(0.5, bad)
+    path = str(tmp_path / "p.bin")
+    gridfile.write(path, PhaseFunction2D(obj.grid_x, obj.grid_p, values), "binary")
+    with pytest.raises(FileFormatError, match=r"entry \(2, 5\) is not finite"):
+        gridfile.read(path)
+
+
 def test_malformed_poly_tag(tmp_path):
     obj = _objects()["symbol"]
     path = tmp_path / "sym.bin"

@@ -6,7 +6,9 @@ import pytest
 from phasekit import states
 from phasekit.grid import TWO_PI, ConfigurationError, Grid1D
 from phasekit.symplectic import THETA_WIGNER
+from phasekit.weyl import symbol_oscillator, theta_product, theta_symbol
 from phasekit.wigner import (
+    Theta,
     Window,
     position_marginal,
     wigner_direct,
@@ -179,3 +181,21 @@ def test_grid_mismatch_rejected():
     other = states.gaussian(Grid1D.centered(128, 8.0))
     with pytest.raises(ConfigurationError):
         wigner_metaplectic(g, other)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_rejected(bad):
+    # every entry point coerces through Theta, which names the angle
+    g = states.gaussian(GRID)
+    window = Window(g)
+    sym = symbol_oscillator(GRID)
+    calls = (
+        lambda: Theta(bad),
+        lambda: wigner_fractional(g, g, bad),
+        lambda: windowed_transform(g, window, bad),
+        lambda: theta_symbol(sym, bad),
+        lambda: theta_product(sym, sym, bad),
+    )
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=f"theta={bad}"):
+            call()
