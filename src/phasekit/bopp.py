@@ -14,7 +14,9 @@ transform carries it into the conjugated one.  Spectra and dynamics must
 therefore agree across pictures, and this module assembles the dense
 matrices needed to check that at desk scale: an eigenvalue report with
 degeneracy clusters paired against the 1D spectrum, and a side-by-side
-evolution of the same initial data in both pictures.
+evolution of the same initial data in both pictures.  Each realization is
+one batched map on raw arrays (_action), serving apply and the assembly;
+both harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .grid import (
     ConfigurationError,
@@ -35,7 +37,7 @@ from .grid import (
     _centered_fft,
     _centered_ifft,
 )
-from .metaplectic import _propagate_values, propagate
+from .metaplectic import _propagate_values
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -51,8 +53,6 @@ __all__ = [
     "PhaseOperator",
     "SpectralReport",
     "EvolutionResult",
-    "apply_extended",
-    "apply_bopp",
     "bopp_intertwining_residual",
     "dense_matrix",
     "bopp_spectrum",
@@ -62,11 +62,9 @@ __all__ = [
 REPRESENTATIONS = ("extended", "bopp_conjugated", "bopp_direct")
 DENSE_MAX_N = 64
 _DENSE_CHUNK = 512
-DENSE_STATE_MAX_N = 256
 ZERO_PUSHFORWARD_TOL = 1.0e-10
 PAIRING_GAP = 1.0e-4
 _RESIDUAL_FLOOR = 1.0e-12
-_CN_SOLVE_RTOL = 1.0e-12
 
 
 # --------------------------------------------------------------------------
@@ -101,9 +99,15 @@ class PhaseOperator:
         return _operator_kernel(self.symbol)
 
     def apply(self, phase: PhaseFunction2D) -> PhaseFunction2D:
-        if self.representation == "extended":
-            return apply_extended(self, phase)
-        return apply_bopp(self, phase)
+        if not phase.grid_x.matches(self.symbol.grid_x):
+            raise ConfigurationError(
+                "phase function's position grid does not match the operator grid"
+            )
+        if self.representation == "bopp_conjugated":
+            phase.grid_x.require_centered()
+            phase.grid_p.require_centered()
+        values = _action(self, phase.grid_x, phase.grid_p)(phase.values)
+        return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
 
 @dataclass(frozen=True)
@@ -151,17 +155,6 @@ class EvolutionResult:
 # applying the three realizations
 
 
-def apply_extended(op: PhaseOperator, phase: PhaseFunction2D) -> PhaseFunction2D:
-    """Kernel action along the position axis, one momentum column at a time."""
-    kernel = op.kernel()
-    if not phase.grid_x.matches(kernel.grid):
-        raise ConfigurationError(
-            "phase function's position grid does not match the operator grid"
-        )
-    values = kernel.grid.dx * (kernel.values @ phase.values)
-    return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
-
-
 def _position_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
     """x + (i/2) d/dp on raw value arrays (batchable over leading axes)."""
     out = grid_x.nodes()[:, None] * values
@@ -178,36 +171,33 @@ def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.n
     return out + _centered_ifft(spec, axis=-2)
 
 
-def _direct_action(
-    coeffs: np.ndarray, values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D
-) -> np.ndarray:
-    """Symmetric-ordered polynomial in the two phase-plane generators: the
-    1D quantization word for word, with X and P the generators."""
-    return _symmetric_expand(
-        coeffs, values,
-        lambda v: _position_action(v, grid_x, grid_p),
-        lambda v: _momentum_action(v, grid_x, grid_p),
-    )
+def _action(
+    op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator's phase-plane map on raw (..., n, n) value arrays.
 
-
-def apply_bopp(op: PhaseOperator, phase: PhaseFunction2D) -> PhaseFunction2D:
-    """Phase-plane action of the operator in its Bopp realization.
-
-    bopp_direct applies the generator word; every other representation goes
-    through the conjugation route: flow back by THETA_WIGNER, act along the
-    position axis, flow forward again.
+    extended multiplies each momentum column by dx times the kernel;
+    bopp_conjugated flows back by THETA_WIGNER, does the same, and flows
+    forward again; bopp_direct is the 1D quantization word for word, with
+    x + (i/2) d/dp and p - (i/2) d/dx as X and P.
     """
     if op.representation == "bopp_direct":
-        if not phase.grid_x.matches(op.symbol.grid_x):
-            raise ConfigurationError(
-                "phase function's position grid does not match the operator grid"
-            )
-        values = _direct_action(
-            op.symbol.poly, phase.values, phase.grid_x, phase.grid_p
+        return lambda values: _symmetric_expand(
+            op.symbol.poly, values,
+            lambda v: _position_action(v, grid_x, grid_p),
+            lambda v: _momentum_action(v, grid_x, grid_p),
         )
-        return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
-    down = propagate(phase, -THETA_WIGNER)
-    return propagate(apply_extended(op, down), THETA_WIGNER)
+    kernel_values = grid_x.dx * op.kernel().values
+    if op.representation == "extended":
+        return lambda values: np.matmul(kernel_values, values)
+
+    def conjugated(values: np.ndarray) -> np.ndarray:
+        down = _propagate_values(values, grid_x, grid_p, -THETA_WIGNER)
+        return _propagate_values(
+            np.matmul(kernel_values, down), grid_x, grid_p, THETA_WIGNER
+        )
+
+    return conjugated
 
 
 def _lift_angle(representation: str) -> Theta:
@@ -270,24 +260,15 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
             f"dense assembly is capped at {DENSE_MAX_N} points per axis, "
             f"got {grid.n}"
         )
-    grid_p = grid.dual()
+    action = _action(op, grid, grid.dual())
     n = grid.n
-    if op.representation != "bopp_direct":
-        kernel_values = grid.dx * op.kernel().values
     matrix = np.empty((n * n, n * n), dtype=np.complex128)
     for start in range(0, n * n, _DENSE_CHUNK):
         stop = min(start + _DENSE_CHUNK, n * n)
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)
         flat = np.arange(start, stop)
         basis[np.arange(stop - start), flat // n, flat % n] = 1.0
-        if op.representation == "extended":
-            image = np.matmul(kernel_values, basis)
-        elif op.representation == "bopp_conjugated":
-            image = _propagate_values(basis, grid, grid_p, -THETA_WIGNER)
-            image = np.matmul(kernel_values, image)
-            image = _propagate_values(image, grid, grid_p, THETA_WIGNER)
-        else:
-            image = _direct_action(op.symbol.poly, basis, grid, grid_p)
+        image = action(basis)
         matrix[:, start:stop] = image.reshape(stop - start, n * n).T
     return matrix
 
@@ -427,44 +408,6 @@ def _evolve_dense(
     return vecs @ (phases * coeffs[:, None])
 
 
-def _evolve_crank_nicolson(
-    apply_op, start: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Crank-Nicolson stepping with a matrix-free GMRES solve per step.
-
-    Used when the phase grid is too large to assemble densely; times must be
-    uniformly spaced starting at zero.
-    """
-    steps = times.size - 1
-    dt = times[1] - times[0] if steps else 0.0
-    dim = start.size
-
-    def forward(v: np.ndarray) -> np.ndarray:
-        return v + 0.5j * dt * apply_op(v)
-
-    def backward(v: np.ndarray) -> np.ndarray:
-        return v - 0.5j * dt * apply_op(v)
-
-    operator = scipy.sparse.linalg.LinearOperator(
-        (dim, dim), matvec=forward, dtype=np.complex128
-    )
-    out = np.empty((dim, times.size), dtype=np.complex128)
-    out[:, 0] = start
-    current = start
-    for k in range(steps):
-        rhs = backward(current)
-        current, info = scipy.sparse.linalg.gmres(
-            operator, rhs, x0=current, rtol=_CN_SOLVE_RTOL, atol=0.0
-        )
-        if info != 0:
-            raise ConfigurationError(
-                f"implicit step {k + 1} did not converge (gmres info {info}); "
-                "reduce the step size"
-            )
-        out[:, k + 1] = current
-    return out
-
-
 def evolve_pair(
     symbol: Symbol2D,
     psi0: SampledFunction1D,
@@ -477,10 +420,10 @@ def evolve_pair(
 
     The state picture evolves under the 1D kernel, the phase picture under
     the Bopp realization, both from the same initial state (the phase side
-    starts from the windowed lift).  Grids small enough to assemble densely
-    use exact eigendecomposition propagation; larger phase grids fall back
-    to Crank-Nicolson with the same checkpoint times.  The divergence is
-    the worst checkpoint value of ||Phi - W psi|| / ||Phi||.
+    starts from the windowed lift).  Both pictures propagate exactly by
+    eigendecomposition, so grids above DENSE_MAX_N points per axis are
+    refused, as in bopp_spectrum.  The divergence is the worst checkpoint
+    value of ||Phi - W psi|| / ||Phi||.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be at least 1, got {steps}")
@@ -492,33 +435,18 @@ def evolve_pair(
     grid = kernel.grid
     if not psi0.grid.matches(grid):
         raise ConfigurationError("initial state grid does not match the operator")
+    matrix = dense_matrix(op)
     times = np.linspace(0.0, t_final, steps + 1)
 
     h1 = grid.dx * kernel.values
     h1 = (h1 + h1.conj().T) / 2.0
-    if grid.n <= DENSE_STATE_MAX_N:
-        states = _evolve_dense(h1, psi0.values.astype(np.complex128), times)
-    else:
-        states = _evolve_crank_nicolson(
-            lambda v: h1 @ v, psi0.values.astype(np.complex128), times
-        )
+    states = _evolve_dense(h1, psi0.values.astype(np.complex128), times)
 
     angle = _lift_angle(representation)
     lift0 = windowed_transform(psi0, window, angle)
     start = lift0.values.reshape(-1).astype(np.complex128)
-    if grid.n <= DENSE_MAX_N:
-        matrix = dense_matrix(op)
-        matrix = (matrix + matrix.conj().T) / 2.0
-        phases = _evolve_dense(matrix, start, times)
-    else:
-        n = grid.n
-        grid_p = grid.dual()
-
-        def apply_vec(v: np.ndarray) -> np.ndarray:
-            phase = PhaseFunction2D(grid, grid_p, v.reshape(n, n))
-            return op.apply(phase).values.reshape(-1)
-
-        phases = _evolve_crank_nicolson(apply_vec, start, times)
+    matrix = (matrix + matrix.conj().T) / 2.0
+    phases = _evolve_dense(matrix, start, times)
 
     weight = math.sqrt(lift0.weight)
     scale1 = math.sqrt(grid.dx)

@@ -22,13 +22,16 @@ the summary line for all of them.
 State and window specs are small strings: "gaussian", "hermite:2",
 "coherent:0.6+0.4j", "chirp", "chirp:0.8", or a path to a function1d grid
 file.  Exit codes: 0 success, 1 numerical failure (verify), 2 usage,
-including unreadable inputs, unwritable outputs and non-finite angles.
+including unreadable inputs, unwritable outputs, non-numeric or non-finite
+numbers, and grids too large for the dense phase-plane harnesses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -102,6 +105,21 @@ class Settings:
                     f"config declares command {declared!r} but "
                     f"{args.command!r} was invoked"
                 )
+        # Every number is converted and checked here, once, with the type
+        # the flag table declares; Settings.theta checks the angle.
+        grid = self.config.get("grid", {})
+        tolerances = self.config.get("tolerances", {})
+        if not (isinstance(grid, dict) and isinstance(tolerances, dict)):
+            raise UsageError("config 'grid' and 'tolerances' must be JSON objects")
+        for flag, spec in _FLAGS.items():
+            kind, key = spec.get("type"), flag.replace("-", "_")
+            for name, entries in ((f"--{flag}", vars(args)), (f"config {key!r}", self.config),
+                                  (f"config grid.{key}", grid if key in _GRID_DEFAULTS else {})):
+                if kind is not None and entries.get(key) is not None:
+                    entries[key] = _typed(entries[key], kind, name,
+                                          kind is float and flag != "theta")
+        for key, value in tolerances.items():
+            tolerances[key] = _typed(value, float, f"config tolerances.{key}", False)
 
     def get(self, key: str, default: Any = None) -> Any:
         flag = getattr(self.args, key.replace("-", "_"), None)
@@ -114,7 +132,7 @@ class Settings:
     def theta(self, default: float = THETA_WIGNER) -> float:
         """The one reader of --theta (or the config's theta); finite only."""
         value = self.get("theta")
-        return _finite_angle(default if value is None else float(value))
+        return _finite_angle(default if value is None else value)
 
     def payload(self) -> str:
         value = self.get("payload", "csv")
@@ -123,23 +141,35 @@ class Settings:
         return value
 
     def grid(self) -> Grid1D:
-        spec = dict(_GRID_DEFAULTS)
-        spec.update({k: v for k, v in self.config.get("grid", {}).items()})
+        spec = {**_GRID_DEFAULTS, **self.config.get("grid", {})}
         n = self.get("n")
         if n is not None:
-            spec["n"] = int(n)
+            spec["n"] = n
         half = self.get("half_width")
         if half is not None:
-            spec["x_min"] = -float(half)
-            spec["dx"] = 2.0 * float(half) / spec["n"]
+            spec["x_min"] = -half
+            spec["dx"] = 2.0 * half / spec["n"]
         for key in ("x_min", "dx"):
             flag = getattr(self.args, key, None)
             if flag is not None:
-                spec[key] = float(flag)
+                spec[key] = flag
         try:
-            return Grid1D(int(spec["n"]), float(spec["x_min"]), float(spec["dx"]))
+            return Grid1D(spec["n"], spec["x_min"], spec["dx"])
         except ConfigurationError as exc:
             raise UsageError(str(exc))
+
+
+def _typed(value: Any, kind: type, name: str, finite: bool) -> Any:
+    """value as kind, else a UsageError naming it; also if finite is asked
+    for and the value is nan or infinite."""
+    try:
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    if finite and not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _read_kind(path: str, kinds: tuple[type, ...], what: str):
@@ -422,12 +452,12 @@ def _run_expect(s: Settings, out: dict) -> _Run:
           "bopp-spectrum", {"report_json": ".json", "report_csv": ".csv"},
           required=("symbol", "count"))
 def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
-    symbol_spec, count = s.get("symbol"), int(s.get("count"))
+    symbol_spec, count = s.get("symbol"), s.get("count")
     symbol = _resolve_symbol(symbol_spec, s.grid())
     window_spec, window = _window(s, symbol.grid_x)
     representation = s.get("representation", "bopp_conjugated")
     gap = s.get("gap")
-    kwargs = {} if gap is None else {"gap": float(gap)}
+    kwargs = {} if gap is None else {"gap": gap}
     report = bopp_spectrum(symbol, count, window,
                            representation=representation, **kwargs)
     # pushforward_residuals is per cluster, nan where unpaired or skipped;
@@ -466,8 +496,7 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
                      "divergence_table": "-divergence.csv"}, required=("t",))
 def _run_evolve(s: Settings, out: dict) -> _Run:
     symbol_spec = s.get("symbol", "oscillator")
-    t_final = float(s.get("t"))
-    steps = int(s.get("steps", 16))
+    t_final, steps = s.get("t"), s.get("steps", 16)
     symbol = _resolve_symbol(symbol_spec, s.grid())
     state_spec = s.get("state", "gaussian")
     state = _resolve_state(state_spec, symbol.grid_x)
@@ -488,15 +517,12 @@ def _run_evolve(s: Settings, out: dict) -> _Run:
 
 
 def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:
-    overrides = {str(k): float(v) for k, v in s.config.get("tolerances", {}).items()}
+    overrides = dict(s.config.get("tolerances", {}))
     for item in (getattr(s.args, "tolerance", None) or []):
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--tolerance needs criterion/check=value: {item!r}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise UsageError(f"--tolerance value is not a number: {item!r}")
+        overrides[key] = _typed(value, float, f"--tolerance {key}", False)
     return overrides
 
 
@@ -509,7 +535,7 @@ def _run_verify(s: Settings, out: dict) -> _Run:
         names = verify.resolve_suite(suite)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    seed = int(s.get("seed", 0))
+    seed = s.get("seed", 0)
     overrides = _parse_tolerance_overrides(s)
     rows = []
     failing: list[str] = []
@@ -541,6 +567,7 @@ COMMANDS = tuple(_COMMANDS)
 # argument parsing and the one finisher
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasekit",
@@ -585,8 +612,7 @@ def _finish(s: Settings) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _finish(Settings(args))
     except (UsageError, ConfigurationError, FileFormatError, OSError) as exc:

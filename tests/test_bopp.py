@@ -177,23 +177,32 @@ def test_evolution_period_return():
     assert abs(abs(phase) - 1.0) < 1e-9
 
 
-def test_crank_nicolson_fallback_norm_preservation():
-    # above the dense cutoff the stepper switches to Crank-Nicolson and
-    # still conserves both norms
+def test_evolution_refuses_grids_above_the_dense_cap():
+    # both pictures evolve exactly by eigendecomposition, so a grid the
+    # dense assembly cannot hold is refused rather than approximated
     grid = Grid1D.centered(80, 8.0)
-    result = evolve_pair(symbol_oscillator(grid), states.gaussian(grid),
-                         _window(grid), 0.5, 4)
-    assert result.state_norm_drift < 1e-6
-    assert result.phase_norm_drift < 1e-6
-    assert result.divergence < 1e-3
+    with pytest.raises(ConfigurationError, match="capped at 64 points"):
+        evolve_pair(symbol_oscillator(grid), states.gaussian(grid),
+                    _window(grid), 0.5, 4)
 
 
-def test_dense_matrix_is_the_apply_map():
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_dense_matrix_is_the_apply_map(representation):
     grid = Grid1D.centered(32, 6.0)
-    op = PhaseOperator(symbol_oscillator(grid), "bopp_conjugated")
+    op = PhaseOperator(symbol_oscillator(grid), representation)
     M = dense_matrix(op)
     rng = np.random.default_rng(81)
     F = states.random_phase_wave(grid, grid.dual(), rng)
     out = op.apply(F)
     ref = (M @ F.values.reshape(-1)).reshape(F.values.shape)
     assert np.max(np.abs(out.values - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_apply_rejects_a_mismatched_position_grid(representation):
+    grid = Grid1D.centered(32, 6.0)
+    op = PhaseOperator(symbol_oscillator(grid), representation)
+    other = Grid1D.centered(32, 7.0)
+    F = states.random_phase_wave(other, other.dual(), np.random.default_rng(5))
+    with pytest.raises(ConfigurationError, match="position grid"):
+        op.apply(F)

@@ -367,6 +367,63 @@ def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
     assert "theta=nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config", [
+    ("flow", {"theta": "abc"}),
+    ("wigner", {"grid": {"n": "big"}}),
+    ("wigner", {"grid": 32}),
+    ("evolve", {"t": "soon"}),
+    ("verify", {"tolerances": {"flow-algebra/period": "tight"}}),
+    ("evolve", {"t": float("nan")}),
+    ("wigner", {"grid": {"dx": float("inf")}}),
+])
+def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg), "--output", str(out),
+                   "--manifest", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and "Traceback" not in err
+    assert not list(tmp_path.glob("out*")) and not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("t", ["evolve", *SMALL]),
+    ("gap", ["bopp-spectrum", "--symbol", "x", "--count", "1", "--n", "16",
+             "--half-width", "5"]),
+    ("half-width", ["wigner", "--n", "16"]),
+    ("x-min", ["wigner", "--n", "16", "--dx", "0.5"]),
+    ("dx", ["wigner", "--n", "16", "--x-min", "-4"]),
+])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_number_is_usage_error(tmp_path, capsys, flag, argv, bad):
+    out = tmp_path / "out"
+    rc = cli.main([*argv, f"--{flag}={bad}", "--output", str(out)])
+    assert rc == 2
+    assert f"error: --{flag} must be finite, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_above_the_dense_cap_is_usage_error(tmp_path, capsys):
+    base = tmp_path / "ev"
+    rc = cli.main(["evolve", "--n", "80", "--half-width", "8", "--t", "0.5",
+                   "--output", str(base)])
+    assert rc == 2
+    assert "error: dense assembly is capped at 64" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_repeated_main_calls_share_no_flag_state(tmp_path, capsys):
+    # the parser is built once per process; an appended --tolerance from
+    # one call must not reach the next
+    man = str(tmp_path / "v.json")
+    assert cli.main(["verify", "--suite", "flow", "--manifest", man,
+                     "--tolerance", "flow-algebra/period=1e-30"]) == 1
+    assert cli.main(["verify", "--suite", "flow", "--manifest", man]) == 0
+    assert _manifest(man)["inputs"]["tolerance_overrides"] == {}
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     # an existing directory cannot be opened as the artifact
     rc = cli.main(["wigner", "--gaussian", *SMALL, "--output", str(tmp_path)])
