@@ -34,8 +34,7 @@ from .grid import (
     Grid1D,
     PhaseFunction2D,
     SampledFunction1D,
-    _centered_fft,
-    _centered_ifft,
+    _spectral_step,
 )
 from .metaplectic import _propagate_values
 from .symplectic import THETA_WIGNER
@@ -158,17 +157,13 @@ class EvolutionResult:
 def _position_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
     """x + (i/2) d/dp on raw value arrays (batchable over leading axes)."""
     out = grid_x.nodes()[:, None] * values
-    spec = _centered_fft(values, axis=-1)
-    spec *= -0.5 * grid_p.dual().nodes()
-    return out + _centered_ifft(spec, axis=-1)
+    return out + _spectral_step(values, -0.5 * grid_p.dual().nodes(), axis=-1)
 
 
 def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
     """p - (i/2) d/dx on raw value arrays (batchable over leading axes)."""
     out = grid_p.nodes() * values
-    spec = _centered_fft(values, axis=-2)
-    spec *= 0.5 * grid_x.dual().nodes()[:, None]
-    return out + _centered_ifft(spec, axis=-2)
+    return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
 
 
 def _action(
@@ -322,6 +317,8 @@ def bopp_spectrum(
     """
     if count < 1:
         raise ConfigurationError(f"count must be at least 1, got {count}")
+    if not math.isfinite(gap):
+        raise ConfigurationError(f"gap must be finite, got {gap}")
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     _require_self_adjoint(kernel, "the spectral harness")
@@ -427,8 +424,8 @@ def evolve_pair(
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be at least 1, got {steps}")
-    if t_final < 0:
-        raise ConfigurationError(f"t_final must be nonnegative, got {t_final}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     _require_self_adjoint(kernel, "paired evolution")

@@ -119,7 +119,7 @@ class Settings:
                     entries[key] = _typed(entries[key], kind, name,
                                           kind is float and flag != "theta")
         for key, value in tolerances.items():
-            tolerances[key] = _typed(value, float, f"config tolerances.{key}", False)
+            tolerances[key] = _typed(value, float, f"config tolerances.{key}", finite=True)
 
     def get(self, key: str, default: Any = None) -> Any:
         flag = getattr(self.args, key.replace("-", "_"), None)
@@ -522,7 +522,7 @@ def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--tolerance needs criterion/check=value: {item!r}")
-        overrides[key] = _typed(value, float, f"--tolerance {key}", False)
+        overrides[key] = _typed(value, float, f"--tolerance {key}", finite=True)
     return overrides
 
 

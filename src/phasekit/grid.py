@@ -177,6 +177,14 @@ def _centered_ifft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.fftshift(v, axes=axis)
 
 
+def _spectral_step(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
+    """Fourier multiplier along one axis: centred FFT, multiply in place by
+    `multiplier` (broadcast against the spectrum), inverse FFT."""
+    spec = _centered_fft(values, axis=axis)
+    spec *= multiplier
+    return _centered_ifft(spec, axis=axis)
+
+
 def fourier_1d(f: SampledFunction1D, direction: str = "forward") -> SampledFunction1D:
     """Unitary Fourier transform onto the dual grid.
 

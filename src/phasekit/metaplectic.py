@@ -3,10 +3,10 @@
 The propagator U(theta) acts on phase-plane functions Psi(x, p) as a
 partial Fourier transform to the mixed plane (x, xi_p), a measure-
 preserving coordinate substitution along the closed-form flow, and the
-inverse partial transform.  The substitution is realized spectrally as at
-most three axis shears plus an optional quarter turn; every factor is
-exactly unitary on the grid (FFTs, unit-modulus cross-chirps, index
-permutations), so U preserves discrete norms to rounding.
+inverse partial transform.  The substitution is realized as up to three
+quarter turns followed by at most one three-shear; every factor is exactly
+unitary on the grid (index permutations, FFTs, unit-modulus cross-chirps),
+so U preserves discrete norms to rounding.
 
 A direct trigonometric-interpolation resample of the same substitution is
 provided as an independent oracle; it never sits on the fast path.
@@ -24,6 +24,7 @@ from .grid import (
     PhaseFunction2D,
     _centered_fft,
     _centered_ifft,
+    _spectral_step,
 )
 from .symplectic import flow_matrix, plane_block
 
@@ -41,29 +42,27 @@ def substitution_matrix(theta: float) -> np.ndarray:
     return plane_block(flow_matrix(-theta))
 
 
+def _is_identity(A: np.ndarray) -> bool:
+    return bool(np.abs(A - np.eye(2)).max() <= _IDENTITY_TOL)
+
+
 @dataclass(frozen=True)
 class ShearFactorization:
-    """Ordered factors composing (left to right) to a unimodular 2x2 map.
+    """A unimodular 2x2 map as `quarters` quarter turns (x, eta) -> (eta, -x),
+    then shears = (b, c, d) for shear_x(b) shear_xi(c) shear_x(d), or None.
 
-    Factors are ("shear_x", b) for (x, eta) -> (x + b*eta, eta),
-    ("shear_xi", c) for (x, eta) -> (x, eta + c*x), and ("quarter", 0.0)
-    for (x, eta) -> (eta, -x).  An empty tuple is the identity.
+    shear_x(b) is (x, eta) -> (x + b*eta, eta) and shear_xi(c) is
+    (x, eta) -> (x, eta + c*x); factors compose left to right, as applied.
     """
 
-    factors: tuple[tuple[str, float], ...]
+    quarters: int
+    shears: tuple[float, float, float] | None
 
     def matrix(self) -> np.ndarray:
-        M = np.eye(2)
-        for kind, coeff in self.factors:
-            if kind == "shear_x":
-                F = np.array([[1.0, coeff], [0.0, 1.0]])
-            elif kind == "shear_xi":
-                F = np.array([[1.0, 0.0], [coeff, 1.0]])
-            elif kind == "quarter":
-                F = QUARTER_TURN
-            else:
-                raise ConfigurationError(f"unknown factor kind {kind!r}")
-            M = M @ F
+        M = np.linalg.matrix_power(QUARTER_TURN, self.quarters)
+        if self.shears is not None:
+            b, c, d = self.shears
+            M = M @ [[1.0, b], [0.0, 1.0]] @ [[1.0, 0.0], [c, 1.0]] @ [[1.0, d], [0.0, 1.0]]
         return M
 
     @classmethod
@@ -77,34 +76,25 @@ class ShearFactorization:
         is unitary.  The rotation-like content is therefore range-reduced
         first: A = Q^m A' with exact quarter turns Q, choosing the m in
         0..3 whose residual A' has the smallest worst shear coefficient
-        (<= about 1.07 for the flow family, versus unbounded without the
-        reduction).  Quarter turns cost nothing and are exact index
-        permutations.
+        (at most about 1.51 for the flow family, reached on the xi-shear
+        near theta = 0.609; unbounded without the reduction).  Quarter
+        turns cost nothing and are exact index permutations.
         """
         A = np.asarray(A, dtype=float)
         if abs(float(np.linalg.det(A)) - 1.0) > 1e-9:
             raise ConfigurationError("substitution matrix must be unimodular")
-        if np.array_equal(A, np.eye(2)):
-            return cls(())
-
-        best: tuple[float, int, tuple[tuple[str, float], ...]] | None = None
+        best: tuple[float, ShearFactorization] | None = None
         residual = A
         for m in range(4 if allow_quarter else 1):
-            quarters = (("quarter", 0.0),) * m
-            if np.abs(residual - np.eye(2)).max() <= _IDENTITY_TOL:
-                return cls(quarters)
+            if _is_identity(residual):
+                return cls(m, None)
             c = residual[1, 0]
             if abs(c) >= _PIVOT_TOL:
                 b = (residual[0, 0] - 1.0) / c
                 d = (residual[1, 1] - 1.0) / c
                 worst = max(abs(b), abs(c), abs(d))
                 if best is None or worst < best[0]:
-                    shears = (
-                        ("shear_x", float(b)),
-                        ("shear_xi", float(c)),
-                        ("shear_x", float(d)),
-                    )
-                    best = (worst, m, quarters + shears)
+                    best = (worst, cls(m, (float(b), float(c), float(d))))
             residual = _QUARTER_TURN_INV @ residual
         if best is None:
             raise ConfigurationError(
@@ -112,63 +102,39 @@ class ShearFactorization:
                 "range reduction needs the mixed plane's axes to carry "
                 "identical grids (use grid_p = grid_x.dual())"
             )
-        return cls(best[2])
+        return best[1]
 
 
 def shear_factorization(theta: float) -> ShearFactorization:
     return ShearFactorization.factor(substitution_matrix(theta))
 
 
-def _factor_for_grids(A: np.ndarray, grid_x: Grid1D, grid_e: Grid1D) -> ShearFactorization:
-    return ShearFactorization.factor(A, allow_quarter=grid_x.matches(grid_e))
-
-
-# --- factor application (batched over leading axes) -----------------------
-
-
-def _apply_shear_x(values: np.ndarray, b: float, grid_x: Grid1D, grid_e: Grid1D) -> np.ndarray:
-    """(x, eta) -> (x + b*eta, eta): translate along x by b*eta per column."""
-    u = grid_x.dual().nodes()
-    eta = grid_e.nodes()
-    spec = _centered_fft(values, axis=-2)
-    spec *= np.exp(1j * b * np.outer(u, eta))
-    return _centered_ifft(spec, axis=-2)
-
-
-def _apply_shear_xi(values: np.ndarray, c: float, grid_x: Grid1D, grid_e: Grid1D) -> np.ndarray:
-    """(x, eta) -> (x, eta + c*x): translate along eta by c*x per row."""
-    v = grid_e.dual().nodes()
-    x = grid_x.nodes()
-    spec = _centered_fft(values, axis=-1)
-    spec *= np.exp(1j * c * np.outer(x, v))
-    return _centered_ifft(spec, axis=-1)
-
-
-def _apply_quarter(values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D) -> np.ndarray:
-    """(x, eta) -> (eta, -x), exact index permutation on matched axes."""
-    if not grid_x.matches(grid_e):
-        raise ConfigurationError(
-            "quarter-turn factor requires the mixed plane's axes to carry "
-            "identical grids; build phase grids with grid_p = grid_x.dual()"
-        )
-    n = grid_x.n
-    neg = (-np.arange(n)) % n
-    return np.swapaxes(values, -1, -2)[..., neg, :]
-
-
-def _apply_substitution(
-    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, fact: ShearFactorization
+def _substitute(
+    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, theta: float
 ) -> np.ndarray:
-    if not fact.factors:
-        return values.copy()
+    """Substitute the flow at -theta into mixed-plane values (batched).
+
+    Quarter turns are exact index permutations and need the two axes to
+    carry identical grids; otherwise the three-shear carries the whole map.
+    Each shear translates along one axis by a multiple of the other
+    coordinate: a centred FFT, a unit-modulus cross-chirp built after it,
+    and the inverse FFT.  The identity returns `values` itself.
+    """
+    A = substitution_matrix(theta)
+    fact = ShearFactorization.factor(A, allow_quarter=grid_x.matches(grid_e))
+    neg = (-np.arange(grid_x.n)) % grid_x.n
     out = values
-    for kind, coeff in fact.factors:
-        if kind == "shear_x":
-            out = _apply_shear_x(out, coeff, grid_x, grid_e)
-        elif kind == "shear_xi":
-            out = _apply_shear_xi(out, coeff, grid_x, grid_e)
-        else:
-            out = _apply_quarter(out, grid_x, grid_e)
+    for _ in range(fact.quarters):
+        out = np.swapaxes(out, -1, -2)[..., neg, :]
+    if fact.shears is None:
+        return out
+    x, eta = grid_x.nodes(), grid_e.nodes()
+    u, v = grid_x.dual().nodes(), grid_e.dual().nodes()
+    b, c, d = fact.shears
+    for axis, coeff, rows, cols in ((-2, b, u, eta), (-1, c, x, v), (-2, d, u, eta)):
+        spec = _centered_fft(out, axis=axis)
+        spec *= np.exp(1j * coeff * np.outer(rows, cols))
+        out = _centered_ifft(spec, axis=axis)
     return out
 
 
@@ -208,41 +174,15 @@ def _resample_trig(
 # --- public operations -----------------------------------------------------
 
 
-def coordinate_transform(
-    F: PhaseFunction2D, theta: float, method: str = "spectral"
-) -> PhaseFunction2D:
-    """Substitute the flow at -theta into a mixed-plane function.
-
-    method="spectral" is the exactly-unitary shear pipeline;
-    method="resample" evaluates the trigonometric interpolant directly at
-    the mapped nodes and is test-only.
-    """
-    F.grid_x.require_centered()
-    F.grid_p.require_centered()
-    A = substitution_matrix(theta)
-    if method == "spectral":
-        fact = _factor_for_grids(A, F.grid_x, F.grid_p)
-        out = _apply_substitution(F.values, F.grid_x, F.grid_p, fact)
-    elif method == "resample":
-        out = _resample_trig(F.values, F.grid_x, F.grid_p, A)
-    else:
-        raise ConfigurationError(f"method must be spectral or resample, got {method!r}")
-    return PhaseFunction2D(F.grid_x, F.grid_p, out)
-
-
 def _propagate_values(
     values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D, theta: float
 ) -> np.ndarray:
     """Bare-FFT realization of U(theta) on raw value arrays (batchable)."""
-    A = substitution_matrix(theta)
-    grid_e = grid_p.dual()
-    fact = _factor_for_grids(A, grid_x, grid_e)
-    if not fact.factors:
+    if _is_identity(substitution_matrix(theta)):
         # Identity flow: skip the transform pair so the zero angle is an
         # exact no-op rather than an fft/ifft round trip.
         return np.array(values, dtype=np.complex128)
-    mixed = _centered_fft(values, axis=-1)
-    mixed = _apply_substitution(mixed, grid_x, grid_e, fact)
+    mixed = _substitute(_centered_fft(values, axis=-1), grid_x, grid_p.dual(), theta)
     return _centered_ifft(mixed, axis=-1)
 
 
@@ -267,11 +207,8 @@ def generator_apply(F: PhaseFunction2D) -> PhaseFunction2D:
     grid_e = F.grid_p.dual()
     x = F.grid_x.nodes()[:, None]
     xi = grid_e.nodes()[None, :]
-    u = F.grid_x.dual().nodes()[:, None]
-    w = grid_e.dual().nodes()[None, :]
-
     mixed = _centered_fft(F.values, axis=-1)
-    dx = _centered_ifft(1j * u * _centered_fft(mixed, axis=-2), axis=-2)
-    dxi = _centered_ifft(1j * w * _centered_fft(mixed, axis=-1), axis=-1)
+    dx = _spectral_step(mixed, 1j * F.grid_x.dual().nodes()[:, None], axis=-2)
+    dxi = _spectral_step(mixed, 1j * grid_e.dual().nodes()[None, :], axis=-1)
     h = (-2j * xi + 1j * x) * dx + (-1j * xi + 4j * x) * dxi
     return PhaseFunction2D(F.grid_x, F.grid_p, _centered_ifft(h, axis=-1))

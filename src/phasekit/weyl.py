@@ -45,6 +45,7 @@ from .grid import (
     TWO_PI,
     _centered_fft,
     _centered_ifft,
+    _spectral_step,
 )
 from .metaplectic import propagate
 from .symplectic import THETA_WIGNER
@@ -175,28 +176,31 @@ def _require_dual_pair(grid_x: Grid1D, grid_xi: Grid1D) -> None:
         )
 
 
+def _diagonal_layout(n: int, sign: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Index of an n x n kernel's diagonals as columns, and their half-sample shift.
+
+    Column s + n/2 holds the separation-s diagonal K[(v + s) % n, v] down
+    axis 0; the multiplier on its spectrum shifts it by sign * s/2 samples.
+    """
+    v = np.arange(n)[:, None]
+    s = np.arange(n)[None, :] - n // 2
+    modes = np.fft.fftfreq(n)[:, None] * n
+    return ((v + s) % n, v), np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)
+
+
 def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     """Symbol a(x, xi) of a kernel; exact inverse of symbol_to_kernel.
 
-    Walks the kernel diagonal by diagonal: the separation-s diagonal holds
+    Gathers the kernel's diagonals: the separation-s diagonal holds
     samples at midpoints x_v + s*dx/2, which a half-sample spectral shift
     recentres onto x_v; the transform over separations then lands on the
     dual grid with the dx quadrature weight.
     """
     grid = kernel.grid
     grid.require_centered()
-    n = grid.n
-    dy = grid.dx
-    K = kernel.values
-    v = np.arange(n)
-    modes = np.fft.fftfreq(n) * n
-    gmat = np.empty((n, n), dtype=np.complex128)
-    for col, s in enumerate(v - n // 2):
-        diag = K[(v + s) % n, v]
-        shift = np.exp(-2j * np.pi * modes * (s / 2.0) / n)
-        gmat[:, col] = np.fft.ifft(np.fft.fft(diag) * shift)
-    values = dy * _centered_fft(gmat, axis=1)
-    return Symbol2D(grid, grid.dual(), values)
+    index, shift = _diagonal_layout(grid.n, -1)
+    gmat = np.fft.ifft(np.fft.fft(kernel.values[index], axis=0) * shift, axis=0)
+    return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(gmat, axis=1))
 
 
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
@@ -204,15 +208,10 @@ def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     _require_dual_pair(symbol.grid_x, symbol.grid_xi)
     grid = symbol.grid_x
     grid.require_centered()
-    n = grid.n
-    dy = grid.dx
-    v = np.arange(n)
-    modes = np.fft.fftfreq(n) * n
-    gmat = _centered_ifft(symbol.values, axis=1) / dy
-    K = np.empty((n, n), dtype=np.complex128)
-    for col, s in enumerate(v - n // 2):
-        shift = np.exp(+2j * np.pi * modes * (s / 2.0) / n)
-        K[(v + s) % n, v] = np.fft.ifft(np.fft.fft(gmat[:, col]) * shift)
+    index, shift = _diagonal_layout(grid.n, +1)
+    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
+    K = np.empty((grid.n, grid.n), dtype=np.complex128)
+    K[index] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
     return OperatorKernel(grid, K)
 
 
@@ -368,8 +367,7 @@ def symbol_oscillator(grid: Grid1D) -> Symbol2D:
 
 def _derivative_matrix(grid: Grid1D) -> np.ndarray:
     eye = np.eye(grid.n, dtype=np.complex128)
-    forward = _centered_fft(eye, axis=0)
-    return _centered_ifft(grid.dual().nodes()[:, None] * forward, axis=0)
+    return _spectral_step(eye, grid.dual().nodes()[:, None], axis=0)
 
 
 def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:

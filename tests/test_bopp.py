@@ -186,6 +186,22 @@ def test_evolution_refuses_grids_above_the_dense_cap():
                     _window(grid), 0.5, 4)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evolution_rejects_a_non_finite_final_time(bad):
+    # nan slips past a plain `t_final < 0` guard and inf builds nan times
+    grid = Grid1D.centered(16, 5.0)
+    with pytest.raises(ConfigurationError, match="t_final must be finite"):
+        evolve_pair(symbol_oscillator(grid), states.gaussian(grid),
+                    _window(grid), bad, 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spectrum_rejects_a_non_finite_gap(bad):
+    grid = Grid1D.centered(16, 5.0)
+    with pytest.raises(ConfigurationError, match="gap must be finite"):
+        bopp_spectrum(symbol_oscillator(grid), 2, _window(grid), gap=bad)
+
+
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_dense_matrix_is_the_apply_map(representation):
     grid = Grid1D.centered(32, 6.0)

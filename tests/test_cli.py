@@ -375,6 +375,7 @@ def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
     ("verify", {"tolerances": {"flow-algebra/period": "tight"}}),
     ("evolve", {"t": float("nan")}),
     ("wigner", {"grid": {"dx": float("inf")}}),
+    ("verify", {"tolerances": {"flow-algebra/period": float("nan")}}),
 ])
 def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "job.json"
@@ -395,11 +396,15 @@ def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
     ("half-width", ["wigner", "--n", "16"]),
     ("x-min", ["wigner", "--n", "16", "--dx", "0.5"]),
     ("dx", ["wigner", "--n", "16", "--x-min", "-4"]),
+    ("tolerance flow-algebra/period", ["verify", "--suite", "flow"]),
 ])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_number_is_usage_error(tmp_path, capsys, flag, argv, bad):
+def test_non_finite_number_is_usage_error(tmp_path, capsys, monkeypatch, flag, argv, bad):
+    # a --tolerance value follows its criterion/check key: --tolerance=key=value;
+    # verify's manifest defaults to the working directory
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    rc = cli.main([*argv, f"--{flag}={bad}", "--output", str(out)])
+    rc = cli.main([*argv, f"--{flag.replace(' ', '=')}={bad}", "--output", str(out)])
     assert rc == 2
     assert f"error: --{flag} must be finite, got {bad}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit import states
 from phasekit.grid import ConfigurationError, Grid1D, PhaseFunction2D
 from phasekit.metaplectic import (
-    coordinate_transform,
+    ShearFactorization,
+    _resample_trig,
+    _substitute,
     generator_apply,
     propagate,
     shear_factorization,
@@ -123,13 +126,24 @@ def test_shear_factorization_reconstructs_substitution():
         fac = shear_factorization(theta)
         target = substitution_matrix(theta)
         assert np.max(np.abs(fac.matrix() - target)) < 1e-12
-        for kind, _ in fac.factors:
-            assert kind in ("shear_x", "shear_xi", "quarter")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-2.0 * PERIOD, max_value=2.0 * PERIOD))
+def test_shear_factorization_is_exact_and_bounded(theta):
+    # quarter-turn range reduction keeps every shear at or below 1.5107
+    # (the xi-shear near theta = 0.6087) across the whole flow family.
+    # b = (a - 1)/c and d = (d - 1)/c cancel to about eps/|c| as the pivot
+    # c ~ 4*theta goes to 0, so the stored matrix's rounding is amplified
+    # there (3.2e-11 at theta = 4.1e-7)
+    fac = shear_factorization(theta)
+    tol = 1e-12 if fac.shears is None else 1e-12 + np.finfo(float).eps / abs(fac.shears[1])
+    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < tol
+    assert 0 <= fac.quarters <= 3
+    assert fac.shears is None or max(map(abs, fac.shears)) <= 1.52
 
 
 def test_shear_factorization_rejects_non_unimodular():
-    from phasekit.metaplectic import ShearFactorization
-
     with pytest.raises(ConfigurationError):
         ShearFactorization.factor(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
@@ -143,9 +157,9 @@ def _gaussian_plane_function(n=128, half_width=10.0):
     return PhaseFunction2D(gx, ge, vals)
 
 
-def test_coordinate_transform_matches_closed_form():
-    # substituting the inverse flow into a Gaussian has a closed form;
-    # the shear pipeline must track it at every angle
+def test_substitute_matches_closed_form():
+    # substituting the inverse flow into a Gaussian has a closed form; the
+    # two axes carry different grids, so the three-shear carries every angle
     F = _gaussian_plane_function()
     x = F.grid_x.nodes()[:, None]
     e = F.grid_p.nodes()[None, :]
@@ -158,8 +172,8 @@ def test_coordinate_transform_matches_closed_form():
             )
             / np.pi
         )
-        out = coordinate_transform(F, theta, method="spectral")
-        assert np.max(np.abs(out.values - exact)) < 1e-6
+        out = _substitute(F.values, F.grid_x, F.grid_p, theta)
+        assert np.max(np.abs(out - exact)) < 1e-6
 
 
 def test_resample_oracle_near_identity():
@@ -167,7 +181,30 @@ def test_resample_oracle_near_identity():
     # the fundamental period, so it is only consulted at small angles
     F = _gaussian_plane_function()
     for theta in (0.05, -0.1, 0.15):
-        spectral = coordinate_transform(F, theta, method="spectral")
-        resampled = coordinate_transform(F, theta, method="resample")
-        err = np.max(np.abs(spectral.values - resampled.values))
-        assert err < 1e-8
+        spectral = _substitute(F.values, F.grid_x, F.grid_p, theta)
+        resampled = _resample_trig(F.values, F.grid_x, F.grid_p, substitution_matrix(theta))
+        assert np.max(np.abs(spectral - resampled)) < 1e-8
+
+
+def _unmatched_plane_function():
+    # grid_p is not grid_x.dual(), so the mixed plane's axes differ and the
+    # factorization may not use quarter turns
+    gx, gp = Grid1D.centered(32, 6.0), Grid1D.centered(32, 7.0)
+    x, p = gx.nodes()[:, None], gp.nodes()[None, :]
+    return PhaseFunction2D(gx, gp, np.exp(-(x**2) - p**2 + 0.3j * x * p))
+
+
+def test_unmatched_grids_use_shears_alone():
+    F = _unmatched_plane_function()
+    for theta in (0.02, -0.05, 0.1):
+        out = propagate(F, theta)
+        assert out.norm() == pytest.approx(F.norm(), rel=1e-12)
+        back = propagate(out, -theta)
+        assert np.max(np.abs(back.values - F.values)) < 1e-6
+
+
+def test_unmatched_grids_refuse_a_half_period():
+    # the half period is minus the identity: the pivot vanishes and only a
+    # quarter turn could help
+    with pytest.raises(ConfigurationError, match="no usable pivot"):
+        propagate(_unmatched_plane_function(), PERIOD / 2)

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit import states
-from phasekit.grid import ConfigurationError, Grid1D, SampledFunction1D
+from phasekit.grid import (
+    ConfigurationError,
+    Grid1D,
+    SampledFunction1D,
+    _centered_fft,
+    _centered_ifft,
+)
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -47,6 +54,47 @@ def test_round_trip_kernel_symbol():
     K = _decaying_kernel(GRID, 61)
     back = symbol_to_kernel(kernel_to_symbol(K))
     assert np.max(np.abs(back.values - K.values)) < 1e-8 * np.max(np.abs(K.values))
+
+
+def _loop_dictionary(values, sign):
+    # reference: one column (one kernel diagonal) at a time, as the batched
+    # gather/scatter in weyl must reproduce bit for bit
+    n = values.shape[0]
+    v = np.arange(n)
+    modes = np.fft.fftfreq(n) * n
+    out = np.empty((n, n), dtype=np.complex128)
+    for col, s in enumerate(v - n // 2):
+        shift = np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)
+        if sign < 0:
+            out[:, col] = np.fft.ifft(np.fft.fft(values[(v + s) % n, v]) * shift)
+        else:
+            out[(v + s) % n, v] = np.fft.ifft(np.fft.fft(values[:, col]) * shift)
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_dictionary_matches_the_per_diagonal_loop(n):
+    grid = Grid1D.centered(n, 6.0)
+    rng = np.random.default_rng(n)
+    K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    symbol = kernel_to_symbol(OperatorKernel(grid, K))
+    gmat = _loop_dictionary(K, -1)
+    assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
+    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
+    assert np.array_equal(symbol_to_kernel(symbol).values, _loop_dictionary(gmat, +1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.floats(0.5, 20.0), st.integers(0, 2**32 - 1))
+def test_round_trip_kernel_symbol_on_arbitrary_kernels(half_n, half_width, seed):
+    # every step is a permutation, an FFT or a unit-modulus multiply, so
+    # the dictionary inverts itself on any data, decaying or not
+    grid = Grid1D.centered(2 * half_n, half_width)
+    rng = np.random.default_rng(seed)
+    K = OperatorKernel(grid, rng.standard_normal((grid.n, grid.n))
+                       + 1j * rng.standard_normal((grid.n, grid.n)))
+    back = symbol_to_kernel(kernel_to_symbol(K))
+    assert np.max(np.abs(back.values - K.values)) <= 1e-12 * np.max(np.abs(K.values))
 
 
 def test_symbol_of_identity_kernel():
