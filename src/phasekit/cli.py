@@ -184,23 +184,30 @@ def _read_kind(path: str, kinds: tuple[type, ...], what: str):
 def _resolve_state(spec: str, grid: Grid1D) -> SampledFunction1D:
     """Build a state from a spec string or load it from a grid file."""
     token, _, arg = spec.partition(":")
-    if token == "gaussian" and not arg:
-        return states.gaussian(grid)
+    if token in ("gaussian", "chirp") and not arg:
+        return getattr(states, token)(grid)
     if token == "hermite":
         try:
-            return states.hermite(grid, int(arg))
+            level = int(arg)
         except ValueError:
             raise UsageError(f"hermite spec needs an integer level: {spec!r}")
+        return states.hermite(grid, level)  # which refuses a negative level
     if token == "coherent":
         try:
-            return states.coherent(grid, complex(arg))
+            alpha = complex(arg)
         except ValueError:
             raise UsageError(f"coherent spec needs a complex amplitude: {spec!r}")
+        if not np.isfinite(alpha):
+            raise UsageError(f"coherent spec amplitude must be finite: {spec!r}")
+        return states.coherent(grid, alpha)
     if token == "chirp":
         try:
-            return states.chirp(grid, float(arg)) if arg else states.chirp(grid)
+            rate = float(arg)
         except ValueError:
             raise UsageError(f"chirp spec rate must be a number: {spec!r}")
+        if not math.isfinite(rate):
+            raise UsageError(f"chirp spec rate must be finite: {spec!r}")
+        return states.chirp(grid, rate)
     if os.path.exists(spec):
         return _read_kind(spec, (SampledFunction1D,), "a function1d grid file")
     raise UsageError(

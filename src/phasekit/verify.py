@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bopp import PhaseOperator, bopp_intertwining_residual, bopp_spectrum, evolve_pair
-from .grid import Grid1D, SampledFunction1D, conjugate
+from .grid import ConfigurationError, Grid1D, SampledFunction1D, conjugate
 from .metaplectic import generator_apply, propagate
 from .symplectic import PERIOD, SYMPLECTIC_J, THETA_WIGNER, flow_matrix
 from .weyl import (
@@ -540,6 +540,8 @@ def resolve_suite(token: str) -> tuple[str, ...]:
 
 def run_criterion(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one criterion with a per-criterion deterministic stream."""
+    if seed < 0:
+        raise ConfigurationError(f"verify seed must be >= 0, got {seed}")
     index = CRITERIA.index(name)
     rng = np.random.default_rng([seed, index])
     return _REGISTRY[name](rng)

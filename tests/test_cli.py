@@ -224,10 +224,18 @@ def test_verify_tolerance_override_fails_loudly(tmp_path, capsys):
 
 
 def test_verify_unknown_suite(tmp_path, capsys):
-    rc = cli.main(["verify", "--suite", "nonsense",
-                   "--manifest", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # a negative seed, by flag or by config, is a usage error too: exit 2
+    # with no manifest, not numpy's traceback
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for argv, message in ((["--suite", "nonsense"], "error:"),
+                          (["--suite", "flow", "--seed", "-1"], "seed must be >= 0"),
+                          (["--suite", "flow", "--config", str(cfg)], "seed must be >= 0")):
+        rc = cli.main(["verify", *argv, "--manifest", str(tmp_path / "m.json")])
+        assert rc == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, argv
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_config_merge_and_flag_precedence(tmp_path):
@@ -472,12 +480,37 @@ def test_wrong_kind_input(tmp_path, capsys):
     assert "expected a phase-plane function" in capsys.readouterr().err
 
 
+def test_oversized_binary_header_is_usage_error(tmp_path, capsys):
+    # n = 2**32 on both axes: a numpy product of the shape wraps to 0 bytes,
+    # which an empty body would match
+    grid = {"n": 2**32, "x_min": -4.0, "dx": 0.5}
+    src = tmp_path / "huge.bin"
+    src.write_bytes(json.dumps({"kind": "phase2d", "grid_x": grid, "grid_p": grid,
+                                "format_version": 1, "dtype": "complex128",
+                                "payload": "binary"}).encode("utf-8") + b"\n")
+    rc = cli.main(["propagate", "--input", str(src), "--theta", "0.3",
+                   "--output", str(tmp_path / "o.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: binary payload holds 0 bytes")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin"]
+
+
 def test_state_spec_errors(tmp_path, capsys):
-    for spec in ("hermite:x", "coherent:zzz", "mystery:3"):
-        rc = cli.main(["wigner", "--state", spec, *SMALL,
+    for spec, message in (("hermite:x", "integer level"),
+                          ("hermite:-1", "hermite order must be >= 0"),
+                          ("coherent:zzz", "complex amplitude"),
+                          ("coherent:nan", "must be finite"),
+                          ("chirp:nan", "must be finite"),
+                          ("chirp:inf", "must be finite"),
+                          ("mystery:3", "unknown state spec")):
+        rc = cli.main(["wigner", "--state", spec, "--n", "16", "--half-width", "4",
                        "--output", str(tmp_path / "w.out")])
         assert rc == 2, spec
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, spec
+        if "finite" in message:
+            assert repr(spec) in err
+        assert not list(tmp_path.iterdir()), spec
 
 
 def test_unknown_command_is_usage_error():

@@ -1,7 +1,12 @@
 """Disk format round trips and the loud-failure paths."""
 
+import json
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit import gridfile
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
@@ -15,21 +20,29 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+KINDS = ["function1d", "phase2d", "kernel", "symbol"]
+
+
+def _build(kind, grid, values):
+    """An object of kind on grid from an n x n array (a function takes its
+    first row); a symbol also gets a poly tag holding a -0.0 and a subnormal."""
+    if kind == "function1d":
+        return SampledFunction1D(grid, values[0])
+    if kind == "phase2d":
+        return PhaseFunction2D(grid, grid.dual(), values)
+    if kind == "kernel":
+        return OperatorKernel(grid, values)
+    poly = np.array([[0.5, -0.0], [1.0, -0.25 + 1.5e-310j]])
+    return Symbol2D(grid, grid.dual(), values, poly)
+
+
 def _objects():
     rng = np.random.default_rng(7)
-    poly = np.array([[0.5, 0.0], [1.0, -0.25]], dtype=np.complex128)
-    return {
-        "function1d": SampledFunction1D(GRID, _complex(rng, GRID.n)),
-        "phase2d": PhaseFunction2D(GRID, GRID.dual(),
-                                   _complex(rng, (GRID.n, GRID.n))),
-        "kernel": OperatorKernel(GRID, _complex(rng, (GRID.n, GRID.n))),
-        "symbol": Symbol2D(GRID, GRID.dual(),
-                           _complex(rng, (GRID.n, GRID.n)), poly),
-    }
+    return {kind: _build(kind, GRID, _complex(rng, (GRID.n, GRID.n))) for kind in KINDS}
 
 
 @pytest.mark.parametrize("payload", ["csv", "binary"])
-@pytest.mark.parametrize("kind", ["function1d", "phase2d", "kernel", "symbol"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_round_trip_bit_exact(tmp_path, kind, payload):
     # csv uses round-trippable float reprs, so both encodings restore the
     # exact same doubles
@@ -64,13 +77,66 @@ def test_untagged_symbol_stays_untagged(tmp_path):
 
 
 @pytest.mark.parametrize("payload", ["csv", "binary"])
-def test_writes_are_deterministic(tmp_path, payload):
-    obj = _objects()["phase2d"]
+@pytest.mark.parametrize("kind", KINDS)
+def test_writes_are_deterministic(tmp_path, kind, payload):
+    obj = _objects()[kind]
     p1 = tmp_path / "a.out"
     p2 = tmp_path / "b.out"
     gridfile.write(str(p1), obj, payload)
     gridfile.write(str(p2), obj, payload)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 2.225e-308 / 7, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KINDS),
+       st.sampled_from(["csv", "binary"]), st.integers(1, 4), st.data())
+def test_round_trip_any_finite_doubles(kind, payload, half_n, data):
+    # every finite double, -0.0 and subnormals included, comes back with the
+    # same bits; uint64 views tell -0.0 from 0.0
+    grid = Grid1D.centered(2 * half_n, 3.0)
+    doubles = st.one_of(st.sampled_from(EXTREMES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    count = 2 * grid.n * grid.n
+    bits = np.array(data.draw(st.lists(doubles, min_size=count, max_size=count)))
+    obj = _build(kind, grid, bits.view(np.complex128).reshape(grid.n, grid.n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/obj.{payload}"
+        gridfile.write(path, obj, payload)
+        back = gridfile.read(path)
+    assert type(back) is type(obj)
+    assert np.array_equal(back.values.view(np.uint64), obj.values.view(np.uint64))
+    if kind == "symbol":
+        assert np.array_equal(back.poly.view(np.uint64), obj.poly.view(np.uint64))
+
+
+def _reference_rows(values):
+    # the writer's row text, spelled out one entry at a time
+    if values.ndim == 1:
+        return [f"{i},{complex(v).real!r},{complex(v).imag!r}"
+                for i, v in enumerate(values)]
+    return [f"{i},{j},{complex(values[i, j]).real!r},{complex(values[i, j]).imag!r}"
+            for i in range(values.shape[0]) for j in range(values.shape[1])]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_csv_bytes_match_reference_text(tmp_path, kind):
+    values = _complex(np.random.default_rng(3), (GRID.n, GRID.n))
+    values.real.reshape(-1)[: len(EXTREMES)] = EXTREMES
+    values.imag.reshape(-1)[-len(EXTREMES):] = EXTREMES
+    obj = _build(kind, GRID, values)
+    path = tmp_path / "obj.csv"
+    gridfile.write(str(path), obj, "csv")
+    header, body = path.read_text(encoding="utf-8").split("\n", 1)
+    grids = ["grid"] if kind in ("function1d", "kernel") else [
+        "grid_x", "grid_p" if kind == "phase2d" else "grid_xi"]
+    tags = ["poly_re", "poly_im"] if kind == "symbol" else []
+    assert list(json.loads(header)) == ["kind", *grids, "format_version", "dtype",
+                                        "payload", *tags]
+    assert body == "".join(row + "\n" for row in _reference_rows(obj.values))
 
 
 def test_write_rejects_unknown_payload(tmp_path):
@@ -138,9 +204,11 @@ def test_payload_gate(tmp_path):
 
 
 def test_unknown_kind(tmp_path):
-    path = _write_then_corrupt(tmp_path, lambda raw: _patched_header(raw, kind="tensor3"))
-    with pytest.raises(FileFormatError, match="kind"):
-        gridfile.read(path)
+    # an unhashable kind must not slip past the kind table as a TypeError
+    for kind in ("tensor3", []):
+        path = _write_then_corrupt(tmp_path, lambda raw: _patched_header(raw, kind=kind))
+        with pytest.raises(FileFormatError, match=re.escape(f"unknown kind {kind!r}")):
+            gridfile.read(path)
 
 
 def test_malformed_grid_entry(tmp_path):
@@ -190,15 +258,17 @@ def test_csv_wrong_field_count(tmp_path):
 
 
 def test_csv_index_out_of_range(tmp_path):
-    def bump_index(raw):
-        lines = raw.decode("utf-8").splitlines()
-        _, rest = lines[1].split(",", 1)
-        lines[1] = "9999," + rest
-        return "\n".join(lines).encode("utf-8") + b"\n"
+    # 10**30 does not fit an int64 index buffer, and is outside shape all the same
+    for index in ("9999", str(10**30)):
+        def bump_index(raw):
+            lines = raw.decode("utf-8").splitlines()
+            _, rest = lines[1].split(",", 1)
+            lines[1] = f"{index}," + rest
+            return "\n".join(lines).encode("utf-8") + b"\n"
 
-    path = _write_then_corrupt(tmp_path, bump_index)
-    with pytest.raises(FileFormatError, match="outside shape"):
-        gridfile.read(path)
+        path = _write_then_corrupt(tmp_path, bump_index)
+        with pytest.raises(FileFormatError, match=f"index \\({index},\\) outside shape"):
+            gridfile.read(path)
 
 
 def test_csv_non_numeric_value(tmp_path):
@@ -269,3 +339,40 @@ def test_malformed_poly_tag(tmp_path):
 def test_read_reports_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         gridfile.read(str(tmp_path / "absent.bin"))
+
+
+def _handmade(tmp_path, kind, grids, body, payload="csv"):
+    header = {"kind": kind, **grids, "format_version": 1, "dtype": "complex128",
+              "payload": payload}
+    path = tmp_path / "handmade"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    return str(path)
+
+
+def _grid(n):
+    return {"n": n, "x_min": -2.0, "dx": 0.5}
+
+
+def test_binary_header_past_int64_is_rejected(tmp_path):
+    # 2**32 x 2**32 entries: a numpy product would wrap to 0 bytes
+    path = _handmade(tmp_path, "phase2d", {"grid_x": _grid(2**32), "grid_p": _grid(2**32)},
+                     b"", payload="binary")
+    with pytest.raises(FileFormatError, match="holds 0 bytes, header implies 2951"):
+        gridfile.read(path)
+
+
+def test_csv_huge_header_allocates_nothing(tmp_path):
+    # one row of a 2**40-entry header: incomplete, found before any
+    # n-entry array is made
+    path = _handmade(tmp_path, "function1d", {"grid": _grid(2**40)}, b"0,1.0,0.0\n")
+    with pytest.raises(FileFormatError, match="payload incomplete: 1099511627775 of"):
+        gridfile.read(path)
+
+
+def test_csv_names_the_first_faulty_line(tmp_path):
+    # a repeat on line 3 comes before an out-of-range index on line 6
+    rows = ["0,1.0,0.0", "0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0", "99,1.0,0.0"]
+    path = _handmade(tmp_path, "function1d", {"grid": _grid(8)},
+                     "".join(r + "\n" for r in rows).encode("utf-8"))
+    with pytest.raises(FileFormatError, match=r"^line 3: index \(0,\) appears twice"):
+        gridfile.read(path)
