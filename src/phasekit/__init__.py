@@ -4,126 +4,40 @@ The package builds a family of phase-space distributions indexed by an
 angle, the linear flow and unitary propagator behind them, an operator
 symbol calculus with star products, and phase-plane liftings of 1D
 operators.  `verify` runs the acceptance checks; the `phasekit` console
-script exposes everything as subcommands.
+script exposes everything as subcommands.  The top level re-exports the
+names the README's Library section uses; every other public name lives
+only in its submodule (`states`, `gridfile`, `verify`, `symplectic`, ...).
 """
 
-from .bopp import (
-    EvolutionResult,
-    PhaseOperator,
-    REPRESENTATIONS,
-    SpectralReport,
-    bopp_intertwining_residual,
-    bopp_spectrum,
-    dense_matrix,
-    evolve_pair,
-)
-from .grid import (
-    ConfigurationError,
-    Grid1D,
-    PhaseFunction2D,
-    SampledFunction1D,
-    fourier_1d,
-)
-from .gridfile import FileFormatError, read, write
-from .metaplectic import generator_apply, propagate, shear_factorization
-from .states import chirp, coherent, default_grid, gaussian, hermite, random_wave
-from .symplectic import (
-    FREQUENCY,
-    GENERATOR,
-    PERIOD,
-    SYMPLECTIC_J,
-    THETA_WIGNER,
-    apply_flow,
-    flow_matrix,
-    hamiltonian_value,
-)
-from .verify import CheckResult, run_all, run_criterion
+from .bopp import PhaseOperator, bopp_spectrum, evolve_pair
+from .grid import ConfigurationError, Grid1D, PhaseFunction2D, SampledFunction1D
+from .gridfile import FileFormatError
+from .metaplectic import propagate, shear_factorization
+from .symplectic import THETA_WIGNER, flow_matrix
 from .weyl import (
-    ExpectationResult,
-    OperatorKernel,
-    Symbol2D,
-    expectation,
-    fractional_symbol,
-    kernel_to_symbol,
-    moyal_product,
-    polynomial_symbol,
-    symbol_oscillator,
-    symbol_to_kernel,
-    symbol_x,
-    symbol_xi,
+    OperatorKernel, Symbol2D, expectation, fractional_symbol, kernel_to_symbol,
+    moyal_product, symbol_oscillator, symbol_to_kernel, symbol_x, symbol_xi,
     theta_product,
-    theta_symbol,
 )
 from .wigner import (
-    Window,
-    position_marginal,
-    wigner_direct,
-    wigner_fractional,
-    wigner_metaplectic,
-    windowed_adjoint,
-    windowed_projection,
-    windowed_transform,
+    Window, wigner_fractional, wigner_metaplectic, windowed_adjoint,
+    windowed_projection, windowed_transform,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult",
-    "ConfigurationError",
-    "EvolutionResult",
-    "ExpectationResult",
-    "FREQUENCY",
-    "FileFormatError",
-    "GENERATOR",
-    "Grid1D",
-    "OperatorKernel",
-    "PERIOD",
-    "PhaseFunction2D",
-    "PhaseOperator",
-    "REPRESENTATIONS",
-    "SYMPLECTIC_J",
-    "SampledFunction1D",
-    "SpectralReport",
-    "Symbol2D",
-    "THETA_WIGNER",
-    "Window",
-    "apply_flow",
-    "bopp_intertwining_residual",
-    "bopp_spectrum",
-    "chirp",
-    "coherent",
-    "default_grid",
-    "dense_matrix",
-    "evolve_pair",
-    "expectation",
-    "flow_matrix",
-    "fourier_1d",
-    "fractional_symbol",
-    "gaussian",
-    "generator_apply",
-    "hamiltonian_value",
-    "hermite",
-    "kernel_to_symbol",
-    "moyal_product",
-    "polynomial_symbol",
-    "position_marginal",
-    "propagate",
-    "random_wave",
-    "read",
-    "run_all",
-    "run_criterion",
+    # grids, sampled functions, errors
+    "ConfigurationError", "FileFormatError", "Grid1D", "SampledFunction1D",
+    "PhaseFunction2D", "THETA_WIGNER", "Window",
+    # distributions and windowed transforms
+    "wigner_fractional", "wigner_metaplectic", "windowed_transform",
+    "windowed_adjoint", "windowed_projection",
+    # kernels, symbols, star products, expectations
+    "OperatorKernel", "Symbol2D", "kernel_to_symbol", "symbol_to_kernel",
+    "fractional_symbol", "moyal_product", "theta_product", "expectation",
+    "symbol_oscillator", "symbol_x", "symbol_xi",
+    # phase-plane operators, the propagator and the flow
+    "PhaseOperator", "bopp_spectrum", "evolve_pair", "propagate", "flow_matrix",
     "shear_factorization",
-    "symbol_oscillator",
-    "symbol_to_kernel",
-    "symbol_x",
-    "symbol_xi",
-    "theta_product",
-    "theta_symbol",
-    "wigner_direct",
-    "wigner_fractional",
-    "wigner_metaplectic",
-    "windowed_adjoint",
-    "windowed_projection",
-    "windowed_transform",
-    "write",
 ]

@@ -57,6 +57,7 @@ from .weyl import (
     theta_product,
 )
 from .wigner import (
+    Theta,
     Window,
     _finite_angle,
     wigner_fractional,
@@ -145,14 +146,14 @@ class Settings:
         n = self.get("n")
         if n is not None:
             spec["n"] = n
-        half = self.get("half_width")
-        if half is not None:
-            spec["x_min"] = -half
-            spec["dx"] = 2.0 * half / spec["n"]
-        for key in ("x_min", "dx"):
-            flag = getattr(self.args, key, None)
-            if flag is not None:
-                spec[key] = flag
+        # the config's top level, then the flags: in each, x_min and dx win
+        # over the half_width shortcut
+        for layer in (self.config, vars(self.args)):
+            half = layer.get("half_width")
+            if half is not None:
+                spec["x_min"], spec["dx"] = -half, 2.0 * half / spec["n"]
+            spec.update({key: layer[key] for key in ("x_min", "dx")
+                         if layer.get(key) is not None})
         try:
             return Grid1D(spec["n"], spec["x_min"], spec["dx"])
         except ConfigurationError as exc:
@@ -234,6 +235,10 @@ def _resolve_symbol(spec: str, grid: Grid1D, kinds: tuple[type, ...] = (Symbol2D
         return _read_kind(spec, kinds, what)
     raise UsageError(f"unknown symbol spec {spec!r} "
                      f"(one of {_BUILTIN_SYMBOLS} or {what})")
+
+
+def _grid_record(g: Grid1D) -> dict:
+    return {"n": g.n, "x_min": g.x_min, "dx": g.dx}
 
 
 def _write_json(path: str, record: dict) -> None:
@@ -376,9 +381,8 @@ def _run_wigner(s: Settings, out: dict) -> _Run:
         theta = THETA_WIGNER
     else:
         W = wigner_fractional(psi, phi, theta)
-    g = psi.grid
     return _Run({"state": psi_spec, "phi": phi_spec, "theta": theta,
-                 "grid": {"n": g.n, "x_min": g.x_min, "dx": g.dx}},
+                 "grid": _grid_record(psi.grid)},
                 {"phase2d": W},
                 f"{command}({psi_spec}, {phi_spec}) at theta={theta:g} -> "
                 f"{out['phase2d']}")
@@ -406,7 +410,7 @@ def _run_weyl_symbol(s: Settings, out: dict) -> _Run:
     theta = s.theta()
     # The distinguished angle has an exact route; other angles go through
     # the propagator.
-    if theta == THETA_WIGNER:
+    if Theta(theta).is_wigner:
         symbol = kernel_to_symbol(kernel)
     else:
         symbol = fractional_symbol(kernel, theta)
@@ -422,7 +426,8 @@ def _run_star(s: Settings, out: dict) -> _Run:
     b = _resolve_symbol(b_spec, a.grid_x)
     theta = s.theta()
     method = s.get("method")
-    return _Run({"a": a_spec, "b": b_spec, "theta": theta, "method": method or "auto"},
+    return _Run({"a": a_spec, "b": b_spec, "theta": theta, "method": method or "auto",
+                 "grid": _grid_record(a.grid_x)},
                 {"symbol": theta_product(a, b, theta, method=method)},
                 f"star product at theta={theta:g} -> {out['symbol']}")
 
@@ -447,7 +452,8 @@ def _run_expect(s: Settings, out: dict) -> _Run:
     if result.adjoint_value is not None:
         record["adjoint_value"] = [result.adjoint_value.real,
                                    result.adjoint_value.imag]
-    return _Run({"op": op_spec, "state": state_spec, "theta": theta},
+    return _Run({"op": op_spec, "state": state_spec, "theta": theta,
+                 "grid": _grid_record(op_grid)},
                 {"expectation": record},
                 f"expectation value {result.value:.12g} (phase-space route "
                 f"residual {result.residual:.3e}) -> {out['expectation']}",
@@ -489,7 +495,8 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
                  "index,eigenvalue,multiplicity,residual,reference,pushforward")
     eig_txt = ", ".join(f"{v:.6f}" for v in eigenvalues)
     return _Run({"symbol": symbol_spec, "count": count, "window": window_spec,
-                 "representation": representation, "gap": record["gap"]},
+                 "representation": representation, "gap": record["gap"],
+                 "grid": _grid_record(symbol.grid_x)},
                 {"report_json": record, "report_csv": table},
                 f"lowest {count} cluster eigenvalues: {eig_txt} -> "
                 f"{out['report_json']}, {out['report_csv']}",
@@ -513,7 +520,8 @@ def _run_evolve(s: Settings, out: dict) -> _Run:
                          representation=representation)
     table = _csv(zip(result.times, result.divergences), "time,divergence")
     return _Run({"symbol": symbol_spec, "state": state_spec, "window": window_spec,
-                 "t": t_final, "steps": steps, "representation": representation},
+                 "t": t_final, "steps": steps, "representation": representation,
+                 "grid": _grid_record(symbol.grid_x)},
                 {"state": result.state, "phase": result.phase,
                  "divergence_table": table},
                 f"evolved to t={t_final:g} in {steps} checkpoints; divergence "

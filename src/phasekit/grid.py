@@ -9,6 +9,8 @@ dual of the dual is the original grid again.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -17,6 +19,10 @@ import scipy.fft as _sfft
 
 TWO_PI = 2.0 * np.pi
 SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
+
+#: Relative tolerance of grid comparisons: spacings computed two ways agree
+#: to floating-point noise, far inside it.
+GRID_TOL = 1e-9
 
 
 class ConfigurationError(ValueError):
@@ -40,12 +46,19 @@ class Grid1D:
     dx: float
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.n % 2 != 0:
+        # bool is an Integral; a header's 8.9, "8" or true is no grid size
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or self.n <= 0 or self.n % 2 != 0):
             raise ConfigurationError(
-                f"grid size must be a positive even integer, got {self.n}"
+                f"grid size n must be a positive even integer, got {self.n!r}"
             )
+        for key in ("x_min", "dx"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigurationError(f"grid {key} must be a finite number, got {value!r}")
         if not self.dx > 0:
-            raise ConfigurationError(f"grid spacing must be positive, got {self.dx}")
+            raise ConfigurationError(f"grid spacing dx must be positive, got {self.dx}")
 
     @classmethod
     def centered(cls, n: int, half_width: float) -> "Grid1D":
@@ -70,8 +83,8 @@ class Grid1D:
         d = self.dual_spacing
         return Grid1D(self.n, -0.5 * self.n * d, d)
 
-    def is_centered(self, tol: float = 1e-9) -> bool:
-        return abs(self.x_min + 0.5 * self.length) <= tol * max(1.0, abs(self.length))
+    def is_centered(self) -> bool:
+        return abs(self.x_min + 0.5 * self.length) <= GRID_TOL * max(1.0, abs(self.length))
 
     def require_centered(self) -> None:
         if not self.is_centered():
@@ -80,13 +93,13 @@ class Grid1D:
                 f"x_min={self.x_min}, n*dx/2={0.5 * self.length}"
             )
 
-    def matches(self, other: "Grid1D", tol: float = 1e-9) -> bool:
+    def matches(self, other: "Grid1D") -> bool:
         """Equality up to floating-point noise in the spacings."""
         scale = max(1.0, abs(self.length))
         return (
             self.n == other.n
-            and abs(self.x_min - other.x_min) <= tol * scale
-            and abs(self.dx - other.dx) <= tol * max(1.0, self.dx)
+            and abs(self.x_min - other.x_min) <= GRID_TOL * scale
+            and abs(self.dx - other.dx) <= GRID_TOL * max(1.0, self.dx)
         )
 
 
@@ -201,30 +214,6 @@ def fourier_1d(f: SampledFunction1D, direction: str = "forward") -> SampledFunct
     else:
         raise ConfigurationError(f"direction must be forward or inverse, got {direction!r}")
     return SampledFunction1D(f.grid.dual(), out)
-
-
-_AXES = {"x": 0, "p": 1}
-
-
-def partial_fourier(
-    F: PhaseFunction2D, axis: str = "p", direction: str = "forward"
-) -> PhaseFunction2D:
-    """Unitary Fourier transform along one axis of a PhaseFunction2D."""
-    try:
-        ax = _AXES[axis]
-    except KeyError:
-        raise ConfigurationError(f"axis must be 'x' or 'p', got {axis!r}") from None
-    grid = F.grid_x if ax == 0 else F.grid_p
-    grid.require_centered()
-    if direction == "forward":
-        out = (grid.dx / SQRT_TWO_PI) * _centered_fft(F.values, axis=ax)
-    elif direction == "inverse":
-        out = (grid.length / SQRT_TWO_PI) * _centered_ifft(F.values, axis=ax)
-    else:
-        raise ConfigurationError(f"direction must be forward or inverse, got {direction!r}")
-    if ax == 0:
-        return PhaseFunction2D(grid.dual(), F.grid_p, out)
-    return PhaseFunction2D(F.grid_x, grid.dual(), out)
 
 
 def tensor_outer(f: SampledFunction1D, g: SampledFunction1D) -> PhaseFunction2D:

@@ -51,9 +51,11 @@ class FileFormatError(Exception):
 
 
 def _grid_from_header(entry: dict, what: str) -> Grid1D:
+    # JSON numbers as they stand: Grid1D refuses a non-integer n and a
+    # non-finite or non-numeric x_min or dx
     try:
-        return Grid1D(int(entry["n"]), float(entry["x_min"]), float(entry["dx"]))
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        return Grid1D(entry["n"], entry["x_min"], entry["dx"])
+    except (KeyError, TypeError, ConfigurationError) as exc:
         raise FileFormatError(f"malformed {what} entry in header: {exc}") from exc
 
 
@@ -205,7 +207,11 @@ def read(path: str) -> GridObject:
     shape = tuple(grids[key].n for key in axes)
     body = raw[newline + 1 :]
     if payload == "csv":
-        values = _parse_csv(body.decode("utf-8").splitlines(), shape)
+        try:
+            lines = body.decode("utf-8").splitlines()  # keeps no decoded text alive
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"CSV payload is not UTF-8 text: {exc}") from exc
+        values = _parse_csv(lines, shape)
     else:
         # Python ints: a numpy product of a huge header shape wraps silently
         expected = math.prod(shape) * 16

@@ -7,9 +7,6 @@ inverse partial transform.  The substitution is realized as up to three
 quarter turns followed by at most one three-shear; every factor is exactly
 unitary on the grid (index permutations, FFTs, unit-modulus cross-chirps),
 so U preserves discrete norms to rounding.
-
-A direct trigonometric-interpolation resample of the same substitution is
-provided as an independent oracle; it never sits on the fast path.
 """
 
 from __future__ import annotations
@@ -135,39 +132,6 @@ def _substitute(
         spec = _centered_fft(out, axis=axis)
         spec *= np.exp(1j * coeff * np.outer(rows, cols))
         out = _centered_ifft(spec, axis=axis)
-    return out
-
-
-# --- resample oracle -------------------------------------------------------
-
-
-def _resample_trig(
-    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, A: np.ndarray
-) -> np.ndarray:
-    """Evaluate the 2D trigonometric interpolant at the mapped nodes.
-
-    Single pass: no intermediate re-truncation, so this differs from the
-    shear pipeline by genuine aliasing amounts and serves as its oracle.
-    """
-    nx, ne = grid_x.n, grid_e.n
-    a, b = float(A[0, 0]), float(A[0, 1])
-    c, d = float(A[1, 0]), float(A[1, 1])
-    x = grid_x.nodes()
-    eta = grid_e.nodes()
-    u = grid_x.dual().nodes()
-    v = grid_e.dual().nodes()
-
-    C = _centered_fft(_centered_fft(values, axis=-2), axis=-1)
-    P1 = np.exp(1j * a * np.outer(x, u))          # (i, m)
-    P2 = np.exp(1j * b * np.outer(u, eta))        # (m, j)
-    E2 = np.exp(1j * d * np.outer(v, eta))        # (n, j)
-    row = np.exp(1j * c * np.outer(x, v))         # (i, n)
-
-    out = np.empty((nx, ne), dtype=np.complex128)
-    for i in range(nx):
-        G = (C * row[i][None, :]) @ E2            # (m, j)
-        out[i] = P1[i] @ (P2 * G)
-    out /= nx * ne
     return out
 
 

@@ -6,14 +6,6 @@ import numpy as np
 
 from .grid import ConfigurationError, Grid1D, PhaseFunction2D, SampledFunction1D
 
-DEFAULT_N = 256
-DEFAULT_PHASE_N = 128
-DEFAULT_HALF_WIDTH = 10.0
-
-
-def default_grid(n: int = DEFAULT_N, half_width: float = DEFAULT_HALF_WIDTH) -> Grid1D:
-    return Grid1D.centered(n, half_width)
-
 
 def gaussian(grid: Grid1D) -> SampledFunction1D:
     """Unit-norm ground Gaussian pi**-0.25 * exp(-x^2/2)."""
@@ -51,31 +43,28 @@ def chirp(grid: Grid1D, rate: float = 0.5) -> SampledFunction1D:
     return SampledFunction1D(grid, g.values * np.exp(1j * rate * grid.nodes() ** 2))
 
 
-def random_wave(
-    grid: Grid1D, rng: np.random.Generator, modes: int = 6, normalize: bool = True
-) -> SampledFunction1D:
-    """Random combination of low Hermite functions: smooth, fast-decaying."""
+def random_wave(grid: Grid1D, rng: np.random.Generator) -> SampledFunction1D:
+    """Unit-norm random combination of the first six Hermite functions:
+    smooth, fast-decaying."""
+    modes = 6
     coeff = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     values = np.zeros(grid.n, dtype=np.complex128)
     for m, c in enumerate(coeff):
         values += c * hermite(grid, m).values
     f = SampledFunction1D(grid, values)
-    if normalize:
-        n = f.norm()
-        if n == 0.0:
-            raise ConfigurationError("degenerate random draw")
-        f.values /= n
+    n = f.norm()
+    if n == 0.0:
+        raise ConfigurationError("degenerate random draw")
+    f.values /= n
     return f
 
 
 def random_phase_wave(
-    grid_x: Grid1D,
-    grid_p: Grid1D,
-    rng: np.random.Generator,
-    modes: int = 4,
-    normalize: bool = True,
+    grid_x: Grid1D, grid_p: Grid1D, rng: np.random.Generator
 ) -> PhaseFunction2D:
-    """Random low-order Hermite tensor combination on the phase grid."""
+    """Unit-norm random combination of the first 4 x 4 Hermite tensor
+    products on the phase grid."""
+    modes = 4
     hx = [hermite(grid_x, m).values for m in range(modes)]
     hp = [hermite(grid_p, m).values for m in range(modes)]
     coeff = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
@@ -84,6 +73,5 @@ def random_phase_wave(
         for b in range(modes):
             values += coeff[a, b] * np.outer(hx[a], hp[b])
     F = PhaseFunction2D(grid_x, grid_p, values)
-    if normalize:
-        F.values /= F.norm()
+    F.values /= F.norm()
     return F

@@ -174,7 +174,7 @@ def _propagator(rng: np.random.Generator) -> list[CheckResult]:
 
 def _wigner_equivalence(rng: np.random.Generator) -> list[CheckResult]:
     name = "wigner-equivalence"
-    grid = states.default_grid(256, 8.0)
+    grid = Grid1D.centered(256, 8.0)
     g0 = states.gaussian(grid)
     pairs = [
         (g0, g0),
@@ -201,7 +201,7 @@ def _wigner_equivalence(rng: np.random.Generator) -> list[CheckResult]:
 
 def _moyal_identity(rng: np.random.Generator) -> list[CheckResult]:
     name = "moyal-identity"
-    grid = states.default_grid(256, 8.0)
+    grid = Grid1D.centered(256, 8.0)
     angles = [0.0, 0.1, THETA_WIGNER, 2.0 * THETA_WIGNER]
     worst = 0.0
     for _ in range(20):
@@ -222,7 +222,7 @@ def _moyal_identity(rng: np.random.Generator) -> list[CheckResult]:
 
 def _windowed_calculus(rng: np.random.Generator) -> list[CheckResult]:
     name = "windowed-calculus"
-    grid = states.default_grid(256, 8.0)
+    grid = Grid1D.centered(256, 8.0)
     window = Window(states.gaussian(grid))
     psi = states.random_wave(grid, rng)
     F = wigner_metaplectic(states.random_wave(grid, rng),
@@ -254,7 +254,7 @@ def _windowed_calculus(rng: np.random.Generator) -> list[CheckResult]:
 
 def _weyl_calculus(rng: np.random.Generator) -> list[CheckResult]:
     name = "weyl-calculus"
-    grid = states.default_grid(256, 10.0)
+    grid = Grid1D.centered(256, 10.0)
     g0 = states.gaussian(grid)
     h1, h2 = states.hermite(grid, 1), states.hermite(grid, 2)
     kernel = OperatorKernel(
@@ -308,14 +308,14 @@ def _star_products(rng: np.random.Generator) -> list[CheckResult]:
     name = "star-products"
     out = []
 
-    grid = states.default_grid(256, 8.0)
+    grid = Grid1D.centered(256, 8.0)
     sx, sxi = symbol_x(grid), symbol_xi(grid)
     comm = moyal_product(sx, sxi).values - moyal_product(sxi, sx).values
     out.append(CheckResult(name, "coordinate-commutator", 1e-6,
                            float(np.max(np.abs(comm - 1j))),
                            "polynomial branch"))
 
-    g32 = states.default_grid(32, 6.0)
+    g32 = Grid1D.centered(32, 6.0)
     x32, e32 = g32.nodes(), g32.dual().nodes()
 
     def separable(ax: float, ae: float) -> Symbol2D:
@@ -328,7 +328,7 @@ def _star_products(rng: np.random.Generator) -> list[CheckResult]:
     out.append(CheckResult(name, "kernel-vs-quadrature", 1e-4, err,
                            "n=32, brute-force 4D integral"))
 
-    g128 = states.default_grid(128, 8.0)
+    g128 = Grid1D.centered(128, 8.0)
     x1, e1 = g128.nodes(), g128.dual().nodes()
 
     def decaying(ax: float, ae: float, mod=None) -> Symbol2D:
@@ -351,7 +351,7 @@ def _star_products(rng: np.random.Generator) -> list[CheckResult]:
     out.append(CheckResult(name, "associativity-angle", 1e-5,
                            _rel(lhs_t.values, rhs_t.values), "angle 0.4, n=128"))
 
-    gf = states.default_grid(256, 10.0)
+    gf = Grid1D.centered(256, 10.0)
     gg = states.gaussian(gf)
     f1, f2, f3 = states.hermite(gf, 1), states.hermite(gf, 2), states.hermite(gf, 3)
     k1 = OperatorKernel(gf, np.outer(gg.values, np.conj(f1.values))
@@ -441,7 +441,7 @@ def _symmetries(rng: np.random.Generator) -> list[CheckResult]:
     name = "symmetries"
     out = []
 
-    grid = states.default_grid(256, 8.0)
+    grid = Grid1D.centered(256, 8.0)
     psi = states.random_wave(grid, rng)
     phi = states.random_wave(grid, rng)
     err = 0.0
@@ -452,7 +452,7 @@ def _symmetries(rng: np.random.Generator) -> list[CheckResult]:
     out.append(CheckResult(name, "conjugation-parity", 1e-6, err,
                            "conj W(psi,phi) = W(conj psi, conj phi) at flipped p"))
 
-    wide = states.default_grid(256, 10.0)
+    wide = Grid1D.centered(256, 10.0)
     mix = _hermite_mix(wide)
     err = float(np.max(np.abs(wigner_fractional(mix, mix, THETA_WIGNER).values.imag)))
     out.append(CheckResult(name, "distinguished-angle-realness", 1e-9, err,

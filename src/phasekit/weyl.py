@@ -241,7 +241,7 @@ def theta_symbol(symbol: Symbol2D, theta: Theta | float) -> Symbol2D:
     tag only in the identity case.
     """
     theta = _as_theta(theta)
-    if theta.value == THETA_WIGNER:
+    if theta.is_wigner:
         poly = None if symbol.poly is None else symbol.poly.copy()
         return Symbol2D(symbol.grid_x, symbol.grid_xi, symbol.values.copy(), poly)
     return _transport(symbol, theta.value - THETA_WIGNER)
@@ -276,62 +276,30 @@ def _poly_trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: rows[-1] + 1, : cols[-1] + 1]
 
 
-def _poly_deriv(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    if coeffs.shape[axis] == 1:
-        return np.zeros((1, 1), dtype=np.complex128)
-    if axis == 0:
-        factors = np.arange(1, coeffs.shape[0], dtype=np.complex128)
-        return coeffs[1:, :] * factors[:, None]
-    factors = np.arange(1, coeffs.shape[1], dtype=np.complex128)
-    return coeffs[:, 1:] * factors[None, :]
-
-
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
                    dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-    return out
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    rows = max(a.shape[0], b.shape[0])
-    cols = max(a.shape[1], b.shape[1])
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] += a
-    out[: b.shape[0], : b.shape[1]] += b
+    rows = np.add.outer(np.arange(a.shape[0]), np.arange(b.shape[0]))[:, None, :, None]
+    cols = np.add.outer(np.arange(a.shape[1]), np.arange(b.shape[1]))[None, :, None, :]
+    np.add.at(out, (rows, cols), np.multiply.outer(a, b))
     return out
 
 
 def _moyal_poly(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Finite derivative series for the star product of two polynomials."""
-    out = np.zeros((1, 1), dtype=np.complex128)
-    k = 0
-    while True:
-        term = np.zeros((1, 1), dtype=np.complex128)
-        nonzero = False
+    """Finite derivative series for the star product of two polynomials,
+    sum_k (i/2)^k/k! sum_r (-1)^r C(k, r) dx^(k-r) dxi^r a * dx^r dxi^(k-r) b."""
+    out = np.zeros((ca.shape[0] + cb.shape[0] - 1, ca.shape[1] + cb.shape[1] - 1),
+                   dtype=np.complex128)
+    # order of the last term whose derivatives can both be nonzero
+    order = min(ca.shape[0], cb.shape[1]) + min(ca.shape[1], cb.shape[0]) - 2
+    for k in range(order + 1):
+        term = np.zeros_like(out)
         for r in range(k + 1):
-            da = ca
-            for _ in range(k - r):
-                da = _poly_deriv(da, 0)
-            for _ in range(r):
-                da = _poly_deriv(da, 1)
-            db = cb
-            for _ in range(r):
-                db = _poly_deriv(db, 0)
-            for _ in range(k - r):
-                db = _poly_deriv(db, 1)
-            if not np.any(da) or not np.any(db):
-                continue
-            nonzero = True
+            da = npoly.polyder(npoly.polyder(ca, k - r, axis=0), r, axis=1)
+            db = npoly.polyder(npoly.polyder(cb, r, axis=0), k - r, axis=1)
             piece = _poly_mul(da, db) * ((-1.0) ** r * math.comb(k, r))
-            term = _poly_add(term, piece)
-        if k > 0 and not nonzero:
-            break
-        out = _poly_add(out, term * ((0.5j) ** k / math.factorial(k)))
-        k += 1
+            term[: piece.shape[0], : piece.shape[1]] += piece
+        out += term * ((0.5j) ** k / math.factorial(k))
     return _poly_trim(out)
 
 
@@ -503,7 +471,7 @@ def theta_product(
     """
     theta = _as_theta(theta)
     _require_common_grids(a, b)
-    if theta.value == THETA_WIGNER:
+    if theta.is_wigner:
         return moyal_product(a, b, method=method)
     back = THETA_WIGNER - theta.value
     base = moyal_product(_transport(a, back), _transport(b, back), method=method)

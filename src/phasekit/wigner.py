@@ -47,6 +47,7 @@ __all__ = [
 
 _WINDOW_NORM_WARN = 1.0e-6
 _WINDOW_NORM_MIN = 1.0e-12
+_WIGNER_TOL = 1.0e-12  # THETA_WIGNER + k*PERIOD reduces to a few ulps off
 
 
 def _finite_angle(value: float) -> float:
@@ -60,8 +61,8 @@ class Theta:
     """Transform angle, stored reduced to the fundamental interval [0, PERIOD).
 
     Angles differing by the flow period give the same propagator, so the
-    reduction is exact bookkeeping, not an approximation.  Non-finite
-    angles are rejected.
+    reduction changes nothing but rounding, which is_wigner allows for.
+    Non-finite angles are rejected.
     """
 
     value: float
@@ -73,6 +74,11 @@ class Theta:
     @classmethod
     def wigner(cls) -> "Theta":
         return cls(THETA_WIGNER)
+
+    @property
+    def is_wigner(self) -> bool:
+        """Whether this is the distinguished angle, up to reduction rounding."""
+        return abs(self.value - THETA_WIGNER) <= _WIGNER_TOL
 
 
 class Window:

@@ -7,7 +7,7 @@ import pytest
 
 from phasekit import cli, gridfile, states
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
-from phasekit.symplectic import flow_matrix
+from phasekit.symplectic import PERIOD, THETA_WIGNER, flow_matrix
 from phasekit.weyl import OperatorKernel, Symbol2D
 from phasekit.wigner import Theta, Window, windowed_transform
 
@@ -257,6 +257,38 @@ def test_config_merge_and_flag_precedence(tmp_path):
     assert gridfile.read(out).grid_x.n == 64
 
 
+def test_config_top_level_grid_keys(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"n": 64, "x_min": -6.0, "dx": 0.1875}))
+    out = str(tmp_path / "w.bin")
+    rc = cli.main(["wigner", "--gaussian", "--config", str(cfg),
+                   "--output", out, "--payload", "binary"])
+    assert rc == 0
+    assert _manifest(out + ".manifest.json")["inputs"]["grid"] == \
+        {"n": 64, "x_min": -6.0, "dx": 0.1875}
+    assert gridfile.read(out).grid_x == Grid1D(64, -6.0, 0.1875)
+    # a flag wins over the config, the half-width shortcut included
+    rc = cli.main(["wigner", "--gaussian", "--config", str(cfg), "--half-width", "4",
+                   "--output", out, "--payload", "binary"])
+    assert rc == 0
+    assert gridfile.read(out).grid_x == Grid1D(64, -4.0, 0.125)
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--a", "x", "--b", "oscillator"],
+    ["expect", "--op", "oscillator"],
+    ["bopp-spectrum", "--symbol", "oscillator", "--count", "1"],
+    ["evolve", "--t", "0.1", "--steps", "1"],
+])
+def test_manifest_records_the_grid(tmp_path, argv):
+    base = str(tmp_path / "run")
+    rc = cli.main([*argv, "--n", "16", "--half-width", "6", "--output", base,
+                   "--manifest", base + ".m.json"])
+    assert rc == 0
+    assert _manifest(base + ".m.json")["inputs"]["grid"] == \
+        {"n": 16, "x_min": -6.0, "dx": 0.75}
+
+
 def test_config_command_mismatch(tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"command": "wigner"}))
@@ -461,6 +493,38 @@ def test_non_finite_state_file_is_usage_error(tmp_path, capsys, payload):
     assert rc == 2
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda raw: raw.rstrip(b"\n") + b"\xff\n", "CSV payload is not UTF-8"),
+    (lambda raw: raw.replace(b'"n":16,', b'"n":16.9,', 1), "n must be a positive even"),
+], ids=["non-utf8-payload", "non-integer-n"])
+def test_malformed_state_file_is_usage_error(tmp_path, capsys, corrupt, message):
+    src = tmp_path / "state.csv"
+    gridfile.write(str(src), states.gaussian(Grid1D.centered(16, 4.0)), "csv")
+    src.write_bytes(corrupt(src.read_bytes()))
+    rc = cli.main(["wigner", "--state", str(src), "--output", str(tmp_path / "w.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+def test_distinguished_angle_plus_periods_takes_the_exact_routes(tmp_path, k):
+    grid = Grid1D.centered(32, 6.0)
+    g = states.gaussian(grid).values
+    src = str(tmp_path / "k.bin")
+    gridfile.write(src, OperatorKernel(grid, np.outer(g, np.conj(g))), "binary")
+    outputs = []
+    for theta in (THETA_WIGNER, THETA_WIGNER + k * PERIOD):
+        out = tmp_path / f"s{len(outputs)}.bin"
+        assert cli.main(["weyl-symbol", "--kernel", src, f"--theta={theta!r}",
+                         "--payload", "binary", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        assert cli.main(["star", "--a", "x", "--b", "xi", f"--theta={theta!r}",
+                         "--n", "16", "--half-width", "6",
+                         "--output", str(tmp_path / "star.csv")]) == 0
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_input_file(tmp_path, capsys):

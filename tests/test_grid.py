@@ -11,7 +11,6 @@ from phasekit.grid import (
     conjugate,
     fft_workers,
     fourier_1d,
-    partial_fourier,
     tensor_outer,
 )
 
@@ -35,6 +34,18 @@ def test_odd_size_rejected():
 def test_nonpositive_spacing_rejected():
     with pytest.raises(ConfigurationError):
         Grid1D(64, -8.0, 0.0)
+
+
+@pytest.mark.parametrize("n,x_min,dx,key", [
+    (8.9, -2.0, 0.5, "n"), (8.0, -2.0, 0.5, "n"), ("8", -2.0, 0.5, "n"),
+    (True, -2.0, 0.5, "n"), (8, float("nan"), 0.5, "x_min"),
+    (8, float("inf"), 0.5, "x_min"), (8, "-2", 0.5, "x_min"), (8, False, 0.5, "x_min"),
+    (8, -2.0, float("inf"), "dx"), (8, -2.0, float("nan"), "dx"),
+])
+def test_non_integer_size_and_non_finite_edges_rejected(n, x_min, dx, key):
+    # nothing is coerced: 8.9 is not read as 8, nor "8" as 8
+    with pytest.raises(ConfigurationError, match=rf"\b{key}\b"):
+        Grid1D(n, x_min, dx)
 
 
 def test_dual_grid_is_self_dual():
@@ -123,18 +134,6 @@ def test_fourier_shift_modulation():
     lhs = fourier_1d(shifted).values
     rhs = fourier_1d(f).values * np.exp(-1j * g.dual().nodes() * g.dx)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_partial_fourier_matches_columnwise():
-    gx = Grid1D.centered(32, 4.0)
-    gp = gx.dual()
-    rng = np.random.default_rng(23)
-    vals = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    F = PhaseFunction2D(gx, gp, vals)
-    out = partial_fourier(F, axis="x")
-    for j in range(32):
-        col = fourier_1d(SampledFunction1D(gx, vals[:, j])).values
-        assert np.max(np.abs(out.values[:, j] - col)) < 1e-12
 
 
 def test_tensor_outer_and_conjugate():

@@ -230,6 +230,20 @@ def test_odd_grid_size_rejected(tmp_path):
         gridfile.read(path)
 
 
+@pytest.mark.parametrize("entry,key", [
+    ({"n": 8.9, "x_min": -2.0, "dx": 0.5}, "n"),
+    ({"n": "8", "x_min": -2.0, "dx": 0.5}, "n"),
+    ({"n": 8, "x_min": float("nan"), "dx": 0.5}, "x_min"),
+    ({"n": 8, "x_min": float("inf"), "dx": 0.5}, "x_min"),
+    ({"n": 8, "x_min": -2.0, "dx": float("inf")}, "dx"),
+])
+def test_grid_entry_takes_json_numbers_as_they_stand(tmp_path, entry, key):
+    # json writes nan and inf as NaN and Infinity, which json reads back
+    path = _write_then_corrupt(tmp_path, lambda raw: _patched_header(raw, grid=entry))
+    with pytest.raises(FileFormatError, match=rf"grid entry in header: .*\b{key}\b"):
+        gridfile.read(path)
+
+
 def test_truncated_binary(tmp_path):
     path = _write_then_corrupt(tmp_path, lambda raw: raw[:-8], payload="binary")
     with pytest.raises(FileFormatError, match="bytes"):

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasekit import states
-from phasekit.grid import ConfigurationError, Grid1D, PhaseFunction2D
+from phasekit.grid import (
+    ConfigurationError,
+    Grid1D,
+    PhaseFunction2D,
+    _centered_fft,
+)
 from phasekit.metaplectic import (
     ShearFactorization,
-    _resample_trig,
     _substitute,
     generator_apply,
     propagate,
@@ -174,6 +178,36 @@ def test_substitute_matches_closed_form():
         )
         out = _substitute(F.values, F.grid_x, F.grid_p, theta)
         assert np.max(np.abs(out - exact)) < 1e-6
+
+
+def _resample_trig(
+    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, A: np.ndarray
+) -> np.ndarray:
+    """Evaluate the 2D trigonometric interpolant at the mapped nodes.
+
+    Single pass: no intermediate re-truncation, so this differs from the
+    shear pipeline by genuine aliasing amounts and serves as its oracle.
+    """
+    nx, ne = grid_x.n, grid_e.n
+    a, b = float(A[0, 0]), float(A[0, 1])
+    c, d = float(A[1, 0]), float(A[1, 1])
+    x = grid_x.nodes()
+    eta = grid_e.nodes()
+    u = grid_x.dual().nodes()
+    v = grid_e.dual().nodes()
+
+    C = _centered_fft(_centered_fft(values, axis=-2), axis=-1)
+    P1 = np.exp(1j * a * np.outer(x, u))          # (i, m)
+    P2 = np.exp(1j * b * np.outer(u, eta))        # (m, j)
+    E2 = np.exp(1j * d * np.outer(v, eta))        # (n, j)
+    row = np.exp(1j * c * np.outer(x, v))         # (i, n)
+
+    out = np.empty((nx, ne), dtype=np.complex128)
+    for i in range(nx):
+        G = (C * row[i][None, :]) @ E2            # (m, j)
+        out[i] = P1[i] @ (P2 * G)
+    out /= nx * ne
+    return out
 
 
 def test_resample_oracle_near_identity():

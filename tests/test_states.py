@@ -4,26 +4,18 @@ import numpy as np
 import pytest
 
 from phasekit import states
-from phasekit.grid import fourier_1d
-
-
-def test_default_grid():
-    g = states.default_grid()
-    assert g.n == 256
-    assert g.x_min == -10.0
-    g2 = states.default_grid(128, 8.0)
-    assert g2.dx == pytest.approx(0.125)
+from phasekit.grid import Grid1D, fourier_1d
 
 
 def test_gaussian_unit_norm():
-    g = states.gaussian(states.default_grid())
+    g = states.gaussian(Grid1D.centered(256, 10.0))
     assert g.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_is_fourier_fixed_point():
     # the transform lives on the dual lattice, so compare against the same
     # closed form sampled there
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     g = states.gaussian(grid)
     ghat = fourier_1d(g)
     ref = states.gaussian(grid.dual())
@@ -31,7 +23,7 @@ def test_gaussian_is_fourier_fixed_point():
 
 
 def test_hermite_orthonormal():
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     basis = [states.hermite(grid, m) for m in range(6)]
     for i, f in enumerate(basis):
         for j, h in enumerate(basis):
@@ -41,7 +33,7 @@ def test_hermite_orthonormal():
 
 def test_hermite_fourier_eigenvector():
     # FT has eigenvalue (-i)^m on the m-th mode
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     for m in range(4):
         f = states.hermite(grid, m)
         fhat = fourier_1d(f)
@@ -50,7 +42,7 @@ def test_hermite_fourier_eigenvector():
 
 
 def test_coherent_center():
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     alpha = 0.6 + 0.4j
     f = states.coherent(grid, alpha)
     assert f.norm() == pytest.approx(1.0, abs=1e-12)
@@ -65,14 +57,14 @@ def test_coherent_center():
 
 
 def test_coherent_at_origin_is_gaussian():
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     f = states.coherent(grid, 0.0)
     g = states.gaussian(grid)
     assert np.max(np.abs(f.values - g.values)) < 1e-14
 
 
 def test_chirp_envelope():
-    grid = states.default_grid()
+    grid = Grid1D.centered(256, 10.0)
     c = states.chirp(grid, 0.8)
     g = states.gaussian(grid)
     assert np.max(np.abs(np.abs(c.values) - np.abs(g.values))) < 1e-14
@@ -80,7 +72,7 @@ def test_chirp_envelope():
 
 
 def test_random_wave_deterministic_and_normalized():
-    grid = states.default_grid(128, 8.0)
+    grid = Grid1D.centered(128, 8.0)
     f1 = states.random_wave(grid, np.random.default_rng(7))
     f2 = states.random_wave(grid, np.random.default_rng(7))
     f3 = states.random_wave(grid, np.random.default_rng(8))
@@ -90,7 +82,7 @@ def test_random_wave_deterministic_and_normalized():
 
 
 def test_random_phase_wave_shapes():
-    grid = states.default_grid(64, 8.0)
+    grid = Grid1D.centered(64, 8.0)
     F = states.random_phase_wave(grid, grid.dual(), np.random.default_rng(9))
     assert F.values.shape == (64, 64)
     assert F.norm() == pytest.approx(1.0, abs=1e-12)

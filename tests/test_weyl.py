@@ -1,5 +1,7 @@
 """Operator kernels, angle symbols, and star products."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from phasekit.grid import (
     _centered_fft,
     _centered_ifft,
 )
-from phasekit.symplectic import THETA_WIGNER
+from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
+    _moyal_poly,
+    _poly_trim,
     expectation,
     fractional_symbol,
     kernel_to_symbol,
@@ -82,6 +86,65 @@ def test_dictionary_matches_the_per_diagonal_loop(n):
     assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
     gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
     assert np.array_equal(symbol_to_kernel(symbol).values, _loop_dictionary(gmat, +1))
+
+
+def _loop_moyal_poly(ca, cb):
+    # reference: the derivative series with hand-made derivatives, a loop
+    # over the first factor's coefficients and growing sums, stopped at the
+    # first order whose terms all vanish
+    def deriv(c, axis):
+        if c.shape[axis] == 1:
+            return np.zeros((1, 1), dtype=np.complex128)
+        factors = np.arange(1, c.shape[axis], dtype=np.complex128)
+        return c[1:] * factors[:, None] if axis == 0 else c[:, 1:] * factors[None, :]
+
+    def add(a, b):
+        out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])),
+                       dtype=np.complex128)
+        out[: a.shape[0], : a.shape[1]] += a
+        out[: b.shape[0], : b.shape[1]] += b
+        return out
+
+    def mul(a, b):
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+                       dtype=np.complex128)
+        for i, j in zip(*np.nonzero(a)):
+            out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+        return out
+
+    out, k = np.zeros((1, 1), dtype=np.complex128), 0
+    while True:
+        term, nonzero = np.zeros((1, 1), dtype=np.complex128), False
+        for r in range(k + 1):
+            da, db = ca, cb
+            for _ in range(k - r):
+                da = deriv(da, 0)
+            for _ in range(r):
+                da = deriv(da, 1)
+            for _ in range(r):
+                db = deriv(db, 0)
+            for _ in range(k - r):
+                db = deriv(db, 1)
+            if np.any(da) and np.any(db):
+                nonzero = True
+                term = add(term, mul(da, db) * ((-1.0) ** r * math.comb(k, r)))
+        if k > 0 and not nonzero:
+            return out
+        out = add(out, term * ((0.5j) ** k / math.factorial(k)))
+        k += 1
+
+
+def test_polynomial_series_matches_the_loop_reference():
+    builtins = [s.poly for s in (symbol_x(GRID), symbol_xi(GRID), symbol_oscillator(GRID))]
+    rng = np.random.default_rng(80)
+    pairs = [(a, b) for a in builtins for b in builtins]
+    for _ in range(60):
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in rng.integers(1, 6, (2, 2)))
+        a[rng.random(a.shape) < 0.3] = 0
+        pairs.append((a, b))
+    for a, b in pairs:
+        assert np.array_equal(_moyal_poly(a, b), _poly_trim(_loop_moyal_poly(a, b)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,6 +321,16 @@ def test_theta_product_at_distinguished_angle_is_moyal():
     tp = theta_product(a, b, THETA_WIGNER)
     mp = moyal_product(a, b)
     assert np.array_equal(tp.values, mp.values)
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+def test_distinguished_angle_plus_periods_takes_the_exact_routes(k):
+    # the reduction modulo PERIOD lands a few ulps off THETA_WIGNER
+    theta = THETA_WIGNER + k * PERIOD
+    sx, sxi = symbol_x(GRID), symbol_xi(GRID)
+    assert np.array_equal(theta_product(sx, sxi, theta).values,
+                          moyal_product(sx, sxi).values)
+    assert np.array_equal(theta_symbol(sx, theta).values, sx.values)
 
 
 def test_polynomial_transport_refused():
