@@ -10,13 +10,14 @@ which gives an independent second route.
 
 The zero-angle analysis transform psi -> psi (x) conj(FT window) carries the
 state picture into the extended picture, so the angle-THETA_WIGNER windowed
-transform carries it into the conjugated one.  Spectra and dynamics must
-therefore agree across pictures, and this module assembles the dense
-matrices needed to check that at desk scale: an eigenvalue report with
-degeneracy clusters paired against the 1D spectrum, and a side-by-side
-evolution of the same initial data in both pictures.  Each realization is
-one batched map on raw arrays (_action), serving apply and the assembly;
-both harnesses refuse grids above DENSE_MAX_N points per axis.
+transform carries it into the conjugated one.  For an orthonormal window
+family these lifts are unitary, so the phase-plane spectrum is the 1D
+spectrum with each level repeated once per window.  The spectral report
+takes the 1D eigensolve and certifies every level by the residuals of its
+lifts; the paired evolution runs the same initial data in both pictures
+from dense matrices.  Each realization is one batched map on raw arrays
+(_action), serving apply, the lifted residuals and the assembly; both
+harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .grid import (
     ConfigurationError,
     Grid1D,
     PhaseFunction2D,
     SampledFunction1D,
+    SQRT_TWO_PI,
+    _centered_fft,
     _spectral_step,
 )
 from .metaplectic import _propagate_values
@@ -61,7 +63,6 @@ __all__ = [
 REPRESENTATIONS = ("extended", "bopp_conjugated", "bopp_direct")
 DENSE_MAX_N = 64
 _DENSE_CHUNK = 512
-ZERO_PUSHFORWARD_TOL = 1.0e-10
 PAIRING_GAP = 1.0e-4
 _RESIDUAL_FLOOR = 1.0e-12
 
@@ -111,16 +112,15 @@ class PhaseOperator:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Clustered low spectrum of a phase-plane operator, checked against 1D.
+    """Clustered low spectrum of a phase-plane operator, lifted from 1D.
 
-    eigenvalues hold one representative per degeneracy cluster (ascending),
-    multiplicities the cluster sizes, residuals the worst member residual
-    ||M v - lambda v|| / ||v|| against the assembled matrix.  pairing maps
-    cluster index -> index into reference_eigenvalues (the 1D spectrum);
-    clusters with no 1D partner within gap are absent from the map.
-    pushforward_residuals measure how well the lifted 1D eigenvector is an
-    eigenvector of the phase-plane matrix; lifts with norm below
-    ZERO_PUSHFORWARD_TOL are listed in pushforward_skipped and get nan.
+    Clusters are gap-separated runs of the 1D spectrum (reference_eigenvalues,
+    ascending).  eigenvalues hold each cluster's mean, multiplicities n times
+    its member count.  residuals are the worst ||A Phi - lambda_m Phi|| / ||Phi||
+    over the lifts Phi of each member m against all n 1D eigenstates as
+    windows.  pairing maps cluster index -> the member nearest its mean, and
+    pushforward_residuals give that member's residual lifted against the
+    caller's window.
     """
 
     eigenvalues: np.ndarray
@@ -129,7 +129,6 @@ class SpectralReport:
     pairing: dict[int, int]
     reference_eigenvalues: np.ndarray
     pushforward_residuals: np.ndarray
-    pushforward_skipped: tuple[int, ...]
     gap: float
 
 
@@ -239,6 +238,19 @@ def bopp_intertwining_residual(
 # dense assembly and spectra
 
 
+def _plane_grid(op: PhaseOperator) -> Grid1D:
+    """The operator's position grid, checked against its dual frequency grid
+    and refused above DENSE_MAX_N points."""
+    grid = op.symbol.grid_x
+    _require_dual_pair(grid, op.symbol.grid_xi)
+    if grid.n > DENSE_MAX_N:
+        raise ConfigurationError(
+            f"dense assembly is capped at {DENSE_MAX_N} points per axis, "
+            f"got {grid.n}"
+        )
+    return grid
+
+
 def dense_matrix(op: PhaseOperator) -> np.ndarray:
     """Assemble the phase-plane operator as a dense matrix.
 
@@ -248,13 +260,7 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
     exactly the operator that apply() implements.  Capped at DENSE_MAX_N
     points per axis to keep the n^2 x n^2 result at desk scale.
     """
-    grid = op.symbol.grid_x
-    _require_dual_pair(grid, op.symbol.grid_xi)
-    if grid.n > DENSE_MAX_N:
-        raise ConfigurationError(
-            f"dense assembly is capped at {DENSE_MAX_N} points per axis, "
-            f"got {grid.n}"
-        )
+    grid = _plane_grid(op)
     action = _action(op, grid, grid.dual())
     n = grid.n
     matrix = np.empty((n * n, n * n), dtype=np.complex128)
@@ -305,15 +311,17 @@ def bopp_spectrum(
     representation: str = "bopp_conjugated",
     gap: float = PAIRING_GAP,
 ) -> SpectralReport:
-    """Low spectrum of the phase-plane operator, verified two ways.
+    """Low spectrum of the phase-plane operator, lifted from the 1D one.
 
-    Assembles the operator densely, takes the lowest eigenvalue clusters of
-    its symmetrization, and pairs each cluster with the nearest eigenvalue
-    of the 1D operator.  For every paired cluster the lifted 1D eigenstate
-    is tested as an eigenvector of the assembled matrix (the zero-lift case
-    is detected and skipped rather than failed).  Residuals are measured
-    against the unsymmetrized assembly, so they also witness how far the
-    realization is from self-adjoint.
+    Clusters the 1D spectrum and lifts each member eigenstate psi_m against
+    every 1D eigenstate psi_j as window, Phi_mj = U(angle)(psi_m (x)
+    conj(FT psi_j)) at the angle matching the representation.  Those
+    windows are orthonormal, so the lifts span n copies of each level; a
+    cluster's residual is the worst ||A Phi_mj - lambda_m Phi_mj|| / ||Phi_mj||
+    under the unsymmetrized realization, which witnesses both the
+    intertwining and how far the realization is from self-adjoint.  The
+    pushforward residual is the same measure for the paired member lifted
+    against the caller's window.
     """
     if count < 1:
         raise ConfigurationError(f"count must be at least 1, got {count}")
@@ -322,22 +330,11 @@ def bopp_spectrum(
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     _require_self_adjoint(kernel, "the spectral harness")
-    grid = kernel.grid
-    if not window.grid.matches(grid):
+    if not window.grid.matches(kernel.grid):
         raise ConfigurationError("window grid does not match the operator grid")
+    grid = _plane_grid(op)
     ref_vals, ref_vecs = _reference_spectrum(kernel)
-
-    matrix = dense_matrix(op)
-    sym = (matrix + matrix.conj().T) / 2.0
-    total = grid.n * grid.n
-    want = min((count + 1) * grid.n, total)
-    vals, vecs = scipy.linalg.eigh(sym, subset_by_index=(0, want - 1))
-    clusters = _cluster(vals, gap)
-    # The last cluster is complete only if the subset solve saw past its
-    # upper edge; otherwise fall back to the full spectrum.
-    if want < total and len(clusters) <= count:
-        vals, vecs = scipy.linalg.eigh(sym)
-        clusters = _cluster(vals, gap)
+    clusters = _cluster(ref_vals, gap)
     if len(clusters) < count:
         raise ConfigurationError(
             f"requested {count} eigenvalue clusters but the spectrum has "
@@ -345,40 +342,31 @@ def bopp_spectrum(
         )
     clusters = clusters[:count]
 
-    eigenvalues = np.array([float(vals[c].mean()) for c in clusters])
-    multiplicities = np.array([c.stop - c.start for c in clusters])
-    residuals = np.empty(count)
-    block = vecs[:, : clusters[-1].stop]
-    applied = matrix @ block
-    for k, c in enumerate(clusters):
-        defect = applied[:, c] - block[:, c] * vals[c]
-        residuals[k] = float(
-            np.max(np.linalg.norm(defect, axis=0))
-        )
+    action = _action(op, grid, grid.dual())
+    angle = _lift_angle(representation).value
+    eigen_transforms = (grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T)
 
-    pairing: dict[int, int] = {}
-    pushforward = np.full(count, np.nan)
-    skipped: list[int] = []
-    for k in range(count):
-        nearest = int(np.argmin(np.abs(ref_vals - eigenvalues[k])))
-        if abs(ref_vals[nearest] - eigenvalues[k]) > gap:
-            warnings.warn(
-                f"cluster at {eigenvalues[k]:.6f} has no 1D partner within "
-                f"{gap:.1e}",
-                stacklevel=2,
-            )
-            continue
-        pairing[k] = nearest
-        state = SampledFunction1D(grid, ref_vecs[:, nearest])
-        lift = windowed_transform(state, window, _lift_angle(representation))
-        if lift.norm() < ZERO_PUSHFORWARD_TOL:
-            skipped.append(k)
-            continue
-        vec = lift.values.reshape(-1)
-        pushforward[k] = float(
-            np.linalg.norm(matrix @ vec - ref_vals[nearest] * vec)
-            / np.linalg.norm(vec)
-        )
+    def lift_residuals(m: int, transforms: np.ndarray) -> np.ndarray:
+        seeds = ref_vecs[:, m, None] * transforms.conj()[:, None, :]
+        lifts = _propagate_values(seeds, grid, grid.dual(), angle)
+        defect = action(lifts) - ref_vals[m] * lifts
+        return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
+
+    eigenvalues = np.array([float(ref_vals[c].mean()) for c in clusters])
+    multiplicities = np.array([grid.n * (c.stop - c.start) for c in clusters])
+    residuals = np.array([
+        max(float(lift_residuals(m, eigen_transforms).max())
+            for m in range(c.start, c.stop))
+        for c in clusters
+    ])
+    pairing = {
+        k: c.start + int(np.argmin(np.abs(ref_vals[c] - eigenvalues[k])))
+        for k, c in enumerate(clusters)
+    }
+    pushforward = np.array([
+        float(lift_residuals(pairing[k], window.transform.values[None])[0])
+        for k in range(count)
+    ])
     return SpectralReport(
         eigenvalues=eigenvalues,
         multiplicities=multiplicities,
@@ -386,7 +374,6 @@ def bopp_spectrum(
         pairing=pairing,
         reference_eigenvalues=ref_vals,
         pushforward_residuals=pushforward,
-        pushforward_skipped=tuple(skipped),
         gap=gap,
     )
 

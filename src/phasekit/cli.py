@@ -473,35 +473,30 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
     kwargs = {} if gap is None else {"gap": gap}
     report = bopp_spectrum(symbol, count, window,
                            representation=representation, **kwargs)
-    # pushforward_residuals is per cluster, nan where unpaired or skipped;
-    # nan is not valid JSON, so those slots become null.
-    pushforwards = [None if np.isnan(r) else float(r)
-                    for r in report.pushforward_residuals]
     record = {
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "multiplicities": [int(m) for m in report.multiplicities],
         "residuals": [float(r) for r in report.residuals],
         "pairing": {str(k): int(v) for k, v in report.pairing.items()},
         "reference_eigenvalues": [float(v) for v in report.reference_eigenvalues],
-        "pushforward_residuals": pushforwards,
-        "pushforward_skipped": [int(i) for i in report.pushforward_skipped],
+        "pushforward_residuals": [float(r) for r in report.pushforward_residuals],
         "gap": float(report.gap),
     }
     eigenvalues = record["eigenvalues"]
     references = [record["reference_eigenvalues"][report.pairing[i]]
-                  if i in report.pairing else None for i in range(len(eigenvalues))]
+                  for i in range(len(eigenvalues))]
     table = _csv(zip(range(len(eigenvalues)), eigenvalues, record["multiplicities"],
-                     record["residuals"], references, pushforwards),
+                     record["residuals"], references, record["pushforward_residuals"]),
                  "index,eigenvalue,multiplicity,residual,reference,pushforward")
     eig_txt = ", ".join(f"{v:.6f}" for v in eigenvalues)
+    worst = max(record["residuals"])
     return _Run({"symbol": symbol_spec, "count": count, "window": window_spec,
                  "representation": representation, "gap": record["gap"],
                  "grid": _grid_record(symbol.grid_x)},
                 {"report_json": record, "report_csv": table},
-                f"lowest {count} cluster eigenvalues: {eig_txt} -> "
-                f"{out['report_json']}, {out['report_csv']}",
-                {"results": {"eigenvalues": eigenvalues,
-                             "max_residual": max(record["residuals"], default=0.0)}})
+                f"lowest {count} cluster eigenvalues: {eig_txt} (worst residual "
+                f"{worst:.3e}) -> {out['report_json']}, {out['report_csv']}",
+                {"results": {"eigenvalues": eigenvalues, "max_residual": worst}})
 
 
 @_command("evolve", "evolve a state and its phase-plane lift side by side",

@@ -123,9 +123,6 @@ class SampledFunction1D:
             )
         self.values = v
 
-    def copy(self) -> "SampledFunction1D":
-        return SampledFunction1D(self.grid, self.values.copy())
-
     def norm(self) -> float:
         """L2 norm with the grid measure, sqrt(dx * sum |f|^2)."""
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))

@@ -1,20 +1,26 @@
 """Phase-plane operator realizations: spectra, dynamics, intertwining."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
     REPRESENTATIONS,
+    _cluster,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
     evolve_pair,
 )
-from phasekit.grid import ConfigurationError, Grid1D
+from phasekit.grid import ConfigurationError, Grid1D, SampledFunction1D
 from phasekit.weyl import (
+    OperatorKernel,
     Symbol2D,
+    kernel_to_symbol,
     polynomial_symbol,
     symbol_oscillator,
     symbol_x,
@@ -149,6 +155,59 @@ def test_gaussian_symbol_spectrum_is_geometric():
     for k, ref_idx in report.pairing.items():
         assert abs(report.eigenvalues[k]
                    - report.reference_eigenvalues[ref_idx]) < 1e-3
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 8), st.floats(2.0, 8.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(("extended", "bopp_conjugated")))
+def test_plane_spectrum_is_the_1d_spectrum_n_times(half_n, half_width, seed,
+                                                    representation):
+    # the lifts against an orthonormal window family are unitary, so the
+    # assembled plane operator has each 1D level once per window; the
+    # dense eigensolve is the oracle for the lifted report
+    grid = Grid1D.centered(2 * half_n, half_width)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    sym = kernel_to_symbol(OperatorKernel(grid, (a + a.conj().T) / 2.0))
+    op = PhaseOperator(sym, representation)
+    g = states.gaussian(grid)
+    window = Window(SampledFunction1D(grid, g.values / g.norm()))
+    gap = 1e-4
+    ref = bopp_spectrum(sym, 1, window, representation, gap).reference_eigenvalues
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    # clustering at a threshold is ill-conditioned; keep level spacings
+    # clear of the gap by far more than rounding
+    assume(np.all(np.abs(np.diff(ref) - gap) > 1e-8 * scale))
+    count = len(_cluster(ref, gap))
+    report = bopp_spectrum(sym, count, window, representation, gap)
+    dense = np.linalg.eigvalsh(dense_matrix(op))
+    assert np.max(np.abs(dense - np.repeat(report.reference_eigenvalues, grid.n))) \
+        <= 1e-10 * scale
+    clusters = _cluster(dense, gap)
+    assert [c.stop - c.start for c in clusters] == list(report.multiplicities)
+    means = np.array([dense[c].mean() for c in clusters])
+    assert np.max(np.abs(means - report.eigenvalues)) <= 1e-10 * scale
+    assert np.max(report.residuals) <= 1e-10 * scale
+
+
+def test_direct_spectrum_reports_the_wrap_defect():
+    # the generator word on a small box is perturbed by wraparound; the
+    # report keeps the 1D levels and shows the defect in the residuals
+    # instead of returning unpaired wrap clusters
+    grid = Grid1D.centered(16, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = bopp_spectrum(symbol_oscillator(grid), 2, _window(grid),
+                               representation="bopp_direct")
+    assert report.pairing == {0: 0, 1: 1}
+    assert np.array_equal(report.eigenvalues, report.reference_eigenvalues[:2])
+    assert np.all(report.residuals > 1e-2)
+
+
+def test_spectrum_refuses_grids_above_the_dense_cap():
+    grid = Grid1D.centered(80, 8.0)
+    with pytest.raises(ConfigurationError, match="capped at 64 points"):
+        bopp_spectrum(symbol_oscillator(grid), 2, _window(grid))
 
 
 def test_evolution_pictures_agree():

@@ -4,9 +4,12 @@ imports from the package top level are in its namespace."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import phasekit
 
@@ -29,3 +32,17 @@ def test_readme_imports_are_in_the_namespace():
     # a submodule such as `states` is imported as a module, not a re-export
     names = [name for name in names if importlib.util.find_spec(f"phasekit.{name}") is None]
     assert names and set(names) <= set(phasekit.__all__)
+
+
+def test_the_cli_loads_no_scipy_linalg():
+    # the spectral harness lifts numpy's 1D eigensolve and the dynamics use
+    # numpy's eigh, so starting the CLI leaves scipy.linalg and
+    # scipy.signal unloaded
+    src = str(pathlib.Path(phasekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, phasekit.cli; "
+            "print([m for m in ('scipy.linalg', 'scipy.signal') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
