@@ -14,10 +14,10 @@ transform carries it into the conjugated one.  For an orthonormal window
 family these lifts are unitary, so the phase-plane spectrum is the 1D
 spectrum with each level repeated once per window.  The spectral report
 takes the 1D eigensolve and certifies every level by the residuals of its
-lifts; the paired evolution runs the same initial data in both pictures
-from dense matrices.  Each realization is one batched map on raw arrays
-(_action), serving apply, the lifted residuals and the assembly; both
-harnesses refuse grids above DENSE_MAX_N points per axis.
+lifts; the paired evolution runs the same initial data in both pictures,
+the phase side by a Lanczos exponential.  One batched map per realization
+(_action) serves apply, the residuals, the evolution and dense_matrix;
+both harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ DENSE_MAX_N = 64
 _DENSE_CHUNK = 512
 PAIRING_GAP = 1.0e-4
 _RESIDUAL_FLOOR = 1.0e-12
+_KRYLOV_TOL = 1.0e-14
+_KRYLOV_MAX_DIM = 128
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +140,7 @@ class EvolutionResult:
 
     divergence is the largest checkpoint value of ||Phi - W psi|| / ||Phi||;
     norm drifts are per unit time, measured against the initial norms.
+    krylov_dims holds the Lanczos basis dimension of each phase segment.
     """
 
     state: SampledFunction1D
@@ -147,6 +150,7 @@ class EvolutionResult:
     phase_norm_drift: float
     times: np.ndarray
     divergences: np.ndarray
+    krylov_dims: tuple[int, ...]
 
 
 # --------------------------------------------------------------------------
@@ -166,14 +170,15 @@ def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.n
 
 
 def _action(
-    op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D
+    op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
+    kernel_values: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The operator's phase-plane map on raw (..., n, n) value arrays.
 
-    extended multiplies each momentum column by dx times the kernel;
-    bopp_conjugated flows back by THETA_WIGNER, does the same, and flows
-    forward again; bopp_direct is the 1D quantization word for word, with
-    x + (i/2) d/dp and p - (i/2) d/dx as X and P.
+    extended multiplies each momentum column by kernel_values (default: dx
+    times the kernel); bopp_conjugated flows back by THETA_WIGNER, does the
+    same, and flows forward again; bopp_direct is the 1D quantization word
+    for word, with x + (i/2) d/dp and p - (i/2) d/dx as X and P.
     """
     if op.representation == "bopp_direct":
         return lambda values: _symmetric_expand(
@@ -181,7 +186,8 @@ def _action(
             lambda v: _position_action(v, grid_x, grid_p),
             lambda v: _momentum_action(v, grid_x, grid_p),
         )
-    kernel_values = grid_x.dx * op.kernel().values
+    if kernel_values is None:
+        kernel_values = grid_x.dx * op.kernel().values
     if op.representation == "extended":
         return lambda values: np.matmul(kernel_values, values)
 
@@ -392,6 +398,54 @@ def _evolve_dense(
     return vecs @ (phases * coeffs[:, None])
 
 
+def _krylov_evolve(
+    action: Callable[[np.ndarray], np.ndarray], start: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """exp(-i t A) start at each ascending time (rows), A Hermitian.
+
+    A fully reorthogonalized Lanczos basis grows until Saad's estimate is
+    below _KRYLOV_TOL at every remaining time; at _KRYLOV_MAX_DIM vectors it
+    restarts from the furthest certified time, or a halved sub-step if none
+    is.  Also returns the basis dimension of each segment.
+    """
+
+    def estimate(tau: np.ndarray) -> np.ndarray:
+        """beta_m |e_m^T exp(-i tau T_m) e_1|, adding e_m^T e_1 = [m == 1] exactly."""
+        return beta * np.abs(weights[-1] @ np.expm1(-1j * np.outer(lam, tau)) + (m == 1))
+
+    out = np.empty((times.size, start.size), dtype=np.complex128)
+    basis = np.empty((_KRYLOV_MAX_DIM, start.size), dtype=np.complex128)
+    tri = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
+    dims, origin, vector, k = [], 0.0, start, 0
+    while k < times.size:
+        norm = float(np.linalg.norm(vector))
+        basis[0] = vector / (norm or 1.0)
+        taus = times[k:] - origin
+        for m in range(1, _KRYLOV_MAX_DIM + 1):
+            w = action(basis[m - 1])
+            tri[m - 1, m - 1] = np.vdot(basis[m - 1], w).real
+            for _ in range(2):
+                w = w - basis[:m].T @ (basis[:m] @ w.conj()).conj()
+            beta = tri[m, m - 1] = tri[m - 1, m] = np.linalg.norm(w)
+            lam, q = np.linalg.eigh(tri[:m, :m])
+            weights = q * q[0]  # exp(-i tau T_m) e_1 = weights @ exp(-i tau lam)
+            # below about eps beta sum|weights[-1]| the estimate is rounding
+            tol = max(_KRYLOV_TOL, np.finfo(float).eps * beta * np.abs(weights[-1]).sum())
+            certified = estimate(taus) < tol
+            if certified.all() or m == _KRYLOV_MAX_DIM:
+                break
+            basis[m] = w / beta
+        dims.append(m)
+        reach = taus.size if certified.all() else int(np.argmin(certified))
+        step = taus[:max(reach, 1)]
+        while not reach and estimate(step)[0] >= tol:
+            step = step / 2.0
+        ends = norm * ((weights @ np.exp(-1j * np.outer(lam, step))).T @ basis[:m])
+        out[k:k + reach], vector, k = ends[:reach], ends[-1], k + reach
+        origin = times[k - 1] if reach else origin + step[0]
+    return out, dims
+
+
 def evolve_pair(
     symbol: Symbol2D,
     psi0: SampledFunction1D,
@@ -402,10 +456,11 @@ def evolve_pair(
 ) -> EvolutionResult:
     """Evolve i d/dt = (operator) in both pictures and compare along the way.
 
-    The state picture evolves under the 1D kernel, the phase picture under
-    the Bopp realization, both from the same initial state (the phase side
-    starts from the windowed lift).  Both pictures propagate exactly by
-    eigendecomposition, so grids above DENSE_MAX_N points per axis are
+    The state picture evolves under the symmetrized 1D kernel by its n x n
+    eigendecomposition.  The phase picture starts from the windowed lift
+    and evolves under the realization built from that same kernel by a
+    restarted Lanczos exponential over the matrix-free action, which draws
+    no random numbers.  Grids above DENSE_MAX_N points per axis are
     refused, as in bopp_spectrum.  The divergence is the worst checkpoint
     value of ||Phi - W psi|| / ||Phi||.
     """
@@ -416,53 +471,37 @@ def evolve_pair(
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     _require_self_adjoint(kernel, "paired evolution")
-    grid = kernel.grid
+    grid = _plane_grid(op)
     if not psi0.grid.matches(grid):
         raise ConfigurationError("initial state grid does not match the operator")
-    matrix = dense_matrix(op)
     times = np.linspace(0.0, t_final, steps + 1)
 
     h1 = grid.dx * kernel.values
     h1 = (h1 + h1.conj().T) / 2.0
-    states = _evolve_dense(h1, psi0.values.astype(np.complex128), times)
+    states = _evolve_dense(h1, psi0.values.astype(np.complex128), times).T
 
     angle = _lift_angle(representation)
     lift0 = windowed_transform(psi0, window, angle)
-    start = lift0.values.reshape(-1).astype(np.complex128)
-    matrix = (matrix + matrix.conj().T) / 2.0
-    phases = _evolve_dense(matrix, start, times)
+    action = _action(op, grid, grid.dual(), h1)
+    phases, dims = _krylov_evolve(lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
+                                  lift0.values.reshape(-1).astype(np.complex128), times)
 
     weight = math.sqrt(lift0.weight)
-    scale1 = math.sqrt(grid.dx)
-    divergences = np.empty(times.size)
-    state_drift = 0.0
-    phase_drift = 0.0
-    norm1_0 = np.linalg.norm(states[:, 0]) * scale1
-    norm2_0 = np.linalg.norm(phases[:, 0]) * weight
-    for k, t in enumerate(times):
-        psi_k = SampledFunction1D(grid, states[:, k])
-        lifted = windowed_transform(psi_k, window, angle)
-        phase_norm = np.linalg.norm(phases[:, k]) * weight
-        defect = np.linalg.norm(phases[:, k] - lifted.values.reshape(-1)) * weight
-        divergences[k] = defect / max(phase_norm, _RESIDUAL_FLOOR)
-        if t > 0:
-            state_drift = max(
-                state_drift,
-                abs(np.linalg.norm(states[:, k]) * scale1 - norm1_0) / t,
-            )
-            phase_drift = max(
-                phase_drift, abs(phase_norm - norm2_0) / t
-            )
-    final_state = SampledFunction1D(grid, states[:, -1])
-    final_phase = PhaseFunction2D(
-        grid, grid.dual(), phases[:, -1].reshape(grid.n, grid.n)
-    )
+    lifted = _propagate_values(states[:, :, None] * window.transform.values.conj(),
+                               grid, grid.dual(), angle.value).reshape(times.size, -1)
+    phase_norms = np.linalg.norm(phases, axis=1) * weight
+    divergences = (np.linalg.norm(phases - lifted, axis=1) * weight
+                   / np.maximum(phase_norms, _RESIDUAL_FLOOR))
+    later = times > 0
+    drifts = [float(np.max(np.abs(v[later] - v[0]) / times[later], initial=0.0))
+              for v in (np.linalg.norm(states, axis=1) * math.sqrt(grid.dx), phase_norms)]
     return EvolutionResult(
-        state=final_state,
-        phase=final_phase,
+        state=SampledFunction1D(grid, states[-1]),
+        phase=PhaseFunction2D(grid, grid.dual(), phases[-1].reshape(grid.n, grid.n)),
         divergence=float(divergences.max()),
-        state_norm_drift=float(state_drift),
-        phase_norm_drift=float(phase_drift),
+        state_norm_drift=drifts[0],
+        phase_norm_drift=drifts[1],
         times=times,
         divergences=divergences,
+        krylov_dims=tuple(dims),
     )

@@ -523,7 +523,8 @@ def _run_evolve(s: Settings, out: dict) -> _Run:
                 f"{result.divergence:.3e} -> {out['state']}, {out['phase']}",
                 {"results": {"divergence": result.divergence,
                              "state_norm_drift": result.state_norm_drift,
-                             "phase_norm_drift": result.phase_norm_drift}})
+                             "phase_norm_drift": result.phase_norm_drift,
+                             "route": "krylov", "krylov_dims": list(result.krylov_dims)}})
 
 
 def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:

@@ -406,7 +406,7 @@ def _bopp_spectrum(rng: np.random.Generator) -> list[CheckResult]:
                            representation="bopp_conjugated")
     lam = np.asarray(report.eigenvalues)
     err = float(np.max(np.abs(lam - (np.arange(5) + 0.5))))
-    detail = f"64x64, multiplicities {list(report.multiplicities)}"
+    detail = f"64x64, multiplicities {report.multiplicities.tolist()}"
     out = [CheckResult(name, "oscillator-eigenvalues", 1e-3, err, detail)]
     push = float(np.max(report.pushforward_residuals))
     out.append(CheckResult(name, "eigenvector-pushforward", 1e-4, push))

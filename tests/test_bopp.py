@@ -10,7 +10,12 @@ from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
     REPRESENTATIONS,
+    _KRYLOV_MAX_DIM,
+    _action,
     _cluster,
+    _evolve_dense,
+    _krylov_evolve,
+    _lift_angle,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
@@ -243,6 +248,97 @@ def test_evolution_refuses_grids_above_the_dense_cap():
     with pytest.raises(ConfigurationError, match="capped at 64 points"):
         evolve_pair(symbol_oscillator(grid), states.gaussian(grid),
                     _window(grid), 0.5, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.floats(2.0, 8.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(("extended", "bopp_conjugated", "bopp_direct")),
+       st.floats(0.5, 2.0 * np.pi), st.integers(1, 8))
+def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
+                                               representation, t_final, steps):
+    # the matrix-free Lanczos route evolves the operator the dense route
+    # evolved, (M + M^H)/2 with M = dense_matrix(op), at every checkpoint;
+    # it draws no random numbers and repeats bit for bit
+    grid = Grid1D.centered(2 * half_n, half_width)
+    rng = np.random.default_rng(seed)
+    if representation == "bopp_direct":
+        sym = symbol_oscillator(grid)
+    else:
+        a = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+        sym = kernel_to_symbol(OperatorKernel(grid, (a + a.conj().T) / 2.0))
+    raw = SampledFunction1D(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    psi0 = SampledFunction1D(grid, raw.values / raw.norm())
+    g = states.gaussian(grid)
+    window = Window(SampledFunction1D(grid, g.values / g.norm()))
+
+    before = np.random.get_state()
+    result = evolve_pair(sym, psi0, window, t_final, steps, representation)
+    again = evolve_pair(sym, psi0, window, t_final, steps, representation)
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert np.array_equal(result.phase.values, again.phase.values)
+    assert np.array_equal(result.divergences, again.divergences)
+    assert result.krylov_dims == again.krylov_dims
+    assert result.phase_norm_drift <= 1e-12
+
+    op = PhaseOperator(sym, representation)
+    h1 = grid.dx * op.kernel().values
+    h1 = (h1 + h1.conj().T) / 2.0
+    action = _action(op, grid, grid.dual(), h1)
+    start = windowed_transform(psi0, window, _lift_angle(representation)).values.reshape(-1)
+    krylov, dims = _krylov_evolve(
+        lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), start, result.times)
+    assert np.array_equal(krylov[-1], result.phase.values.reshape(-1))
+    assert tuple(dims) == result.krylov_dims
+    matrix = dense_matrix(op)
+    hermitian = (matrix + matrix.conj().T) / 2.0
+    dense = _evolve_dense(hermitian, start, result.times).T
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))) \
+        * np.linalg.norm(start)
+    assert np.max(np.abs(krylov - dense)) <= 1e-10 * scale
+
+
+def test_krylov_restarts_and_sub_steps_match_expm():
+    # a spectral width of 1000 cannot be resolved over unit time by one
+    # basis of _KRYLOV_MAX_DIM vectors: the first segment certifies the
+    # two early checkpoints and restarts from the later one, and the long
+    # interval that follows is covered by halved sub-steps
+    from scipy.linalg import expm
+    size = 3 * _KRYLOV_MAX_DIM
+    rng = np.random.default_rng(9)
+    basis, _ = np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))
+    hermitian = (basis * np.linspace(-500.0, 500.0, size)) @ basis.conj().T
+    hermitian = (hermitian + hermitian.conj().T) / 2.0
+    start = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    start /= np.linalg.norm(start)
+    times = np.array([0.0, 0.002, 0.004, 1.0])
+
+    early, early_dims = _krylov_evolve(lambda v: hermitian @ v, start, times[:3])
+    assert len(early_dims) == 1 and early_dims[0] < _KRYLOV_MAX_DIM
+    out, dims = _krylov_evolve(lambda v: hermitian @ v, start, times)
+    assert dims[0] == _KRYLOV_MAX_DIM
+    # checkpoint restarts alone would need at most one segment per time
+    assert len(dims) > times.size
+    for k, t in enumerate(times):
+        exact = expm(-1j * t * hermitian) @ start
+        assert np.linalg.norm(out[k] - exact) < 1e-11
+    assert np.linalg.norm(out[:3] - early) < 1e-12
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_evolution_at_the_dense_cap(representation):
+    # n=64 is beyond what the dense n^2 x n^2 route could evolve in a test
+    # run; the Lanczos route keeps the exact intertwining there
+    grid = Grid1D.centered(64, 8.0)
+    result = evolve_pair(symbol_oscillator(grid), states.coherent(grid, 0.8),
+                         _window(grid), 2.0 * np.pi, 16, representation)
+    assert np.isfinite(result.divergence)
+    if representation != "bopp_direct":
+        assert result.divergence < 1e-10
+        assert result.state_norm_drift < 1e-12
+        assert result.phase_norm_drift < 1e-12
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

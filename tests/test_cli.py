@@ -188,6 +188,10 @@ def test_evolve_artifacts(tmp_path):
     man = _manifest(base + ".manifest.json")
     assert man["results"]["divergence"] < 1e-4
     assert man["inputs"]["steps"] == 4
+    # the phase side's route and Lanczos segment sizes are deterministic facts
+    assert man["results"]["route"] == "krylov"
+    dims = man["results"]["krylov_dims"]
+    assert dims and all(isinstance(m, int) and m >= 1 for m in dims)
 
 
 def test_verify_suite_passes(tmp_path, capsys):
@@ -203,6 +207,14 @@ def test_verify_suite_passes(tmp_path, capsys):
     for row in man["checks"]:
         assert row["passed"] is True
         assert row["error"] <= row["tolerance"]
+
+
+def test_verify_manifest_writes_plain_multiplicities(tmp_path):
+    man_path = str(tmp_path / "verify.json")
+    assert cli.main(["verify", "--suite", "spectrum", "--manifest", man_path]) == 0
+    row = next(r for r in _manifest(man_path)["checks"]
+               if r["check"] == "oscillator-eigenvalues")
+    assert row["detail"] == "64x64, multiplicities [64, 64, 64, 64, 64]"
 
 
 def test_verify_tolerance_override_fails_loudly(tmp_path, capsys):
