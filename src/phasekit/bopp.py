@@ -38,7 +38,7 @@ from .grid import (
     _centered_fft,
     _spectral_step,
 )
-from .metaplectic import _propagate_values
+from .metaplectic import _Plan, _propagate_values
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -177,8 +177,8 @@ def _action(
 
     extended multiplies each momentum column by kernel_values (default: dx
     times the kernel); bopp_conjugated flows back by THETA_WIGNER, does the
-    same, and flows forward again; bopp_direct is the 1D quantization word
-    for word, with x + (i/2) d/dp and p - (i/2) d/dx as X and P.
+    same, and flows forward again (the map holds both plans); bopp_direct is
+    the 1D quantization word for word in X = x + (i/2) d/dp, P = p - (i/2) d/dx.
     """
     if op.representation == "bopp_direct":
         return lambda values: _symmetric_expand(
@@ -191,13 +191,9 @@ def _action(
     if op.representation == "extended":
         return lambda values: np.matmul(kernel_values, values)
 
-    def conjugated(values: np.ndarray) -> np.ndarray:
-        down = _propagate_values(values, grid_x, grid_p, -THETA_WIGNER)
-        return _propagate_values(
-            np.matmul(kernel_values, down), grid_x, grid_p, THETA_WIGNER
-        )
-
-    return conjugated
+    down = _Plan(grid_x, grid_p, -THETA_WIGNER)
+    up = _Plan(grid_x, grid_p, THETA_WIGNER)
+    return lambda values: up(np.matmul(kernel_values, down(values)))
 
 
 def _lift_angle(representation: str) -> Theta:
@@ -349,12 +345,12 @@ def bopp_spectrum(
     clusters = clusters[:count]
 
     action = _action(op, grid, grid.dual())
-    angle = _lift_angle(representation).value
+    lift = _Plan(grid, grid.dual(), _lift_angle(representation).value)
     eigen_transforms = (grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T)
 
     def lift_residuals(m: int, transforms: np.ndarray) -> np.ndarray:
         seeds = ref_vecs[:, m, None] * transforms.conj()[:, None, :]
-        lifts = _propagate_values(seeds, grid, grid.dual(), angle)
+        lifts = lift(seeds)
         defect = action(lifts) - ref_vals[m] * lifts
         return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
 

@@ -4,13 +4,15 @@ The propagator U(theta) acts on phase-plane functions Psi(x, p) as a
 partial Fourier transform to the mixed plane (x, xi_p), a measure-
 preserving coordinate substitution along the closed-form flow, and the
 inverse partial transform.  The substitution is realized as up to three
-quarter turns followed by at most one three-shear; every factor is exactly
-unitary on the grid (index permutations, FFTs, unit-modulus cross-chirps),
-so U preserves discrete norms to rounding.
+quarter turns followed by at most one three-shear, with coefficients in
+closed form in theta; every factor is exactly unitary on the grid (index
+permutations, FFTs, unit-modulus cross-chirps), so U preserves discrete
+norms to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,24 +25,19 @@ from .grid import (
     _centered_ifft,
     _spectral_step,
 )
-from .symplectic import flow_matrix, plane_block
+from .symplectic import FREQUENCY, flow_matrix, plane_block
 
 #: Substitution matrix of the quarter turn (x, eta) -> (eta, -x).
 QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_QUARTER_TURN_INV = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-_PIVOT_TOL = 1e-12
-_IDENTITY_TOL = 1e-12
+#: Smallest usable shear pivot, and the identity test's entry tolerance.
+_TOL = 1e-12
 
 
 def substitution_matrix(theta: float) -> np.ndarray:
     """Coordinate map used at parameter theta: the (x, xi_p) block of the
     flow at -theta (substitution acts by composition with the inverse flow)."""
     return plane_block(flow_matrix(-theta))
-
-
-def _is_identity(A: np.ndarray) -> bool:
-    return bool(np.abs(A - np.eye(2)).max() <= _IDENTITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -62,92 +59,99 @@ class ShearFactorization:
             M = M @ [[1.0, b], [0.0, 1.0]] @ [[1.0, 0.0], [c, 1.0]] @ [[1.0, d], [0.0, 1.0]]
         return M
 
-    @classmethod
-    def factor(cls, A: np.ndarray, allow_quarter: bool = True) -> "ShearFactorization":
-        """Factor a unimodular 2x2 matrix into quarter turns and shears.
 
-        The three-shear form shear_x(b) shear_xi(c) shear_x(d) pivots on
-        c = A[1,0] and is well conditioned only while the map stays close
-        to the identity; large shear coefficients translate real mass
-        across the periodic box and ruin accuracy even though every factor
-        is unitary.  The rotation-like content is therefore range-reduced
-        first: A = Q^m A' with exact quarter turns Q, choosing the m in
-        0..3 whose residual A' has the smallest worst shear coefficient
-        (at most about 1.51 for the flow family, reached on the xi-shear
-        near theta = 0.609; unbounded without the reduction).  Quarter
-        turns cost nothing and are exact index permutations.
-        """
-        A = np.asarray(A, dtype=float)
-        if abs(float(np.linalg.det(A)) - 1.0) > 1e-9:
-            raise ConfigurationError("substitution matrix must be unimodular")
-        best: tuple[float, ShearFactorization] | None = None
-        residual = A
-        for m in range(4 if allow_quarter else 1):
-            if _is_identity(residual):
-                return cls(m, None)
-            c = residual[1, 0]
-            if abs(c) >= _PIVOT_TOL:
-                b = (residual[0, 0] - 1.0) / c
-                d = (residual[1, 1] - 1.0) / c
-                worst = max(abs(b), abs(c), abs(d))
-                if best is None or worst < best[0]:
-                    best = (worst, cls(m, (float(b), float(c), float(d))))
-            residual = _QUARTER_TURN_INV @ residual
-        if best is None:
-            raise ConfigurationError(
-                "shear factorization failed: no usable pivot; quarter-turn "
-                "range reduction needs the mixed plane's axes to carry "
-                "identical grids (use grid_p = grid_x.dual())"
-            )
-        return best[1]
+def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactorization:
+    """Factor `substitution_matrix(theta)` into quarter turns and shears.
 
-
-def shear_factorization(theta: float) -> ShearFactorization:
-    return ShearFactorization.factor(substitution_matrix(theta))
-
-
-def _substitute(
-    values: np.ndarray, grid_x: Grid1D, grid_e: Grid1D, theta: float
-) -> np.ndarray:
-    """Substitute the flow at -theta into mixed-plane values (batched).
-
-    Quarter turns are exact index permutations and need the two axes to
-    carry identical grids; otherwise the three-shear carries the whole map.
-    Each shear translates along one axis by a multiple of the other
-    coordinate: a centred FFT, a unit-modulus cross-chirp built after it,
-    and the inverse FFT.  The identity returns `values` itself.
+    Large shears translate real mass across the periodic box, so A = Q^m A'
+    with exact quarter turns Q first, taking the m in 0..3 (0 only without
+    allow_quarter) whose three-shear A', pivoting on c = A'[1,0], has the
+    smallest worst shear (at most about 1.51, the xi-shear near theta =
+    0.609).  With phi = sqrt(7)*theta, C = cos(phi), S = sin(phi)/sqrt(7),
+    A = [[C + S, -2S], [4S, C - S]].  Odd m pivot on +-(C + S), which that
+    choice keeps off 0.  Even m pivot on +-4S, where (A'[0,0] - 1)/c would
+    cancel to eps/|c|; their outer shears are (+-1 - r)/4 with r =
+    sqrt(7)*tan(phi/2) (m = 0) or -sqrt(7)*cot(phi/2) (m = 2).
     """
-    A = substitution_matrix(theta)
-    fact = ShearFactorization.factor(A, allow_quarter=grid_x.matches(grid_e))
-    neg = (-np.arange(grid_x.n)) % grid_x.n
-    out = values
-    for _ in range(fact.quarters):
-        out = np.swapaxes(out, -1, -2)[..., neg, :]
-    if fact.shears is None:
+    residual = substitution_matrix(theta)
+    tan_half = float(np.tan(0.5 * FREQUENCY * theta))
+    candidates = []
+    for m in range(4 if allow_quarter else 1):
+        if np.abs(residual - np.eye(2)).max() <= _TOL:
+            return ShearFactorization(m, None)
+        c = float(residual[1, 0])
+        if abs(c) >= _TOL:
+            if m % 2:
+                b, d = (residual[0, 0] - 1.0) / c, (residual[1, 1] - 1.0) / c
+            else:
+                r = FREQUENCY * (tan_half if m == 0 else -1.0 / tan_half)
+                b, d = (1.0 - r) / 4.0, (-1.0 - r) / 4.0
+            candidates.append((max(abs(b), abs(c), abs(d)), m, (float(b), c, float(d))))
+        residual = QUARTER_TURN.T @ residual
+    if not candidates:
+        raise ConfigurationError("shear factorization failed: no usable pivot; quarter-turn "
+                                 "range reduction needs the mixed plane's axes to carry "
+                                 "identical grids (use grid_p = grid_x.dual())")
+    return ShearFactorization(*min(candidates)[1:])
+
+
+def _chirp_tables(coeff: float, rows: Grid1D, cols: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i*coeff*outer(rows.nodes(), cols.nodes())) on centred grids as two
+    tables over integer centred indices: row B*q + r is hi[q] * lo[r], with B
+    the largest divisor of n = rows.n up to sqrt(n), so (n/B + B) exp per column."""
+    n = rows.n
+    block = max(q for q in range(1, math.isqrt(n) + 1) if n % q == 0)
+    j = np.arange(cols.n) - cols.n // 2
+    phase = 1j * coeff * rows.dx * cols.dx
+    return (np.exp(phase * np.outer(np.arange(0, n, block) - n // 2, j)),
+            np.exp(phase * np.outer(np.arange(block), j)))
+
+
+class _Plan:
+    """U(theta) on one pair of centred grids: the factorization and each
+    shear's chirp tables, built once.  Calling it applies U(theta) to raw
+    (..., n, n) value arrays; a caller that repeats an angle holds its plan."""
+
+    def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float):
+        grid_e = grid_p.dual()
+        self.factorization = shear_factorization(theta, grid_x.matches(grid_e))
+        along = {-2: (grid_x.dual(), grid_e), -1: (grid_x, grid_e.dual())}
+        self._shears = [(axis, _chirp_tables(coeff, *along[axis]))
+                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())]
+
+    def substitute(self, values: np.ndarray) -> np.ndarray:
+        """Substitute the flow at -theta into mixed (x, eta) values (batched).
+
+        Quarter turns are index permutations.  Each shear translates along
+        one axis by a multiple of the other coordinate: a centred FFT, the
+        cross-chirp multiplied in place through an (..., n/B, B, n) view of
+        the spectrum, and the inverse FFT.  The identity returns `values`.
+        """
+        out = values
+        neg = (-np.arange(values.shape[-1])) % values.shape[-1]
+        for _ in range(self.factorization.quarters):
+            out = np.swapaxes(out, -1, -2)[..., neg, :]
+        for axis, (hi, lo) in self._shears:
+            spec = _centered_fft(out, axis=axis)
+            view = spec.reshape(spec.shape[:-2] + hi.shape[:1] + lo.shape)
+            view *= hi[:, None, :]
+            view *= lo
+            out = _centered_ifft(view.reshape(spec.shape), axis=axis)
         return out
-    x, eta = grid_x.nodes(), grid_e.nodes()
-    u, v = grid_x.dual().nodes(), grid_e.dual().nodes()
-    b, c, d = fact.shears
-    for axis, coeff, rows, cols in ((-2, b, u, eta), (-1, c, x, v), (-2, d, u, eta)):
-        spec = _centered_fft(out, axis=axis)
-        spec *= np.exp(1j * coeff * np.outer(rows, cols))
-        out = _centered_ifft(spec, axis=axis)
-    return out
 
-
-# --- public operations -----------------------------------------------------
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.factorization == ShearFactorization(0, None):
+            # Identity flow: skip the transform pair so the zero angle is an
+            # exact no-op rather than an fft/ifft round trip.
+            return np.array(values, dtype=np.complex128)
+        return _centered_ifft(self.substitute(_centered_fft(values, axis=-1)), axis=-1)
 
 
 def _propagate_values(
     values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D, theta: float
 ) -> np.ndarray:
     """Bare-FFT realization of U(theta) on raw value arrays (batchable)."""
-    if _is_identity(substitution_matrix(theta)):
-        # Identity flow: skip the transform pair so the zero angle is an
-        # exact no-op rather than an fft/ifft round trip.
-        return np.array(values, dtype=np.complex128)
-    mixed = _substitute(_centered_fft(values, axis=-1), grid_x, grid_p.dual(), theta)
-    return _centered_ifft(mixed, axis=-1)
+    return _Plan(grid_x, grid_p, theta)(values)
 
 
 def propagate(F: PhaseFunction2D, theta: float) -> PhaseFunction2D:

@@ -22,6 +22,8 @@ from phasekit.bopp import (
     evolve_pair,
 )
 from phasekit.grid import ConfigurationError, Grid1D, SampledFunction1D
+from phasekit.metaplectic import _propagate_values
+from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
@@ -377,3 +379,18 @@ def test_apply_rejects_a_mismatched_position_grid(representation):
     F = states.random_phase_wave(other, other.dual(), np.random.default_rng(5))
     with pytest.raises(ConfigurationError, match="position grid"):
         op.apply(F)
+
+
+def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
+    # the map builds its two plans once; every call must still equal the
+    # fresh-plan route bit for bit, batched or not
+    grid = Grid1D.centered(32, 6.0)
+    op = PhaseOperator(symbol_oscillator(grid), "bopp_conjugated")
+    K = grid.dx * op.kernel().values
+    action = _action(op, grid, grid.dual())
+    rng = np.random.default_rng(17)
+    batch = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
+    for v in (batch[0], batch, batch[1]):
+        down = _propagate_values(v, grid, grid.dual(), -THETA_WIGNER)
+        ref = _propagate_values(K @ down, grid, grid.dual(), THETA_WIGNER)
+        assert np.array_equal(action(v), ref)

@@ -12,8 +12,9 @@ from phasekit.grid import (
     _centered_fft,
 )
 from phasekit.metaplectic import (
-    ShearFactorization,
-    _substitute,
+    _Plan,
+    _chirp_tables,
+    _propagate_values,
     generator_apply,
     propagate,
     shear_factorization,
@@ -136,20 +137,60 @@ def test_shear_factorization_reconstructs_substitution():
 @given(st.floats(min_value=-2.0 * PERIOD, max_value=2.0 * PERIOD))
 def test_shear_factorization_is_exact_and_bounded(theta):
     # quarter-turn range reduction keeps every shear at or below 1.5107
-    # (the xi-shear near theta = 0.6087) across the whole flow family.
-    # b = (a - 1)/c and d = (d - 1)/c cancel to about eps/|c| as the pivot
-    # c ~ 4*theta goes to 0, so the stored matrix's rounding is amplified
-    # there (3.2e-11 at theta = 4.1e-7)
+    # (the xi-shear near theta = 0.6087) across the whole flow family
     fac = shear_factorization(theta)
-    tol = 1e-12 if fac.shears is None else 1e-12 + np.finfo(float).eps / abs(fac.shears[1])
-    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < tol
+    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < 1e-12
     assert 0 <= fac.quarters <= 3
     assert fac.shears is None or max(map(abs, fac.shears)) <= 1.52
 
 
-def test_shear_factorization_rejects_non_unimodular():
-    with pytest.raises(ConfigurationError):
-        ShearFactorization.factor(np.array([[2.0, 0.0], [0.0, 2.0]]))
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_shear_factorization_rejects_non_finite_angle(theta):
+    with pytest.raises(ConfigurationError), np.errstate(invalid="ignore"):
+        shear_factorization(theta)
+
+
+def test_tiny_angle_follows_the_generator():
+    # closed-form shears keep the three-shear exact as the pivot c ~ 4*theta
+    # vanishes, so the one-sided difference quotient meets the generator
+    F = _smooth_function()
+    theta = 1e-8
+    fd = (propagate(F, theta).values - F.values) / theta
+    gen = generator_apply(F).values
+    assert np.linalg.norm(fd + 1j * gen) / np.linalg.norm(gen) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 6, 10, 32, 254, 256])
+def test_chirp_tables_match_the_outer_product(n):
+    # B = 1 at n = 2, 2 at n = 6, 10 and 254 (odd n/2, n = 2*prime)
+    eps = np.finfo(float).eps
+    gx = Grid1D.centered(n, np.sqrt(np.pi * n / 2.0))
+    for gp in (gx.dual(), Grid1D.centered(n, 7.0)):
+        ge = gp.dual()
+        for rows, cols in ((gx.dual(), ge), (gx, ge.dual())):
+            for coeff in (1.51, -0.37):
+                hi, lo = _chirp_tables(coeff, rows, cols)
+                chirp = (hi[:, None, :] * lo).reshape(n, n)
+                ref = np.exp(1j * coeff * np.outer(rows.nodes(), cols.nodes()))
+                assert np.max(np.abs(chirp - ref)) < 1e-12
+                assert np.max(np.abs(np.abs(chirp) - 1.0)) <= 4 * eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=32).map(lambda k: 2 * k),
+    st.floats(min_value=2.0, max_value=12.0),
+    st.floats(min_value=-2.0 * PERIOD, max_value=2.0 * PERIOD),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_propagator_is_unitary(n, half_width, theta, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D.centered(n, half_width)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out = _propagate_values(values, grid, grid.dual(), theta)
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(values), rel=1e-13)
+    for exact in (0.0, PERIOD):
+        assert np.array_equal(_propagate_values(values, grid, grid.dual(), exact), values)
 
 
 def _gaussian_plane_function(n=128, half_width=10.0):
@@ -176,7 +217,7 @@ def test_substitute_matches_closed_form():
             )
             / np.pi
         )
-        out = _substitute(F.values, F.grid_x, F.grid_p, theta)
+        out = _Plan(F.grid_x, F.grid_p.dual(), theta).substitute(F.values)
         assert np.max(np.abs(out - exact)) < 1e-6
 
 
@@ -215,7 +256,7 @@ def test_resample_oracle_near_identity():
     # the fundamental period, so it is only consulted at small angles
     F = _gaussian_plane_function()
     for theta in (0.05, -0.1, 0.15):
-        spectral = _substitute(F.values, F.grid_x, F.grid_p, theta)
+        spectral = _Plan(F.grid_x, F.grid_p.dual(), theta).substitute(F.values)
         resampled = _resample_trig(F.values, F.grid_x, F.grid_p, substitution_matrix(theta))
         assert np.max(np.abs(spectral - resampled)) < 1e-8
 
