@@ -8,9 +8,10 @@ then real and imaginary parts, written with round-trippable float reprs) or
 raw little-endian complex128 bytes in row-major order; the raw encoding
 round-trips bit-exactly.  Readers check that the payload length matches the
 shape the header promises, so truncated files fail loudly instead of
-shifting data, and reject non-finite values and repeated CSV indices.  CSV
-lines are parsed once; the first faulty line is named, and the n-entry
-array is allocated only once the rows are known to fill it.
+shifting data, and reject non-finite values and repeated CSV indices.  A CSV
+payload goes through numpy's C parser; a per-line scan runs only on a line
+it refuses, to name the first faulty line.  No n-entry array is made before
+the rows are known to fill it.
 
 Polynomial tags on symbols survive the trip through an optional header
 field; without that, a tagged symbol would silently lose its exact-algebra
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
+from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -85,61 +86,69 @@ def _csv_rows(values: np.ndarray):
             yield f"{i},{col}{re!r},{im!r}\n"
 
 
-def _parse_csv(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
-    ndim = len(shape)
-    want = ndim + 2
-    # one parse per line into flat buffers: row-major indices, interleaved
-    # (re, im) doubles, and the line number of each row
-    indices, pairs, linenos = array("q"), array("d"), array("q")
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != want:
-            raise FileFormatError(f"line {lineno}: expected {want} comma-separated "
-                                  f"fields, got {len(parts)}")
-        try:
-            idx = [int(p) for p in parts[:ndim]]
-            pairs.append(float(parts[-2]))
-            pairs.append(float(parts[-1]))
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from exc
-        try:
-            indices.extend(idx)
-        except OverflowError:
-            # past int64, so past every shape whose rows a file can hold
-            raise FileFormatError(f"line {lineno}: index {tuple(idx)} outside "
-                                  f"shape {shape}") from None
-        linenos.append(lineno)
+def _loadtxt(lines: list[str], fields: np.dtype) -> np.ndarray:
+    if not any(lines):  # loadtxt warns on a payload without rows
+        return np.empty(0, fields)
+    return np.loadtxt(lines, fields, comments=None, delimiter=",", ndmin=1)
 
-    rows = len(linenos)
-    index = np.frombuffer(indices, dtype=np.int64).reshape(rows, ndim)
-    values = np.frombuffer(pairs, dtype=np.complex128)
-    outside = np.zeros(rows, dtype=bool)
-    for axis, n in enumerate(shape):
-        outside |= (index[:, axis] < 0) | (index[:, axis] >= n)
+
+def _name_faulty_line(lines: list[str], fields: np.dtype, shape: tuple[int, ...]) -> None:
+    """Raise for the first non-blank line the C parser refuses on its own."""
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            _loadtxt([line] if line.strip() else [], fields)
+        except ValueError as exc:
+            parts = line.strip().split(",")
+            if len(parts) != len(shape) + 2:
+                raise FileFormatError(f"line {lineno}: expected {len(shape) + 2} "
+                                      f"comma-separated fields, got {len(parts)}") from None
+            try:
+                idx = tuple(int(p) for p in parts[:-2])
+                float(parts[-2]), float(parts[-1])
+            except ValueError as literal:
+                raise FileFormatError(f"line {lineno}: {literal}") from None
+            if any(not -(2**63) <= i < 2**63 for i in idx):  # beyond int64 is beyond any shape
+                raise FileFormatError(f"line {lineno}: index {idx} outside shape "
+                                      f"{shape}") from None
+            raise FileFormatError(f"line {lineno}: {exc}") from None
+
+
+def _parse_csv(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
+    fields = np.dtype([("index", "<i8", (len(shape),)), ("value", "<f8", (2,))])
+    try:
+        table = _loadtxt(lines, fields)
+    except ValueError:
+        try:  # whitespace-only lines, which the format skips
+            table = _loadtxt([line for line in lines if line.strip()], fields)
+        except ValueError:
+            _name_faulty_line(lines, fields, shape)
+            raise
+    index = table["index"]
+    outside = ((index < 0) | (index >= shape)).any(axis=1)
     # a stable sort puts each repeat after its first occurrence
     order = np.lexsort(index.T[::-1])
     ordered = index[order]
-    repeat = np.zeros(rows, dtype=bool)
+    repeat = np.zeros(len(index), dtype=bool)
     repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
-    bad = outside | repeat | ~np.isfinite(values)
+    bad = outside | repeat | ~np.isfinite(table["value"]).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        lineno, idx = linenos[row], tuple(int(i) for i in index[row])
+        # rows fill the non-blank lines in order
+        lineno = next(islice((k for k, ln in enumerate(lines, 2) if ln.strip()), row, None))
+        idx = tuple(int(i) for i in index[row])
         if outside[row]:
             raise FileFormatError(f"line {lineno}: index {idx} outside shape {shape}")
         if repeat[row]:
             raise FileFormatError(f"line {lineno}: index {idx} appears twice")
         raise FileFormatError(f"line {lineno}: value is not finite")
     size = math.prod(shape)
-    if rows != size:
-        raise FileFormatError(f"payload incomplete: {size - rows} of {size} "
+    if len(index) != size:
+        raise FileFormatError(f"payload incomplete: {size - len(index)} of {size} "
                               "entries missing")
-    out = np.empty(size, dtype=np.complex128)
-    out[np.ravel_multi_index(tuple(index.T), shape)] = values
-    return out.reshape(shape)
+    # (re, im) pairs as they stand, so a -0.0 keeps its sign
+    out = np.empty((size, 2))
+    out[np.ravel_multi_index(tuple(index.T), shape)] = table["value"]
+    return out.view(np.complex128).reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +220,8 @@ def read(path: str) -> GridObject:
             lines = body.decode("utf-8").splitlines()  # keeps no decoded text alive
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"CSV payload is not UTF-8 text: {exc}") from exc
+        if not body.isascii():  # numpy's C parser takes some non-ASCII letters for digits
+            raise FileFormatError("CSV payload is not ASCII text")
         values = _parse_csv(lines, shape)
     else:
         # Python ints: a numpy product of a huge header shape wraps silently

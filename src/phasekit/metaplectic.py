@@ -30,7 +30,7 @@ from .symplectic import FREQUENCY, flow_matrix, plane_block
 #: Substitution matrix of the quarter turn (x, eta) -> (eta, -x).
 QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: Smallest usable shear pivot, and the identity test's entry tolerance.
+#: Smallest usable pivot of an odd quarter-turn count.
 _TOL = 1e-12
 
 
@@ -68,19 +68,26 @@ def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactor
     allow_quarter) whose three-shear A', pivoting on c = A'[1,0], has the
     smallest worst shear (at most about 1.51, the xi-shear near theta =
     0.609).  With phi = sqrt(7)*theta, C = cos(phi), S = sin(phi)/sqrt(7),
-    A = [[C + S, -2S], [4S, C - S]].  Odd m pivot on +-(C + S), which that
-    choice keeps off 0.  Even m pivot on +-4S, where (A'[0,0] - 1)/c would
-    cancel to eps/|c|; their outer shears are (+-1 - r)/4 with r =
-    sqrt(7)*tan(phi/2) (m = 0) or -sqrt(7)*cot(phi/2) (m = 2).
+    A = [[C + S, -2S], [4S, C - S]] is I or -I (m = 0, 2; no shear) only where
+    phi is a multiple of pi to its rounding.  Odd m pivot on +-(C + S), which
+    that choice keeps off 0; even m on +-4S, with outer shears (+-1 - r)/4,
+    r = sqrt(7)*tan(phi/2) (m = 0) or -sqrt(7)*cot(phi/2) (m = 2), free of 1/c.
     """
+    phi = FREQUENCY * theta
+    if not math.isfinite(phi):
+        raise ConfigurationError(f"flow phase sqrt(7)*theta is not finite at theta={theta}")
+    half_turns = round(phi / math.pi)
+    if abs(phi - half_turns * math.pi) <= 2.0 * np.finfo(float).eps * abs(phi):
+        if half_turns % 2 and not allow_quarter:
+            raise ConfigurationError("shear factorization failed: no usable pivot; quarter "
+                                     "turns need identical grids (grid_p = grid_x.dual())")
+        return ShearFactorization(2 * (half_turns % 2), None)
     residual = substitution_matrix(theta)
     tan_half = float(np.tan(0.5 * FREQUENCY * theta))
     candidates = []
     for m in range(4 if allow_quarter else 1):
-        if np.abs(residual - np.eye(2)).max() <= _TOL:
-            return ShearFactorization(m, None)
         c = float(residual[1, 0])
-        if abs(c) >= _TOL:
+        if m % 2 == 0 or abs(c) >= _TOL:
             if m % 2:
                 b, d = (residual[0, 0] - 1.0) / c, (residual[1, 1] - 1.0) / c
             else:
@@ -88,10 +95,6 @@ def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactor
                 b, d = (1.0 - r) / 4.0, (-1.0 - r) / 4.0
             candidates.append((max(abs(b), abs(c), abs(d)), m, (float(b), c, float(d))))
         residual = QUARTER_TURN.T @ residual
-    if not candidates:
-        raise ConfigurationError("shear factorization failed: no usable pivot; quarter-turn "
-                                 "range reduction needs the mixed plane's axes to carry "
-                                 "identical grids (use grid_p = grid_x.dual())")
     return ShearFactorization(*min(candidates)[1:])
 
 

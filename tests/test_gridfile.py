@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from phasekit import gridfile
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
 from phasekit.gridfile import FileFormatError
 from phasekit.weyl import OperatorKernel, Symbol2D
+
+from helpers import parse_csv_per_line
 
 GRID = Grid1D.centered(8, 2.0)
 
@@ -390,3 +393,159 @@ def test_csv_names_the_first_faulty_line(tmp_path):
                      "".join(r + "\n" for r in rows).encode("utf-8"))
     with pytest.raises(FileFormatError, match=r"^line 3: index \(0,\) appears twice"):
         gridfile.read(path)
+
+
+# --------------------------------------------------------------------------
+# the C-parser read against the per-line reference reader
+
+
+READER_EXTREMES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308]
+
+
+def _payload_lines(path):
+    # the payload as read() splits it: after the header's newline, by splitlines
+    with open(path, "rb") as fh:
+        return fh.read().split(b"\n", 1)[1].decode("utf-8").splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["function1d", "phase2d"]), st.integers(1, 4), st.data())
+def test_csv_read_matches_the_per_line_oracle(kind, half_n, data):
+    grid = Grid1D.centered(2 * half_n, 3.0)
+    doubles = st.one_of(st.sampled_from(READER_EXTREMES + [-x for x in READER_EXTREMES]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    count = 2 * grid.n * grid.n
+    bits = np.array(data.draw(st.lists(doubles, min_size=count, max_size=count)))
+    obj = _build(kind, grid, bits.view(np.complex128).reshape(grid.n, grid.n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/obj.csv"
+        gridfile.write(path, obj, "csv")
+        back = gridfile.read(path)
+        oracle = parse_csv_per_line(_payload_lines(path), obj.values.shape)
+    assert np.array_equal(back.values.view(np.int64), oracle.view(np.int64))
+    assert np.array_equal(back.values.view(np.int64), obj.values.view(np.int64))
+
+
+# field tokens both readers take or refuse alike; ASCII only, no underscores
+TOKENS = ["x", "", " ", "#", "3.0", "1e5", "0x1", "-1", "+0", " 2 ", "9999", str(10**30),
+          str(-(10**30)), "nan", "-inf", "1e999", "1.5e-320"]
+EDITS = ["field", "drop-field", "extra-field", "repeat", "delete", "blank", "hash-line"]
+
+
+def _edited(lines, edit, at, token, field):
+    if not lines:
+        return [token]
+    lines = list(lines)
+    k = at % len(lines)
+    if edit == "field":
+        parts = lines[k].split(",")
+        parts[field % len(parts)] = token
+        lines[k] = ",".join(parts)
+    elif edit == "drop-field":
+        lines[k] = lines[k].rsplit(",", 1)[0]
+    elif edit == "extra-field":
+        lines[k] += "," + token
+    elif edit == "repeat":
+        lines[k] = lines[(k + 1) % len(lines)]
+    elif edit == "delete":
+        del lines[k]
+    elif edit == "blank":
+        lines.insert(k, token if token.isspace() else "")
+    else:
+        lines.insert(k, "# note")
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["function1d", "phase2d"]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 99), st.sampled_from(TOKENS),
+                          st.integers(0, 3)), min_size=1, max_size=3))
+def test_edited_csv_fails_as_the_per_line_oracle_does(kind, half_n, seed, edits):
+    # one to three edited lines: the same message for the first faulty line,
+    # or the same bits where the edits leave the payload valid
+    grid = Grid1D.centered(2 * half_n, 3.0)
+    obj = _build(kind, grid, _complex(np.random.default_rng(seed), (grid.n, grid.n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/obj.csv"
+        gridfile.write(path, obj, "csv")
+        with open(path, "rb") as fh:
+            header = fh.readline()
+        lines = _payload_lines(path)
+        for edit in edits:
+            lines = _edited(lines, *edit)
+        with open(path, "wb") as fh:
+            fh.write(header + "".join(line + "\n" for line in lines).encode())
+        try:
+            oracle = parse_csv_per_line(lines, obj.values.shape)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as info:
+                gridfile.read(path)
+            assert str(info.value) == str(exc)
+        else:
+            back = gridfile.read(path)
+            assert np.array_equal(back.values.view(np.int64), oracle.view(np.int64))
+
+
+@pytest.mark.parametrize("body", [b"", b"\n\n", b"  \n\t\n"])
+def test_csv_empty_payload_is_incomplete_without_a_warning(tmp_path, body):
+    path = _handmade(tmp_path, "function1d", {"grid": _grid(8)}, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FileFormatError, match="^payload incomplete: 8 of 8 entries missing"):
+            gridfile.read(path)
+
+
+def _rows_file(tmp_path, rows, n=4):
+    return _handmade(tmp_path, "function1d", {"grid": _grid(n)},
+                     "".join(r + "\n" for r in rows).encode("utf-8"))
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0,1.0,0.0", "", "   ", "\t", "1,x,0.0"],
+     "line 6: could not convert string to float: 'x'"),
+    (["0,1.0,0.0", " ", "", "0,1.0,0.0", "2,1.0,0.0", "3,1.0,0.0"],
+     r"line 5: index \(0,\) appears twice"),
+    (["", "0,1.0,0.0", "\t", "1,1.0,inf", "2,1.0,0.0", "3,1.0,0.0"],
+     "line 5: value is not finite"),
+    (["0,1.0,0.0", "# a comment", "1,1.0,0.0"],
+     "line 3: expected 3 comma-separated fields, got 1"),
+    (["0,1.0,0.0", "3.0,1.0,0.0"],
+     re.escape("line 3: invalid literal for int() with base 10: '3.0'")),
+])
+def test_csv_names_the_physical_line(tmp_path, rows, message):
+    # blank and whitespace-only lines hold no row but keep their line number;
+    # '#' starts no comment
+    with pytest.raises(FileFormatError, match="^" + message):
+        gridfile.read(_rows_file(tmp_path, rows))
+
+
+def test_csv_whitespace_only_lines_are_skipped(tmp_path):
+    rows = ["0,1.0,-0.0", "  ", "1,2.0,0.0", "\t", "2,3.0,0.0", "3,4.0,5e-324", " \t "]
+    back = gridfile.read(_rows_file(tmp_path, rows))
+    expected = np.array([1.0, -0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 5e-324]).view(np.complex128)
+    assert np.array_equal(back.values.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_crlf_csv_reads(tmp_path, kind):
+    obj = _objects()[kind]
+    path = tmp_path / "crlf.csv"
+    gridfile.write(str(path), obj, "csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(gridfile.read(str(path)).values, obj.values)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1_0,1.0,0.0", "line 3: could not convert string '1_0' to int64"),
+    ("1,1_0.5,0.0", "line 3: could not convert string '1_0.5' to float64"),
+    ("\u0661,1.0,0.0", "CSV payload is not ASCII text"),
+    ("1,\uff11.5,0.0", "CSV payload is not ASCII text"),
+    # numpy's int parser would read this letter as the digit 462
+    ("\u01fe,1.0,0.0", "CSV payload is not ASCII text"),
+])
+def test_csv_narrowings(tmp_path, row, message):
+    # the per-line reader took underscores and non-ASCII digits; write never
+    # emits them, and the C parser refuses them
+    with pytest.raises(FileFormatError, match="^" + re.escape(message)):
+        gridfile.read(_rows_file(tmp_path, ["0,1.0,0.0", row]))

@@ -12,6 +12,7 @@ from phasekit.grid import (
     _centered_fft,
 )
 from phasekit.metaplectic import (
+    ShearFactorization,
     _Plan,
     _chirp_tables,
     _propagate_values,
@@ -158,6 +159,56 @@ def test_tiny_angle_follows_the_generator():
     fd = (propagate(F, theta).values - F.values) / theta
     gen = generator_apply(F).values
     assert np.linalg.norm(fd + 1j * gen) / np.linalg.norm(gen) < 1e-6
+
+
+def test_angle_near_rounding_follows_the_generator():
+    # every nonzero angle off a half period keeps its shears, so at 1e-13 the
+    # quotient meets the generator up to its own rounding, about eps/theta =
+    # 2e-3 (an exact identity would miss it by 100 %)
+    F = _smooth_function()
+    theta = 1e-13
+    fd = (propagate(F, theta).values - F.values) / theta
+    gen = generator_apply(F).values
+    assert np.linalg.norm(fd + 1j * gen) / np.linalg.norm(gen) < 1e-2
+
+
+@pytest.mark.parametrize("theta,quarters", [
+    (0.0, 0), (PERIOD, 0), (-3 * PERIOD, 0), (PERIOD / 2, 2), (-PERIOD / 2, 2),
+    (1.5 * PERIOD, 2),
+])
+def test_whole_and_half_periods_take_no_shear(theta, quarters):
+    # phi = sqrt(7)*theta on a multiple of pi, to its rounding: the identity
+    # or the point reflection, two quarter turns
+    assert shear_factorization(theta) == ShearFactorization(quarters, None)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-13, -1e-13, PERIOD + 1e-13,
+                                   PERIOD / 2 - 1e-13])
+def test_angles_off_a_half_period_keep_their_shears(theta):
+    fac = shear_factorization(theta)
+    assert fac.shears is not None
+    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([16, 32, 64]),
+    st.floats(min_value=0.8, max_value=1.25),
+    st.floats(min_value=-PERIOD, max_value=PERIOD),
+    st.floats(min_value=-PERIOD, max_value=PERIOD),
+)
+def test_group_law_property(n, box, theta1, theta2):
+    # U(theta1) U(theta2) = U(theta1 + theta2) up to the Gaussian's mass that
+    # the shears carry past the box: its tail at half the smaller of the two
+    # box edges (sampled worst 0.4 of that over 4500 random draws)
+    half_width = box * np.sqrt(np.pi * n / 2.0)
+    grid = Grid1D.centered(n, half_width)
+    F = wigner_metaplectic(states.gaussian(grid), states.gaussian(grid))
+    lhs = propagate(propagate(F, theta2), theta1).values
+    rhs = propagate(F, theta1 + theta2).values
+    edge = min(half_width, np.pi * n / (2.0 * half_width))
+    tol = np.exp(-0.5 * (edge / 2.0) ** 2) + 1e-13
+    assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(F.values)) <= tol
 
 
 @pytest.mark.parametrize("n", [2, 6, 10, 32, 254, 256])
