@@ -9,9 +9,10 @@ raw little-endian complex128 bytes in row-major order; the raw encoding
 round-trips bit-exactly.  Readers check that the payload length matches the
 shape the header promises, so truncated files fail loudly instead of
 shifting data, and reject non-finite values and repeated CSV indices.  A CSV
-payload goes through numpy's C parser; a per-line scan runs only on a line
-it refuses, to name the first faulty line.  No n-entry array is made before
-the rows are known to fill it.
+payload goes through numpy's C parser in one call.  If the parser refuses
+it, the reader parses blocks of about sqrt(N) lines, then the lines of the
+first block refused one by one, to name the first faulty line.  No n-entry
+array is made before the rows are known to fill it.
 
 Polynomial tags on symbols survive the trip through an optional header
 field; without that, a tagged symbol would silently lose its exact-algebra
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -92,11 +93,12 @@ def _loadtxt(lines: list[str], fields: np.dtype) -> np.ndarray:
     return np.loadtxt(lines, fields, comments=None, delimiter=",", ndmin=1)
 
 
-def _name_faulty_line(lines: list[str], fields: np.dtype, shape: tuple[int, ...]) -> None:
-    """Raise for the first non-blank line the C parser refuses on its own."""
-    for lineno, line in enumerate(lines, start=2):
+def _name_faulty_line(block: Iterable[tuple[int, str]], fields: np.dtype,
+                      shape: tuple[int, ...]) -> None:
+    """Raise for the first (line number, line) of block the C parser refuses on its own."""
+    for lineno, line in block:
         try:
-            _loadtxt([line] if line.strip() else [], fields)
+            _loadtxt([line], fields)
         except ValueError as exc:
             parts = line.strip().split(",")
             if len(parts) != len(shape) + 2:
@@ -113,16 +115,29 @@ def _name_faulty_line(lines: list[str], fields: np.dtype, shape: tuple[int, ...]
             raise FileFormatError(f"line {lineno}: {exc}") from None
 
 
+def _parse_blocks(lines: list[str], fields: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """Parse the non-blank lines (the format skips whitespace-only ones, which
+    loadtxt refuses) in blocks of about sqrt(N); in the first block refused,
+    name the first faulty line."""
+    kept = [line for line in lines if line.strip()]
+    size = max(1, math.isqrt(len(kept)))
+    tables = [np.empty(0, fields)]
+    for start in range(0, len(kept), size):
+        try:
+            tables.append(_loadtxt(kept[start:start + size], fields))
+        except ValueError:
+            numbered = ((k, ln) for k, ln in enumerate(lines, start=2) if ln.strip())
+            _name_faulty_line(islice(numbered, start, start + size), fields, shape)
+            raise
+    return np.concatenate(tables)
+
+
 def _parse_csv(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
     fields = np.dtype([("index", "<i8", (len(shape),)), ("value", "<f8", (2,))])
     try:
         table = _loadtxt(lines, fields)
     except ValueError:
-        try:  # whitespace-only lines, which the format skips
-            table = _loadtxt([line for line in lines if line.strip()], fields)
-        except ValueError:
-            _name_faulty_line(lines, fields, shape)
-            raise
+        table = _parse_blocks(lines, fields, shape)
     index = table["index"]
     outside = ((index < 0) | (index >= shape)).any(axis=1)
     # a stable sort puts each repeat after its first occurrence

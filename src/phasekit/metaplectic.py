@@ -7,7 +7,9 @@ inverse partial transform.  The substitution is realized as up to three
 quarter turns followed by at most one three-shear, with coefficients in
 closed form in theta; every factor is exactly unitary on the grid (index
 permutations, FFTs, unit-modulus cross-chirps), so U preserves discrete
-norms to rounding.
+norms to rounding.  A shear whose coefficient is exactly 0 is skipped: at
++-THETA_WIGNER, the midpoint map [[1, -1/2], [1, 1/2]], the closed form
+gives one, so U costs 6 FFT passes there and 8 at a generic angle.
 """
 
 from __future__ import annotations
@@ -112,15 +114,18 @@ def _chirp_tables(coeff: float, rows: Grid1D, cols: Grid1D) -> tuple[np.ndarray,
 
 class _Plan:
     """U(theta) on one pair of centred grids: the factorization and each
-    shear's chirp tables, built once.  Calling it applies U(theta) to raw
-    (..., n, n) value arrays; a caller that repeats an angle holds its plan."""
+    nonzero shear's chirp tables, built once.  Calling it applies U(theta)
+    to raw (..., n, n) value arrays; a caller that repeats an angle holds
+    its plan."""
 
     def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float):
         grid_e = grid_p.dual()
         self.factorization = shear_factorization(theta, grid_x.matches(grid_e))
         along = {-2: (grid_x.dual(), grid_e), -1: (grid_x, grid_e.dual())}
+        # exp(0) = 1: an exactly zero shear is a transform round trip and no more
         self._shears = [(axis, _chirp_tables(coeff, *along[axis]))
-                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())]
+                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
+                        if coeff != 0.0]
 
     def substitute(self, values: np.ndarray) -> np.ndarray:
         """Substitute the flow at -theta into mixed (x, eta) values (batched).

@@ -68,3 +68,20 @@ def parse_csv_per_line(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
     out = np.empty(size, dtype=np.complex128)
     out[np.ravel_multi_index(tuple(index.T), shape)] = values
     return out.reshape(shape)
+
+
+def count_fft_passes(monkeypatch) -> list[str]:
+    """Record the name of every scipy.fft.fft/ifft call made from now on,
+    which is every FFT pass the package makes."""
+    import scipy.fft
+
+    passes: list[str] = []
+    for name in ("fft", "ifft"):
+        inner = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            passes.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return passes

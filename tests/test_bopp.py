@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import count_fft_passes
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
@@ -21,8 +22,14 @@ from phasekit.bopp import (
     dense_matrix,
     evolve_pair,
 )
-from phasekit.grid import ConfigurationError, Grid1D, SampledFunction1D
-from phasekit.metaplectic import _propagate_values
+from phasekit.grid import (
+    ConfigurationError,
+    Grid1D,
+    SampledFunction1D,
+    _centered_fft,
+    _centered_ifft,
+)
+from phasekit.metaplectic import _Plan, _propagate_values
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -381,16 +388,38 @@ def test_apply_rejects_a_mismatched_position_grid(representation):
         op.apply(F)
 
 
-def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
-    # the map builds its two plans once; every call must still equal the
-    # fresh-plan route bit for bit, batched or not
+def _conjugated_action_and_batch():
     grid = Grid1D.centered(32, 6.0)
     op = PhaseOperator(symbol_oscillator(grid), "bopp_conjugated")
-    K = grid.dx * op.kernel().values
-    action = _action(op, grid, grid.dual())
     rng = np.random.default_rng(17)
     batch = rng.standard_normal((3, 32, 32)) + 1j * rng.standard_normal((3, 32, 32))
+    return grid, grid.dx * op.kernel().values, _action(op, grid, grid.dual()), batch
+
+
+def test_conjugated_action_with_held_plans_is_the_mixed_plane_route():
+    # the map builds its two plans once; every call must still equal the
+    # fresh-plan route bit for bit, batched or not: one partial transform,
+    # both substitutions around the kernel, and the inverse transform
+    grid, K, action, batch = _conjugated_action_and_batch()
+    for v in (batch[0], batch, batch[1]):
+        down = _Plan(grid, grid.dual(), -THETA_WIGNER).substitute(_centered_fft(v, axis=-1))
+        up = _Plan(grid, grid.dual(), THETA_WIGNER).substitute(K @ down)
+        assert np.array_equal(action(v), _centered_ifft(up, axis=-1))
+
+
+def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
+    # K acts along x and the partial transforms along p, so the transform
+    # pair between the two flows cancels: the same map up to rounding
+    grid, K, action, batch = _conjugated_action_and_batch()
     for v in (batch[0], batch, batch[1]):
         down = _propagate_values(v, grid, grid.dual(), -THETA_WIGNER)
         ref = _propagate_values(K @ down, grid, grid.dual(), THETA_WIGNER)
-        assert np.array_equal(action(v), ref)
+        assert np.linalg.norm(action(v) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_conjugated_action_takes_ten_passes(monkeypatch):
+    # 2 partial transforms and 2 passes for each of the four nonzero shears
+    grid, _, action, batch = _conjugated_action_and_batch()
+    passes = count_fft_passes(monkeypatch)
+    action(batch)
+    assert len(passes) == 10

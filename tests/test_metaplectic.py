@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import count_fft_passes
 from phasekit import states
 from phasekit.grid import (
     ConfigurationError,
@@ -180,6 +181,24 @@ def test_whole_and_half_periods_take_no_shear(theta, quarters):
     # phi = sqrt(7)*theta on a multiple of pi, to its rounding: the identity
     # or the point reflection, two quarter turns
     assert shear_factorization(theta) == ShearFactorization(quarters, None)
+
+
+@pytest.mark.parametrize("theta", [THETA_WIGNER, -THETA_WIGNER])
+def test_wigner_angle_has_one_zero_shear(theta):
+    # the midpoint substitution [[1, -1/2], [1, 1/2]] is two shears: the
+    # closed form returns the third as an exact 0.0
+    fac = shear_factorization(theta)
+    assert fac.quarters == 0
+    assert fac.shears.count(0.0) == 1
+
+
+@pytest.mark.parametrize("theta,expected", [(THETA_WIGNER, 6), (-THETA_WIGNER, 6), (0.3, 8)])
+def test_propagator_skips_zero_shears(monkeypatch, theta, expected):
+    # two passes for the partial transform pair, two per nonzero shear
+    F = _smooth_function()
+    passes = count_fft_passes(monkeypatch)
+    _propagate_values(F.values, F.grid_x, F.grid_p, theta)
+    assert len(passes) == expected
 
 
 @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-13, -1e-13, PERIOD + 1e-13,
