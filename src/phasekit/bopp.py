@@ -49,7 +49,7 @@ from .weyl import (
     _require_dual_pair,
     _symmetric_expand,
 )
-from .wigner import Theta, Window, windowed_transform
+from .wigner import Window, windowed_transform
 
 __all__ = [
     "PhaseOperator",
@@ -201,9 +201,9 @@ def _action(
         kernel_values, down.substitute(_centered_fft(values, axis=-1)))), axis=-1)
 
 
-def _lift_angle(representation: str) -> Theta:
+def _lift_angle(representation: str) -> float:
     """Analysis angle whose lift intertwines with the given realization."""
-    return Theta(0.0) if representation == "extended" else Theta.wigner()
+    return 0.0 if representation == "extended" else THETA_WIGNER
 
 
 def bopp_intertwining_residual(
@@ -350,7 +350,7 @@ def bopp_spectrum(
     clusters = clusters[:count]
 
     action = _action(op, grid, grid.dual())
-    lift = _Plan(grid, grid.dual(), _lift_angle(representation).value)
+    lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member
     windows = np.concatenate(((grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T),
                               window.transform.values[None]))
@@ -486,7 +486,7 @@ def evolve_pair(
 
     weight = math.sqrt(lift0.weight)
     lifted = _propagate_values(states[:, :, None] * window.transform.values.conj(),
-                               grid, grid.dual(), angle.value).reshape(times.size, -1)
+                               grid, grid.dual(), angle).reshape(times.size, -1)
     phase_norms = np.linalg.norm(phases, axis=1) * weight
     divergences = (np.linalg.norm(phases - lifted, axis=1) * weight
                    / np.maximum(phase_norms, _RESIDUAL_FLOOR))

@@ -7,12 +7,15 @@ angle symbol), star (symbol products), expect (operator expectations),
 bopp-spectrum (phase-plane eigensolve), evolve (paired dynamics), and
 verify (the acceptance suite).
 
-Every run writes its artifacts plus a JSON manifest recording the resolved
-inputs, output paths, and any achieved errors next to the tolerance used.
-Settings come from an optional JSON config file (--config) with flags
-winning over config values.  Runs are deterministic for a fixed config and
-seed; nothing here consults the clock.  Thread count for the FFT layer
-comes from the PHASEKIT_THREADS environment variable.
+Every run writes its artifacts plus a JSON manifest: its inputs are the
+settings the run read (each value as used, defaults included, and the grid
+of the first state or symbol), then the output paths and any achieved
+errors next to the tolerance used.  Settings come from an optional JSON
+config file (--config) with flags winning over config values; a config key
+that is not a setting of the invoked command is refused.  The grid defaults
+to n = 256, x_min = -8 and dx = -2*x_min/n.  Runs are deterministic for a
+fixed config and seed; nothing here consults the clock.  Thread count for
+the FFT layer comes from the PHASEKIT_THREADS environment variable.
 
 Each subcommand is one entry in a command table: the flags it takes (from
 one shared flag table), the flags it requires, its compute step, and its
@@ -34,13 +37,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import gridfile, states, verify
-from .bopp import REPRESENTATIONS, bopp_spectrum, evolve_pair
+from .bopp import PAIRING_GAP, REPRESENTATIONS, bopp_spectrum, evolve_pair
 from .grid import ConfigurationError, Grid1D, PhaseFunction2D, SampledFunction1D
 from .gridfile import FileFormatError
 from .metaplectic import propagate
@@ -57,11 +60,10 @@ from .weyl import (
     theta_product,
 )
 from .wigner import (
-    Theta,
     Window,
     _finite_angle,
+    _is_wigner_angle,
     wigner_fractional,
-    wigner_metaplectic,
     windowed_adjoint,
 )
 
@@ -71,7 +73,8 @@ EXIT_PASS = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
-_GRID_DEFAULTS = {"n": 256, "x_min": -8.0, "dx": 0.0625}
+#: Grid keys of the flags, the config's top level and its grid section.
+_GRID_KEYS = ("n", "x_min", "dx", "half_width")
 
 
 class UsageError(Exception):
@@ -83,11 +86,17 @@ class UsageError(Exception):
 
 
 class Settings:
-    """Flag values layered over a config file over defaults."""
+    """Flag values layered over a config file over defaults.
+
+    `get` and the spec readers record each value they hand out in `inputs`,
+    which the finisher writes as the manifest's inputs; `lookup` reads
+    without recording (grid flags, output paths, required-flag checks).
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config: dict[str, Any] = {}
+        self.inputs: dict[str, Any] = {}
         path = getattr(args, "config", None)
         if path:
             try:
@@ -112,50 +121,80 @@ class Settings:
         tolerances = self.config.get("tolerances", {})
         if not (isinstance(grid, dict) and isinstance(tolerances, dict)):
             raise UsageError("config 'grid' and 'tolerances' must be JSON objects")
+        # A config names only settings of the invoked command: its flags but
+        # --config and --tolerance (whose config form is tolerances), plus a
+        # grid section where grid flags are taken and verify's tolerances.
+        flags = _COMMANDS[args.command].flags + _COMMON
+        known = {"command", *(f.replace("-", "_") for f in flags
+                              if f not in ("config", "tolerance")),
+                 *(key for key, flag in (("grid", "n"), ("tolerances", "tolerance"))
+                   if flag in flags)}
+        unknown = [repr(key) for key in self.config if key not in known]
+        unknown += [f"grid.{key}" for key in grid if key not in _GRID_KEYS]
+        if unknown:
+            raise UsageError(f"config {unknown[0]} is not a setting of {args.command}")
         for flag, spec in _FLAGS.items():
             kind, key = spec.get("type"), flag.replace("-", "_")
             for name, entries in ((f"--{flag}", vars(args)), (f"config {key!r}", self.config),
-                                  (f"config grid.{key}", grid if key in _GRID_DEFAULTS else {})):
+                                  (f"config grid.{key}", grid if key in _GRID_KEYS else {})):
                 if kind is not None and entries.get(key) is not None:
                     entries[key] = _typed(entries[key], kind, name,
                                           kind is float and flag != "theta")
         for key, value in tolerances.items():
             tolerances[key] = _typed(value, float, f"config tolerances.{key}", finite=True)
 
-    def get(self, key: str, default: Any = None) -> Any:
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return self.config[key]
+    def lookup(self, key: str, default: Any = None) -> Any:
+        """The flag, else the config value, else default; not recorded."""
+        for layer in (vars(self.args), self.config):
+            if layer.get(key) is not None:
+                return layer[key]
         return default
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """lookup, recorded in the manifest's inputs."""
+        self.inputs[key] = value = self.lookup(key, default)
+        return value
 
     def theta(self, default: float = THETA_WIGNER) -> float:
         """The one reader of --theta (or the config's theta); finite only."""
-        value = self.get("theta")
-        return _finite_angle(default if value is None else value)
+        return _finite_angle(self.get("theta", default))
 
-    def payload(self) -> str:
-        value = self.get("payload", "csv")
-        if value not in gridfile.PAYLOADS:
-            raise UsageError(f"payload must be one of {gridfile.PAYLOADS}")
-        return value
+    def state(self, key: str, grid: Grid1D, default: str = "gaussian") -> SampledFunction1D:
+        """The state spec under key, resolved on grid (a file brings its own)."""
+        state = _resolve_state(self.get(key, default), grid)
+        self.inputs.setdefault("grid", asdict(state.grid))
+        return state
+
+    def symbol(self, key: str, grid: Grid1D, default: str | None = None,
+               kinds: tuple[type, ...] = (Symbol2D,), what: str = "a symbol grid file"):
+        """A builtin symbol on grid, or an operator of one of kinds from a file."""
+        spec = self.get(key, default)
+        if spec in _SYMBOLS:
+            op = _SYMBOLS[spec](grid)
+        elif os.path.exists(spec):
+            op = _read_kind(spec, kinds, what)
+        else:
+            raise UsageError(f"unknown symbol spec {spec!r} "
+                             f"(one of {tuple(_SYMBOLS)} or {what})")
+        self.inputs.setdefault("grid", asdict(op.grid if isinstance(op, OperatorKernel)
+                                              else op.grid_x))
+        return op
+
+    def window(self, grid: Grid1D) -> Window:
+        return Window(_resolve_state(self.get("window", "gaussian"), grid))
 
     def grid(self) -> Grid1D:
-        spec = {**_GRID_DEFAULTS, **self.config.get("grid", {})}
-        n = self.get("n")
-        if n is not None:
-            spec["n"] = n
-        # the config's top level, then the flags: in each, x_min and dx win
-        # over the half_width shortcut
-        for layer in (self.config, vars(self.args)):
-            half = layer.get("half_width")
-            if half is not None:
-                spec["x_min"], spec["dx"] = -half, 2.0 * half / spec["n"]
-            spec.update({key: layer[key] for key in ("x_min", "dx")
-                         if layer.get(key) is not None})
+        """The config's grid section, then its top level, then the flags; in
+        each, x_min and dx win over the half_width shortcut (x_min = -H).
+        Defaults: n = 256, x_min = -8 and dx = -2*x_min/n, a centred box."""
+        spec = {"n": 256, "x_min": -8.0, "dx": None}
+        for layer in (self.config.get("grid", {}), self.config, vars(self.args)):
+            if layer.get("half_width") is not None:
+                spec.update(x_min=-layer["half_width"], dx=None)
+            spec.update({key: layer[key] for key in spec if layer.get(key) is not None})
+        n, x_min, dx = spec["n"], spec["x_min"], spec["dx"]
         try:
-            return Grid1D(spec["n"], spec["x_min"], spec["dx"])
+            return Grid1D(n, x_min, -2.0 * x_min / n if dx is None else dx)
         except ConfigurationError as exc:
             raise UsageError(str(exc))
 
@@ -217,28 +256,7 @@ def _resolve_state(spec: str, grid: Grid1D) -> SampledFunction1D:
     )
 
 
-def _window(s: Settings, grid: Grid1D) -> tuple[str, Window]:
-    spec = s.get("window", "gaussian")
-    return spec, Window(_resolve_state(spec, grid))
-
-
-_BUILTIN_SYMBOLS = ("oscillator", "x", "xi")
-
-
-def _resolve_symbol(spec: str, grid: Grid1D, kinds: tuple[type, ...] = (Symbol2D,),
-                    what: str = "a symbol grid file"):
-    """A builtin symbol on grid, or an operator of one of kinds from a file."""
-    if spec in _BUILTIN_SYMBOLS:
-        return {"oscillator": symbol_oscillator,
-                "x": symbol_x, "xi": symbol_xi}[spec](grid)
-    if os.path.exists(spec):
-        return _read_kind(spec, kinds, what)
-    raise UsageError(f"unknown symbol spec {spec!r} "
-                     f"(one of {_BUILTIN_SYMBOLS} or {what})")
-
-
-def _grid_record(g: Grid1D) -> dict:
-    return {"n": g.n, "x_min": g.x_min, "dx": g.dx}
+_SYMBOLS = {"oscillator": symbol_oscillator, "x": symbol_x, "xi": symbol_xi}
 
 
 def _write_json(path: str, record: dict) -> None:
@@ -256,11 +274,10 @@ def _float_csv(value: float) -> str:
 
 
 def _csv(rows, header: str | None = None) -> str:
-    """CSV text: floats as round-trippable reprs, ints as is, None empty."""
+    """CSV text: floats as round-trippable reprs, ints as is."""
     lines = [] if header is None else [header]
     for row in rows:
-        lines.append(",".join("" if v is None else str(v) if isinstance(v, int)
-                              else _float_csv(v) for v in row))
+        lines.append(",".join(str(v) if isinstance(v, int) else _float_csv(v) for v in row))
     return "".join(line + "\n" for line in lines)
 
 
@@ -275,9 +292,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "manifest": {"help": "manifest path (default: <output>.manifest.json)"},
     "payload": {"choices": gridfile.PAYLOADS,
                 "help": "grid file payload encoding (default csv)"},
-    "n": {"type": int, "help": "grid size (even)"},
-    "x-min": {"type": float, "help": "left grid edge"},
-    "dx": {"type": float, "help": "grid spacing"},
+    "n": {"type": int, "help": "grid size (even; default 256)"},
+    "x-min": {"type": float, "help": "left grid edge (default -8)"},
+    "dx": {"type": float, "help": "grid spacing (default -2*x_min/n)"},
     "half-width": {"type": float,
                    "help": "centered grid shortcut: x_min=-H, dx=2H/n"},
     "theta": {"type": float,
@@ -285,7 +302,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "input": {"help": "phase2d grid file"},
     "state": {"help": "state spec (default gaussian)"},
     "phi": {"help": "second state spec (default: same)"},
-    "gaussian": {"action": "store_true", "help": "shorthand for --state gaussian"},
+    "gaussian": {"action": "store_true", "default": None,
+                 "help": "shorthand for --state gaussian"},
     "window": {"help": "window spec (default gaussian)"},
     "kernel": {"help": "kernel grid file"},
     "a": {"help": "first symbol (file or builtin oscillator/x/xi)"},
@@ -311,11 +329,11 @@ _GRID = ("n", "x-min", "dx", "half-width")
 
 @dataclass
 class _Run:
-    """One command's result: manifest inputs, artifact contents keyed like
-    the manifest's outputs (a grid object, a dict written as JSON, or CSV
-    text), the summary line, extra manifest fields, and a failure note."""
+    """One command's result: artifact contents keyed like the manifest's
+    outputs (a grid object, a dict written as JSON, or CSV text), the
+    summary line, extra manifest fields, and a failure note.  The manifest's
+    inputs are what the run read through its Settings."""
 
-    inputs: dict
     artifacts: dict
     summary: str
     extra: dict = field(default_factory=dict)
@@ -349,17 +367,16 @@ def _command(name: str, help: str, flags: tuple[str, ...], output: str,
           "flow.csv", {"matrix": ""})
 def _run_flow(s: Settings, out: dict) -> _Run:
     theta = s.theta(0.0)
-    return _Run({"theta": theta}, {"matrix": _csv(flow_matrix(theta))},
+    return _Run({"matrix": _csv(flow_matrix(theta))},
                 f"flow matrix at theta={theta:g} -> {out['matrix']}")
 
 
 @_command("propagate", "apply the phase-plane propagator", ("input", "theta"),
           "propagate.csv", {"phase2d": ""}, required=("input",))
 def _run_propagate(s: Settings, out: dict) -> _Run:
-    path = s.get("input")
-    F = _read_kind(path, (PhaseFunction2D,), "a phase-plane function")
+    F = _read_kind(s.get("input"), (PhaseFunction2D,), "a phase-plane function")
     theta = s.theta()
-    return _Run({"input": path, "theta": theta}, {"phase2d": propagate(F, theta)},
+    return _Run({"phase2d": propagate(F, theta)},
                 f"propagated by theta={theta:g} -> {out['phase2d']}")
 
 
@@ -369,80 +386,61 @@ def _run_propagate(s: Settings, out: dict) -> _Run:
 @_command("wigner", "distribution at the distinguished angle",
           ("state", "phi", "gaussian", *_GRID), "wigner.csv", {"phase2d": ""})
 def _run_wigner(s: Settings, out: dict) -> _Run:
-    command = s.args.command
-    theta = s.theta() if command == "fracwigner" else None
-    grid = s.grid()
-    psi_spec = "gaussian" if s.get("gaussian") else s.get("state", "gaussian")
-    phi_spec = s.get("phi", psi_spec)
-    psi = _resolve_state(psi_spec, grid)
-    phi = _resolve_state(phi_spec, psi.grid)
-    if theta is None:
-        W = wigner_metaplectic(psi, phi)
-        theta = THETA_WIGNER
-    else:
-        W = wigner_fractional(psi, phi, theta)
-    return _Run({"state": psi_spec, "phi": phi_spec, "theta": theta,
-                 "grid": _grid_record(psi.grid)},
-                {"phase2d": W},
-                f"{command}({psi_spec}, {phi_spec}) at theta={theta:g} -> "
-                f"{out['phase2d']}")
+    theta = s.theta()  # THETA_WIGNER for wigner, which takes no theta setting
+    if s.lookup("gaussian"):
+        s.args.state = "gaussian"
+    psi = s.state("state", s.grid())
+    phi = s.state("phi", psi.grid, s.inputs["state"])
+    return _Run({"phase2d": wigner_fractional(psi, phi, theta)},
+                f"{s.args.command}({s.inputs['state']}, {s.inputs['phi']}) at "
+                f"theta={theta:g} -> {out['phase2d']}")
 
 
 @_command("reconstruct", "windowed adjoint of a phase-plane function",
           ("input", "window", "theta"), "reconstruct.csv", {"function1d": ""},
           required=("input",))
 def _run_reconstruct(s: Settings, out: dict) -> _Run:
-    path = s.get("input")
-    F = _read_kind(path, (PhaseFunction2D,), "a phase-plane function")
-    window_spec, window = _window(s, F.grid_x)
+    F = _read_kind(s.get("input"), (PhaseFunction2D,), "a phase-plane function")
+    window = s.window(F.grid_x)
     theta = s.theta()
-    return _Run({"input": path, "window": window_spec, "theta": theta},
-                {"function1d": windowed_adjoint(F, window, theta)},
-                f"reconstructed with window {window_spec} at theta={theta:g} "
+    return _Run({"function1d": windowed_adjoint(F, window, theta)},
+                f"reconstructed with window {s.inputs['window']} at theta={theta:g} "
                 f"-> {out['function1d']}")
 
 
 @_command("weyl-symbol", "angle symbol of an operator kernel", ("kernel", "theta"),
           "weyl-symbol.csv", {"symbol": ""}, required=("kernel",))
 def _run_weyl_symbol(s: Settings, out: dict) -> _Run:
-    path = s.get("kernel")
-    kernel = _read_kind(path, (OperatorKernel,), "an operator kernel")
+    kernel = _read_kind(s.get("kernel"), (OperatorKernel,), "an operator kernel")
     theta = s.theta()
     # The distinguished angle has an exact route; other angles go through
     # the propagator.
-    if Theta(theta).is_wigner:
+    if _is_wigner_angle(theta):
         symbol = kernel_to_symbol(kernel)
     else:
         symbol = fractional_symbol(kernel, theta)
-    return _Run({"kernel": path, "theta": theta}, {"symbol": symbol},
-                f"symbol at theta={theta:g} -> {out['symbol']}")
+    return _Run({"symbol": symbol}, f"symbol at theta={theta:g} -> {out['symbol']}")
 
 
 @_command("star", "star product of two symbols", ("a", "b", "theta", "method", *_GRID),
           "star.csv", {"symbol": ""}, required=("a", "b"))
 def _run_star(s: Settings, out: dict) -> _Run:
-    a_spec, b_spec = s.get("a"), s.get("b")
-    a = _resolve_symbol(a_spec, s.grid())
-    b = _resolve_symbol(b_spec, a.grid_x)
+    a = s.symbol("a", s.grid())
+    b = s.symbol("b", a.grid_x)
     theta = s.theta()
     method = s.get("method")
-    return _Run({"a": a_spec, "b": b_spec, "theta": theta, "method": method or "auto",
-                 "grid": _grid_record(a.grid_x)},
-                {"symbol": theta_product(a, b, theta, method=method)},
+    s.inputs["method"] = method or "auto"
+    return _Run({"symbol": theta_product(a, b, theta, method=method)},
                 f"star product at theta={theta:g} -> {out['symbol']}")
 
 
 @_command("expect", "operator expectation in a state", ("op", "state", "theta", *_GRID),
           "expect.json", {"expectation": ""}, required=("op",))
 def _run_expect(s: Settings, out: dict) -> _Run:
-    op_spec = s.get("op")
-    op = _resolve_symbol(op_spec, s.grid(), (OperatorKernel, Symbol2D),
-                         "a kernel or symbol grid file")
-    op_grid = op.grid if isinstance(op, OperatorKernel) else op.grid_x
-    state_spec = s.get("state", "gaussian")
-    state = _resolve_state(state_spec, op_grid)
-    theta = s.theta()
-    result = expectation(op, state, theta)
+    op = s.symbol("op", s.grid(), kinds=(OperatorKernel, Symbol2D),
+                  what="a kernel or symbol grid file")
+    state = s.state("state", op.grid if isinstance(op, OperatorKernel) else op.grid_x)
+    result = expectation(op, state, s.theta())
     record = {
         "value": [result.value.real, result.value.imag],
         "phase_value": [result.phase_value.real, result.phase_value.imag],
@@ -452,9 +450,7 @@ def _run_expect(s: Settings, out: dict) -> _Run:
     if result.adjoint_value is not None:
         record["adjoint_value"] = [result.adjoint_value.real,
                                    result.adjoint_value.imag]
-    return _Run({"op": op_spec, "state": state_spec, "theta": theta,
-                 "grid": _grid_record(op_grid)},
-                {"expectation": record},
+    return _Run({"expectation": record},
                 f"expectation value {result.value:.12g} (phase-space route "
                 f"residual {result.residual:.3e}) -> {out['expectation']}",
                 {"results": record})
@@ -465,14 +461,11 @@ def _run_expect(s: Settings, out: dict) -> _Run:
           "bopp-spectrum", {"report_json": ".json", "report_csv": ".csv"},
           required=("symbol", "count"))
 def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
-    symbol_spec, count = s.get("symbol"), s.get("count")
-    symbol = _resolve_symbol(symbol_spec, s.grid())
-    window_spec, window = _window(s, symbol.grid_x)
-    representation = s.get("representation", "bopp_conjugated")
-    gap = s.get("gap")
-    kwargs = {} if gap is None else {"gap": gap}
-    report = bopp_spectrum(symbol, count, window,
-                           representation=representation, **kwargs)
+    symbol = s.symbol("symbol", s.grid())
+    count = s.get("count")
+    report = bopp_spectrum(symbol, count, s.window(symbol.grid_x),
+                           representation=s.get("representation", "bopp_conjugated"),
+                           gap=s.get("gap", PAIRING_GAP))
     record = {
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "multiplicities": [int(m) for m in report.multiplicities],
@@ -490,10 +483,7 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
                  "index,eigenvalue,multiplicity,residual,reference,pushforward")
     eig_txt = ", ".join(f"{v:.6f}" for v in eigenvalues)
     worst = max(record["residuals"])
-    return _Run({"symbol": symbol_spec, "count": count, "window": window_spec,
-                 "representation": representation, "gap": record["gap"],
-                 "grid": _grid_record(symbol.grid_x)},
-                {"report_json": record, "report_csv": table},
+    return _Run({"report_json": record, "report_csv": table},
                 f"lowest {count} cluster eigenvalues: {eig_txt} (worst residual "
                 f"{worst:.3e}) -> {out['report_json']}, {out['report_csv']}",
                 {"results": {"eigenvalues": eigenvalues, "max_residual": worst}})
@@ -504,20 +494,13 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
           "evolve", {"state": "-state.csv", "phase": "-phase.csv",
                      "divergence_table": "-divergence.csv"}, required=("t",))
 def _run_evolve(s: Settings, out: dict) -> _Run:
-    symbol_spec = s.get("symbol", "oscillator")
     t_final, steps = s.get("t"), s.get("steps", 16)
-    symbol = _resolve_symbol(symbol_spec, s.grid())
-    state_spec = s.get("state", "gaussian")
-    state = _resolve_state(state_spec, symbol.grid_x)
-    window_spec, window = _window(s, symbol.grid_x)
-    representation = s.get("representation", "bopp_conjugated")
-    result = evolve_pair(symbol, state, window, t_final, steps,
-                         representation=representation)
+    symbol = s.symbol("symbol", s.grid(), "oscillator")
+    state = s.state("state", symbol.grid_x)
+    result = evolve_pair(symbol, state, s.window(symbol.grid_x), t_final, steps,
+                         representation=s.get("representation", "bopp_conjugated"))
     table = _csv(zip(result.times, result.divergences), "time,divergence")
-    return _Run({"symbol": symbol_spec, "state": state_spec, "window": window_spec,
-                 "t": t_final, "steps": steps, "representation": representation,
-                 "grid": _grid_record(symbol.grid_x)},
-                {"state": result.state, "phase": result.phase,
+    return _Run({"state": result.state, "phase": result.phase,
                  "divergence_table": table},
                 f"evolved to t={t_final:g} in {steps} checkpoints; divergence "
                 f"{result.divergence:.3e} -> {out['state']}, {out['phase']}",
@@ -548,6 +531,7 @@ def _run_verify(s: Settings, out: dict) -> _Run:
         raise UsageError(str(exc.args[0]))
     seed = s.get("seed", 0)
     overrides = _parse_tolerance_overrides(s)
+    s.inputs.update(criteria=list(names), tolerance_overrides=overrides)
     rows = []
     failing: list[str] = []
     for r in verify.run_all(seed=seed, names=names):
@@ -565,9 +549,7 @@ def _run_verify(s: Settings, out: dict) -> _Run:
              for label, row in zip(labels, rows)]
     good = sum(row["passed"] for row in rows)
     lines.append(f"{good}/{len(rows)} checks passed (suite {suite}, seed {seed})")
-    return _Run({"suite": suite, "seed": seed, "criteria": list(names),
-                 "tolerance_overrides": overrides},
-                {}, "\n".join(lines), {"checks": rows, "passed": not failing},
+    return _Run({}, "\n".join(lines), {"checks": rows, "passed": not failing},
                 f"failing criteria: {', '.join(failing)}" if failing else None)
 
 
@@ -598,9 +580,9 @@ def _finish(s: Settings) -> int:
     name = s.args.command
     command = _COMMANDS[name]
     for flag in command.required:
-        if s.get(flag) in (None, ""):
+        if s.lookup(flag) in (None, ""):
             raise UsageError(f"{name} needs --{flag}: {_FLAGS[flag]['help']}")
-    base = s.get("output", command.output) if command.outputs else command.output
+    base = s.lookup("output", command.output) if command.outputs else command.output
     out = {key: base + suffix for key, suffix in command.outputs.items()}
     run = command.run(s, out)
     for key, content in run.artifacts.items():
@@ -611,10 +593,9 @@ def _finish(s: Settings) -> int:
             _write_json(out[key], content)
         else:
             # grid files record the payload encoding they were written with
-            run.inputs["payload"] = s.payload()
-            gridfile.write(out[key], content, run.inputs["payload"])
-    _write_manifest(s.get("manifest", base + ".manifest.json"), {
-        "command": name, "inputs": run.inputs, "outputs": out, **run.extra})
+            gridfile.write(out[key], content, s.get("payload", "csv"))
+    _write_manifest(s.lookup("manifest", base + ".manifest.json"), {
+        "command": name, "inputs": s.inputs, "outputs": out, **run.extra})
     print(run.summary)
     if run.failure:
         print(run.failure, file=sys.stderr)

@@ -195,22 +195,11 @@ def _spectral_step(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.
     return _centered_ifft(spec, axis=axis)
 
 
-def fourier_1d(f: SampledFunction1D, direction: str = "forward") -> SampledFunction1D:
-    """Unitary Fourier transform onto the dual grid.
-
-    Forward: (2*pi)**-0.5 * integral e^{-i xi x} f(x) dx, sampled on
-    f.grid.dual().  Inverse uses e^{+i x xi} and likewise lands on the dual
-    grid, so inverse(forward(f)) recovers f on (a float-identical copy of)
-    the original grid.
-    """
+def fourier_1d(f: SampledFunction1D) -> SampledFunction1D:
+    """Unitary Fourier transform onto the dual grid:
+    (2*pi)**-0.5 * integral e^{-i xi x} f(x) dx, sampled on f.grid.dual()."""
     f.grid.require_centered()
-    if direction == "forward":
-        out = (f.grid.dx / SQRT_TWO_PI) * _centered_fft(f.values)
-    elif direction == "inverse":
-        out = (f.grid.length / SQRT_TWO_PI) * _centered_ifft(f.values)
-    else:
-        raise ConfigurationError(f"direction must be forward or inverse, got {direction!r}")
-    return SampledFunction1D(f.grid.dual(), out)
+    return SampledFunction1D(f.grid.dual(), (f.grid.dx / SQRT_TWO_PI) * _centered_fft(f.values))
 
 
 def tensor_outer(f: SampledFunction1D, g: SampledFunction1D) -> PhaseFunction2D:

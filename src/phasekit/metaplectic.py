@@ -54,13 +54,6 @@ class ShearFactorization:
     quarters: int
     shears: tuple[float, float, float] | None
 
-    def matrix(self) -> np.ndarray:
-        M = np.linalg.matrix_power(QUARTER_TURN, self.quarters)
-        if self.shears is not None:
-            b, c, d = self.shears
-            M = M @ [[1.0, b], [0.0, 1.0]] @ [[1.0, 0.0], [c, 1.0]] @ [[1.0, d], [0.0, 1.0]]
-        return M
-
 
 def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactorization:
     """Factor `substitution_matrix(theta)` into quarter turns and shears.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ConfigurationError, Grid1D, PhaseFunction2D, SampledFunction1D
+from .grid import ConfigurationError, Grid1D, SampledFunction1D
 
 
 def gaussian(grid: Grid1D) -> SampledFunction1D:
@@ -58,20 +58,3 @@ def random_wave(grid: Grid1D, rng: np.random.Generator) -> SampledFunction1D:
     f.values /= n
     return f
 
-
-def random_phase_wave(
-    grid_x: Grid1D, grid_p: Grid1D, rng: np.random.Generator
-) -> PhaseFunction2D:
-    """Unit-norm random combination of the first 4 x 4 Hermite tensor
-    products on the phase grid."""
-    modes = 4
-    hx = [hermite(grid_x, m).values for m in range(modes)]
-    hp = [hermite(grid_p, m).values for m in range(modes)]
-    coeff = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
-    values = np.zeros((grid_x.n, grid_p.n), dtype=np.complex128)
-    for a in range(modes):
-        for b in range(modes):
-            values += coeff[a, b] * np.outer(hx[a], hp[b])
-    F = PhaseFunction2D(grid_x, grid_p, values)
-    F.values /= F.norm()
-    return F

@@ -32,39 +32,6 @@ SYMPLECTIC_J = np.array(
     ]
 )
 
-#: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
-GENERATOR = np.array(
-    [
-        [-1.0, 0.0, 0.0, 2.0],
-        [0.0, -1.0, 2.0, 0.0],
-        [0.0, -4.0, 1.0, 0.0],
-        [-4.0, 0.0, 0.0, 1.0],
-    ]
-)
-
-
-def hamiltonian_value(z) -> float:
-    """H(z) = 2*xi_x*xi_p - x*xi_x - p*xi_p + 4*x*p."""
-    x, p, xi_x, xi_p = np.asarray(z, dtype=float)
-    return float(2.0 * xi_x * xi_p - x * xi_x - p * xi_p + 4.0 * x * p)
-
-
-def symplectic_form(z, w) -> float:
-    """sigma(z, w) = xi_x*x' + xi_p*p' - xi_x'*x - xi_p'*p."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(z @ SYMPLECTIC_J @ w)
-
-
-def level_invariants(z) -> tuple[float, float]:
-    """The two quadratics conserved by the flow, one per mixed plane."""
-    x, p, xi_x, xi_p = np.asarray(z, dtype=float)
-    return (
-        float(2.0 * x * x + xi_p * xi_p - x * xi_p),
-        float(2.0 * p * p + xi_x * xi_x - p * xi_x),
-    )
-
-
 def flow_matrix(theta: float) -> np.ndarray:
     """The 4x4 flow at parameter theta, acting on (x, p, xi_x, xi_p).
 
@@ -93,6 +60,3 @@ def plane_block(M: np.ndarray) -> np.ndarray:
     """Restrict a 4x4 flow matrix to the (x, xi_p) plane (rows/cols 0, 3)."""
     return M[np.ix_((0, 3), (0, 3))]
 
-
-def apply_flow(theta: float, z) -> np.ndarray:
-    return flow_matrix(theta) @ np.asarray(z, dtype=float)

@@ -49,7 +49,7 @@ from .grid import (
 )
 from .metaplectic import propagate
 from .symplectic import THETA_WIGNER
-from .wigner import Theta, _as_theta, wigner_fractional
+from .wigner import _is_wigner_angle, wigner_fractional
 
 __all__ = [
     "OperatorKernel",
@@ -92,10 +92,6 @@ class OperatorKernel:
                 f"kernel shape {vals.shape} does not match grid size {self.grid.n}"
             )
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def identity(cls, grid: Grid1D) -> "OperatorKernel":
-        return cls(grid, np.eye(grid.n, dtype=np.complex128) / grid.dx)
 
     def apply(self, state: SampledFunction1D) -> SampledFunction1D:
         if not state.grid.matches(self.grid):
@@ -215,7 +211,7 @@ def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     return OperatorKernel(grid, K)
 
 
-def fractional_symbol(kernel: OperatorKernel, theta: Theta | float) -> Symbol2D:
+def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
     """Angle-theta symbol straight from the kernel.
 
     Inverse Fourier transform of the kernel in its second argument, then the
@@ -223,16 +219,15 @@ def fractional_symbol(kernel: OperatorKernel, theta: Theta | float) -> Symbol2D:
     angle this reproduces kernel_to_symbol up to resampling error; at other
     angles it provides an independent route to theta_symbol.
     """
-    theta = _as_theta(theta)
     grid = kernel.grid
     grid.require_centered()
     seed = (grid.length / SQRT_TWO_PI) * _centered_ifft(kernel.values, axis=1)
     field = PhaseFunction2D(grid, grid.dual(), seed)
-    out = propagate(field, theta.value)
+    out = propagate(field, theta)
     return Symbol2D(out.grid_x, out.grid_p, SQRT_TWO_PI * out.values)
 
 
-def theta_symbol(symbol: Symbol2D, theta: Theta | float) -> Symbol2D:
+def theta_symbol(symbol: Symbol2D, theta: float) -> Symbol2D:
     """Map a symbol from the standard angle to angle theta.
 
     At theta equal to the standard angle the input values are returned
@@ -240,11 +235,10 @@ def theta_symbol(symbol: Symbol2D, theta: Theta | float) -> Symbol2D:
     does not map polynomials to polynomials), so the output carries the
     tag only in the identity case.
     """
-    theta = _as_theta(theta)
-    if theta.is_wigner:
+    if _is_wigner_angle(theta):
         poly = None if symbol.poly is None else symbol.poly.copy()
         return Symbol2D(symbol.grid_x, symbol.grid_xi, symbol.values.copy(), poly)
-    return _transport(symbol, theta.value - THETA_WIGNER)
+    return _transport(symbol, theta - THETA_WIGNER)
 
 
 def _transport(symbol: Symbol2D, angle: float) -> Symbol2D:
@@ -461,7 +455,7 @@ def moyal_product(a: Symbol2D, b: Symbol2D, method: str | None = None) -> Symbol
 
 
 def theta_product(
-    a: Symbol2D, b: Symbol2D, theta: Theta | float, method: str | None = None
+    a: Symbol2D, b: Symbol2D, theta: float, method: str | None = None
 ) -> Symbol2D:
     """Star product of two angle-theta symbols, returned at the same angle.
 
@@ -469,13 +463,12 @@ def theta_product(
     pushes the result forward.  At the standard angle itself the pullback
     is skipped entirely, so the result is identical to moyal_product.
     """
-    theta = _as_theta(theta)
     _require_common_grids(a, b)
-    if theta.is_wigner:
+    if _is_wigner_angle(theta):
         return moyal_product(a, b, method=method)
-    back = THETA_WIGNER - theta.value
+    back = THETA_WIGNER - theta
     base = moyal_product(_transport(a, back), _transport(b, back), method=method)
-    return _transport(base, theta.value - THETA_WIGNER)
+    return _transport(base, theta - THETA_WIGNER)
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +488,7 @@ def _operator_kernel(op: OperatorKernel | Symbol2D) -> OperatorKernel:
 def expectation(
     op: OperatorKernel | Symbol2D,
     state: SampledFunction1D,
-    theta: Theta | float = THETA_WIGNER,
+    theta: float = THETA_WIGNER,
 ) -> ExpectationResult:
     """Expectation of an operator in a state, with a phase-space cross-check.
 
@@ -506,7 +499,6 @@ def expectation(
     kernel that is not conj-symmetric within SELF_ADJOINT_TOL triggers a
     warning and the result also reports (psi, A psi).
     """
-    theta = _as_theta(theta)
     kernel = _operator_kernel(op)
     if not state.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match operator grid")

@@ -5,16 +5,18 @@ built from the shear-factorized propagator in `metaplectic`.  At the special
 angle THETA_WIGNER the result is, up to the (2*pi)^(-1/2) prefactor, the
 cross Wigner distribution; at theta = 0 it is the Kirkwood distribution; the
 angle enters only through the propagator, so every theta shares one code
-path.  Windowed variants treat the second argument as an analysis window
-(normalized, Fourier transform cached) and omit the prefactor, giving an
-isometry from states to phase-space functions.
+path.  Angles are plain floats: U(theta) is periodic in theta and the
+propagator takes any finite angle, so no reduction is made here; a
+non-finite angle is refused with a message naming theta.  Windowed variants
+treat the second argument as an analysis window (normalized, Fourier
+transform cached) and omit the prefactor, giving an isometry from states to
+phase-space functions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .metaplectic import propagate
 from .symplectic import PERIOD, THETA_WIGNER
 
 __all__ = [
-    "Theta",
     "Window",
     "wigner_fractional",
     "wigner_metaplectic",
@@ -47,7 +48,7 @@ __all__ = [
 
 _WINDOW_NORM_WARN = 1.0e-6
 _WINDOW_NORM_MIN = 1.0e-12
-_WIGNER_TOL = 1.0e-12  # THETA_WIGNER + k*PERIOD reduces to a few ulps off
+_WIGNER_TOL = 1.0e-12  # THETA_WIGNER + k*PERIOD lands a few ulps off
 
 
 def _finite_angle(value: float) -> float:
@@ -56,29 +57,9 @@ def _finite_angle(value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Theta:
-    """Transform angle, stored reduced to the fundamental interval [0, PERIOD).
-
-    Angles differing by the flow period give the same propagator, so the
-    reduction changes nothing but rounding, which is_wigner allows for.
-    Non-finite angles are rejected.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        value = _finite_angle(float(self.value))
-        object.__setattr__(self, "value", float(np.remainder(value, PERIOD)))
-
-    @classmethod
-    def wigner(cls) -> "Theta":
-        return cls(THETA_WIGNER)
-
-    @property
-    def is_wigner(self) -> bool:
-        """Whether this is the distinguished angle, up to reduction rounding."""
-        return abs(self.value - THETA_WIGNER) <= _WIGNER_TOL
+def _is_wigner_angle(theta: float) -> bool:
+    """Whether theta is the distinguished angle modulo PERIOD, to rounding."""
+    return abs(math.remainder(_finite_angle(theta) - THETA_WIGNER, PERIOD)) <= _WIGNER_TOL
 
 
 class Window:
@@ -106,57 +87,50 @@ class Window:
         return self.state.grid
 
 
-def _as_theta(theta: Theta | float) -> Theta:
-    """The one coercion from a raw angle to a reduced Theta."""
-    return theta if isinstance(theta, Theta) else Theta(theta)
-
-
-def windowed_transform(psi: SampledFunction1D, window: Window, theta) -> PhaseFunction2D:
+def windowed_transform(psi: SampledFunction1D, window: Window, theta: float) -> PhaseFunction2D:
     """U(theta)(psi (x) conj(FT window)): isometric analysis transform."""
-    theta = _as_theta(theta)
     if not psi.grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
     seed = tensor_outer(psi, conjugate(window.transform))
-    return propagate(seed, theta.value)
+    return propagate(seed, theta)
 
 
-def windowed_adjoint(phase: PhaseFunction2D, window: Window, theta) -> SampledFunction1D:
+def windowed_adjoint(phase: PhaseFunction2D, window: Window, theta: float) -> SampledFunction1D:
     """Adjoint of windowed_transform: integrate U(-theta)Phi against FT window.
 
     The window transform enters unconjugated; the conjugation that pairs with
     the forward map sits on the phase-space side of the inner product.
     """
-    theta = _as_theta(theta)
     if not phase.grid_x.matches(window.grid):
         raise ConfigurationError("phase function and window live on different grids")
-    back = propagate(phase, -theta.value)
+    back = propagate(phase, -theta)
     weights = window.transform.values
     values = back.values @ weights * phase.grid_p.dx
     return SampledFunction1D(phase.grid_x, values)
 
 
-def windowed_projection(phase: PhaseFunction2D, window: Window, theta) -> PhaseFunction2D:
+def windowed_projection(phase: PhaseFunction2D, window: Window, theta: float) -> PhaseFunction2D:
     """Projection onto the range of the windowed transform: W o W*."""
     return windowed_transform(windowed_adjoint(phase, window, theta), window, theta)
 
 
-def wigner_fractional(psi: SampledFunction1D, phi: SampledFunction1D, theta) -> PhaseFunction2D:
+def wigner_fractional(psi: SampledFunction1D, phi: SampledFunction1D,
+                      theta: float) -> PhaseFunction2D:
     """Fractional cross distribution (2*pi)^(-1/2) U(theta)(psi (x) conj(FT phi)).
 
     The second slot is a state, not a window: no normalization is applied,
     and the map is antilinear in phi as required by sesquilinearity.
     """
-    theta = _as_theta(theta)
     if not psi.grid.matches(phi.grid):
         raise ConfigurationError("states live on different grids")
     seed = tensor_outer(psi, conjugate(fourier_1d(phi)))
-    out = propagate(seed, theta.value)
+    out = propagate(seed, theta)
     return PhaseFunction2D(out.grid_x, out.grid_p, out.values / SQRT_TWO_PI)
 
 
 def wigner_metaplectic(psi: SampledFunction1D, phi: SampledFunction1D) -> PhaseFunction2D:
     """Cross Wigner distribution through the propagator at THETA_WIGNER."""
-    return wigner_fractional(psi, phi, Theta.wigner())
+    return wigner_fractional(psi, phi, THETA_WIGNER)
 
 
 def _half_shifted(values: np.ndarray, grid: Grid1D, sign: float) -> np.ndarray:

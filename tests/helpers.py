@@ -1,4 +1,5 @@
-"""Reference implementations that tests compare the package against."""
+"""Reference implementations that tests compare the package against, and
+the small constructions only tests use."""
 
 from __future__ import annotations
 
@@ -7,7 +8,78 @@ from array import array
 
 import numpy as np
 
+from phasekit import states
+from phasekit.grid import Grid1D, PhaseFunction2D
 from phasekit.gridfile import FileFormatError
+from phasekit.metaplectic import QUARTER_TURN, ShearFactorization
+from phasekit.symplectic import SYMPLECTIC_J, flow_matrix
+from phasekit.weyl import OperatorKernel
+
+#: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
+GENERATOR = np.array(
+    [
+        [-1.0, 0.0, 0.0, 2.0],
+        [0.0, -1.0, 2.0, 0.0],
+        [0.0, -4.0, 1.0, 0.0],
+        [-4.0, 0.0, 0.0, 1.0],
+    ]
+)
+
+
+def hamiltonian_value(z) -> float:
+    """H(z) = 2*xi_x*xi_p - x*xi_x - p*xi_p + 4*x*p."""
+    x, p, xi_x, xi_p = np.asarray(z, dtype=float)
+    return float(2.0 * xi_x * xi_p - x * xi_x - p * xi_p + 4.0 * x * p)
+
+
+def symplectic_form(z, w) -> float:
+    """sigma(z, w) = xi_x*x' + xi_p*p' - xi_x'*x - xi_p'*p."""
+    return float(np.asarray(z, dtype=float) @ SYMPLECTIC_J @ np.asarray(w, dtype=float))
+
+
+def level_invariants(z) -> tuple[float, float]:
+    """The two quadratics conserved by the flow, one per mixed plane."""
+    x, p, xi_x, xi_p = np.asarray(z, dtype=float)
+    return (
+        float(2.0 * x * x + xi_p * xi_p - x * xi_p),
+        float(2.0 * p * p + xi_x * xi_x - p * xi_x),
+    )
+
+
+def apply_flow(theta: float, z) -> np.ndarray:
+    return flow_matrix(theta) @ np.asarray(z, dtype=float)
+
+
+def random_phase_wave(grid_x: Grid1D, grid_p: Grid1D,
+                      rng: np.random.Generator) -> PhaseFunction2D:
+    """Unit-norm random combination of the first 4 x 4 Hermite tensor
+    products on the phase grid."""
+    modes = 4
+    hx = [states.hermite(grid_x, m).values for m in range(modes)]
+    hp = [states.hermite(grid_p, m).values for m in range(modes)]
+    coeff = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    values = np.zeros((grid_x.n, grid_p.n), dtype=np.complex128)
+    for a in range(modes):
+        for b in range(modes):
+            values += coeff[a, b] * np.outer(hx[a], hp[b])
+    F = PhaseFunction2D(grid_x, grid_p, values)
+    F.values /= F.norm()
+    return F
+
+
+def identity_kernel(grid: Grid1D) -> OperatorKernel:
+    """The identity's kernel: a discrete delta of height 1/dx."""
+    return OperatorKernel(grid, np.eye(grid.n, dtype=np.complex128) / grid.dx)
+
+
+def factorization_matrix(fac: ShearFactorization) -> np.ndarray:
+    """The 2x2 map a factorization stands for: its quarter turns, then its
+    three shears, composed left to right."""
+    M = np.linalg.matrix_power(QUARTER_TURN, fac.quarters)
+    if fac.shears is not None:
+        b, c, d = fac.shears
+        M = M @ [[1.0, b], [0.0, 1.0]] @ [[1.0, 0.0], [c, 1.0]] @ [[1.0, d], [0.0, 1.0]]
+    return M
 
 
 def parse_csv_per_line(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import count_fft_passes
+from helpers import count_fft_passes, random_phase_wave
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
@@ -40,7 +40,7 @@ from phasekit.weyl import (
     symbol_x,
     symbol_xi,
 )
-from phasekit.wigner import Theta, Window, windowed_transform
+from phasekit.wigner import Window, windowed_transform
 
 
 def _window(grid):
@@ -69,8 +69,7 @@ def test_conjugated_and_direct_agree_on_smooth_data():
     # wraparound stays below tolerance (the dense matrices themselves
     # differ off that subspace, because basis deltas wrap)
     grid = Grid1D.centered(64, 10.0)
-    lifted = windowed_transform(states.hermite(grid, 2), _window(grid),
-                                Theta.wigner())
+    lifted = windowed_transform(states.hermite(grid, 2), _window(grid), THETA_WIGNER)
     # the mixed words x*xi^2, x^2*xi^2 and x^3*xi exercise every ordering
     # branch of the symmetric expansion
     mixed = []
@@ -372,7 +371,7 @@ def test_dense_matrix_is_the_apply_map(representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     M = dense_matrix(op)
     rng = np.random.default_rng(81)
-    F = states.random_phase_wave(grid, grid.dual(), rng)
+    F = random_phase_wave(grid, grid.dual(), rng)
     out = op.apply(F)
     ref = (M @ F.values.reshape(-1)).reshape(F.values.shape)
     assert np.max(np.abs(out.values - ref)) < 1e-10
@@ -383,7 +382,7 @@ def test_apply_rejects_a_mismatched_position_grid(representation):
     grid = Grid1D.centered(32, 6.0)
     op = PhaseOperator(symbol_oscillator(grid), representation)
     other = Grid1D.centered(32, 7.0)
-    F = states.random_phase_wave(other, other.dual(), np.random.default_rng(5))
+    F = random_phase_wave(other, other.dual(), np.random.default_rng(5))
     with pytest.raises(ConfigurationError, match="position grid"):
         op.apply(F)
 

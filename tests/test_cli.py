@@ -9,7 +9,7 @@ from phasekit import cli, gridfile, states
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
 from phasekit.symplectic import PERIOD, THETA_WIGNER, flow_matrix
 from phasekit.weyl import OperatorKernel, Symbol2D
-from phasekit.wigner import Theta, Window, windowed_transform
+from phasekit.wigner import Window, windowed_transform
 
 SMALL = ["--n", "64", "--half-width", "8.0"]
 
@@ -89,7 +89,7 @@ def test_propagate_zero_angle_is_identity(tmp_path):
 def test_reconstruct_inverts_windowed_transform(tmp_path):
     grid = Grid1D.centered(64, 8.0)
     psi = states.hermite(grid, 1)
-    F = windowed_transform(psi, Window(states.gaussian(grid)), Theta.wigner())
+    F = windowed_transform(psi, Window(states.gaussian(grid)), THETA_WIGNER)
     src = str(tmp_path / "lift.bin")
     out = str(tmp_path / "back.bin")
     gridfile.write(src, F, "binary")
@@ -363,8 +363,9 @@ def _repeat_argv(command, inputs):
     }[command]
 
 
-@pytest.mark.parametrize("command", cli.COMMANDS)
-def test_repeat_runs_are_bit_identical(tmp_path, command):
+def _repeat_inputs(tmp_path):
+    """The grid files _repeat_argv reads: a phase-plane function, a state
+    and a kernel, on the n=32, half-width-6 grid."""
     grid = Grid1D.centered(32, 6.0)
     rng = np.random.default_rng(3)
     inputs = {name: str(tmp_path / f"{name}.bin") for name in ("phase", "state", "kernel")}
@@ -373,6 +374,12 @@ def test_repeat_runs_are_bit_identical(tmp_path, command):
         states.hermite(grid, 2), Window(states.gaussian(grid)), 0.4), "binary")
     gridfile.write(inputs["state"], states.random_wave(grid, rng), "binary")
     gridfile.write(inputs["kernel"], OperatorKernel(grid, np.outer(g, g)), "binary")
+    return inputs
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_repeat_runs_are_bit_identical(tmp_path, command):
+    inputs = _repeat_inputs(tmp_path)
     runs = []
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
@@ -394,6 +401,85 @@ def test_repeat_runs_are_bit_identical(tmp_path, command):
         man["outputs"] = None
         men.append(json.dumps(man, sort_keys=True))
     assert men[0] == men[1]
+
+
+#: manifest inputs that are not a command's flags: the grid a state or
+#: symbol lives on, wigner's fixed angle, verify's resolved suite and overrides
+_RECORDED_EXTRAS = {"wigner": {"grid", "theta"},
+                    "verify": {"criteria", "tolerance_overrides"}}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_manifest_inputs_are_the_settings_read(tmp_path, command):
+    # every recorded input is a setting the command declares (or one of the
+    # extras), and every setting given on the command line, apart from the
+    # grid and output flags, was recorded as read
+    argv = _repeat_argv(command, _repeat_inputs(tmp_path))
+    man_path = str(tmp_path / "run.man")
+    assert cli.main([command, *argv, "--payload", "binary", "--output",
+                     str(tmp_path / "out"), "--manifest", man_path]) == 0
+    inputs = _manifest(man_path)["inputs"]
+    declared = {flag.replace("-", "_") for flag in cli._COMMANDS[command].flags + cli._COMMON}
+    assert set(inputs) <= declared | _RECORDED_EXTRAS.get(command, {"grid"})
+    given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+    assert given - {"n", "half_width"} <= set(inputs)
+
+
+def test_default_box_follows_n(tmp_path, capsys, recwarn):
+    # x_min = -8 and dx = -2*x_min/n: --n alone gives a centred box
+    out = str(tmp_path / "w.csv")
+    assert cli.main(["wigner", "--gaussian", "--n", "32", "--output", out]) == 0
+    assert _manifest(out + ".manifest.json")["inputs"]["grid"] == \
+        {"n": 32, "x_min": -8.0, "dx": 0.5}
+    base = str(tmp_path / "ev")
+    assert cli.main(["evolve", "--t", "0.1", "--steps", "1", "--n", "32",
+                     "--output", base]) == 0
+    assert _manifest(base + ".manifest.json")["inputs"]["grid"] == \
+        {"n": 32, "x_min": -8.0, "dx": 0.5}
+    assert not [w for w in recwarn if "window norm" in str(w.message)]
+    # the default n keeps the default box bit for bit
+    assert cli.main(["star", "--a", "x", "--b", "xi", "--output", out]) == 0
+    assert _manifest(out + ".manifest.json")["inputs"]["grid"] == \
+        {"n": 256, "x_min": -8.0, "dx": 0.0625}
+    capsys.readouterr()
+
+
+def test_config_grid_section_half_width(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"gaussian": True, "grid": {"n": 32, "half_width": 4}}))
+    out = str(tmp_path / "w.bin")
+    assert cli.main(["wigner", "--config", str(cfg), "--state", "hermite:1",
+                     "--output", out, "--payload", "binary"]) == 0
+    inputs = _manifest(out + ".manifest.json")["inputs"]
+    assert inputs["grid"] == {"n": 32, "x_min": -4.0, "dx": 0.25}
+    assert inputs["state"] == "gaussian"  # the config's --gaussian, as the flag would
+    # x_min and dx in the same section still win over the shortcut
+    cfg.write_text(json.dumps({"grid": {"n": 32, "half_width": 4, "dx": 0.375,
+                                        "x_min": -6.0}}))
+    assert cli.main(["wigner", "--config", str(cfg), "--output", out,
+                     "--payload", "binary"]) == 0
+    assert gridfile.read(out).grid_x == Grid1D(32, -6.0, 0.375)
+
+
+@pytest.mark.parametrize("command,config,named", [
+    ("flow", {"thetaa": 0.9}, "'thetaa'"),
+    ("flow", {"grid": {"n": 16}}, "'grid'"),
+    ("flow", {"n": 16}, "'n'"),
+    ("wigner", {"tolerances": {}}, "'tolerances'"),
+    ("wigner", {"theta": 0.3}, "'theta'"),
+    ("wigner", {"grid": {"half_wdith": 4}}, "grid.half_wdith"),
+    ("verify", {"config": "other.json"}, "'config'"),
+    ("verify", {"tolerance": ["flow-algebra/period=1e-30"]}, "'tolerance'"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, config, named):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main([command, "--config", str(cfg), "--output", str(tmp_path / "out"),
+                   "--manifest", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {named} is not a setting of {command}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
 @pytest.mark.parametrize("command", ["flow", "propagate", "fracwigner", "star"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_fft_passes
+from helpers import count_fft_passes, factorization_matrix
 from phasekit import states
 from phasekit.grid import (
     ConfigurationError,
@@ -132,7 +132,7 @@ def test_shear_factorization_reconstructs_substitution():
     for theta in (0.25, -0.6, 1.4):
         fac = shear_factorization(theta)
         target = substitution_matrix(theta)
-        assert np.max(np.abs(fac.matrix() - target)) < 1e-12
+        assert np.max(np.abs(factorization_matrix(fac) - target)) < 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,7 +141,7 @@ def test_shear_factorization_is_exact_and_bounded(theta):
     # quarter-turn range reduction keeps every shear at or below 1.5107
     # (the xi-shear near theta = 0.6087) across the whole flow family
     fac = shear_factorization(theta)
-    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < 1e-12
+    assert np.max(np.abs(factorization_matrix(fac) - substitution_matrix(theta))) < 1e-12
     assert 0 <= fac.quarters <= 3
     assert fac.shears is None or max(map(abs, fac.shears)) <= 1.52
 
@@ -206,7 +206,7 @@ def test_propagator_skips_zero_shears(monkeypatch, theta, expected):
 def test_angles_off_a_half_period_keep_their_shears(theta):
     fac = shear_factorization(theta)
     assert fac.shears is not None
-    assert np.max(np.abs(fac.matrix() - substitution_matrix(theta))) < 1e-12
+    assert np.max(np.abs(factorization_matrix(fac) - substitution_matrix(theta))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_phase_wave
 from phasekit import states
 from phasekit.grid import Grid1D, fourier_1d
 
@@ -83,6 +84,6 @@ def test_random_wave_deterministic_and_normalized():
 
 def test_random_phase_wave_shapes():
     grid = Grid1D.centered(64, 8.0)
-    F = states.random_phase_wave(grid, grid.dual(), np.random.default_rng(9))
+    F = random_phase_wave(grid, grid.dual(), np.random.default_rng(9))
     assert F.values.shape == (64, 64)
     assert F.norm() == pytest.approx(1.0, abs=1e-12)

@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import GENERATOR, apply_flow, hamiltonian_value, level_invariants, symplectic_form
 from phasekit.symplectic import (
     FREQUENCY,
-    GENERATOR,
     PERIOD,
     SYMPLECTIC_J,
     THETA_WIGNER,
-    apply_flow,
     flow_matrix,
-    hamiltonian_value,
-    level_invariants,
     plane_block,
-    symplectic_form,
 )
 
 

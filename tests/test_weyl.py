@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import identity_kernel
 from phasekit import states
 from phasekit.grid import (
     ConfigurationError,
@@ -161,7 +162,7 @@ def test_round_trip_kernel_symbol_on_arbitrary_kernels(half_n, half_width, seed)
 
 
 def test_symbol_of_identity_kernel():
-    K = OperatorKernel.identity(GRID)
+    K = identity_kernel(GRID)
     a = kernel_to_symbol(K)
     assert np.max(np.abs(a.values - 1.0)) < 1e-8
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import random_phase_wave
 from phasekit import states
 from phasekit.grid import TWO_PI, ConfigurationError, Grid1D
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import symbol_oscillator, theta_product, theta_symbol
 from phasekit.wigner import (
-    Theta,
     Window,
+    _is_wigner_angle,
     position_marginal,
     wigner_direct,
     wigner_fractional,
@@ -150,7 +151,7 @@ def test_windowed_adjointness():
     rng = np.random.default_rng(57)
     psi = states.random_wave(GRID, rng)
     window = Window(states.gaussian(GRID))
-    F = states.random_phase_wave(GRID, GRID.dual(), rng)
+    F = random_phase_wave(GRID, GRID.dual(), rng)
     theta = THETA_WIGNER
     lhs = F.inner(windowed_transform(psi, window, theta))
     rhs = windowed_adjoint(F, window, theta).inner(psi)
@@ -159,7 +160,7 @@ def test_windowed_adjointness():
 
 def test_windowed_projection_idempotent():
     rng = np.random.default_rng(58)
-    F = states.random_phase_wave(GRID, GRID.dual(), rng)
+    F = random_phase_wave(GRID, GRID.dual(), rng)
     window = Window(states.gaussian(GRID))
     P1 = windowed_projection(F, window, THETA_WIGNER)
     P2 = windowed_projection(P1, window, THETA_WIGNER)
@@ -185,12 +186,13 @@ def test_grid_mismatch_rejected():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_angles_rejected(bad):
-    # every entry point coerces through Theta, which names the angle
+    # each entry point refuses the angle by name: the Wigner-angle test
+    # through _finite_angle, the propagator through shear_factorization
     g = states.gaussian(GRID)
     window = Window(g)
     sym = symbol_oscillator(GRID)
     calls = (
-        lambda: Theta(bad),
+        lambda: _is_wigner_angle(bad),
         lambda: wigner_fractional(g, g, bad),
         lambda: windowed_transform(g, window, bad),
         lambda: theta_symbol(sym, bad),
