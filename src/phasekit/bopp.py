@@ -46,7 +46,6 @@ from .weyl import (
     SELF_ADJOINT_TOL,
     Symbol2D,
     _operator_kernel,
-    _require_dual_pair,
     _symmetric_expand,
 )
 from .wigner import Window, windowed_transform
@@ -106,9 +105,6 @@ class PhaseOperator:
             raise ConfigurationError(
                 "phase function's position grid does not match the operator grid"
             )
-        if self.representation == "bopp_conjugated":
-            phase.grid_x.require_centered()
-            phase.grid_p.require_centered()
         values = _action(self, phase.grid_x, phase.grid_p)(phase.values)
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
@@ -246,10 +242,8 @@ def bopp_intertwining_residual(
 
 
 def _plane_grid(op: PhaseOperator) -> Grid1D:
-    """The operator's position grid, checked against its dual frequency grid
-    and refused above DENSE_MAX_N points."""
+    """The operator's position grid, refused above DENSE_MAX_N points."""
     grid = op.symbol.grid_x
-    _require_dual_pair(grid, op.symbol.grid_xi)
     if grid.n > DENSE_MAX_N:
         raise ConfigurationError(
             f"dense assembly is capped at {DENSE_MAX_N} points per axis, "

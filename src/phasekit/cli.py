@@ -12,9 +12,10 @@ settings the run read (each value as used, defaults included, and the grid
 of the first state or symbol), then the output paths and any achieved
 errors next to the tolerance used.  Settings come from an optional JSON
 config file (--config) with flags winning over config values; a config key
-that is not a setting of the invoked command is refused.  The grid defaults
-to n = 256, x_min = -8 and dx = -2*x_min/n.  Runs are deterministic for a
-fixed config and seed; nothing here consults the clock.  Thread count for
+that is not a setting of the invoked command, or a string setting given as
+another JSON type, is refused.  The grid is the centred box [-H, H) of n
+points (--n, --half-width; defaults 256 and 8).  Runs are deterministic for
+a fixed config and seed; nothing here consults the clock.  Thread count for
 the FFT layer comes from the PHASEKIT_THREADS environment variable.
 
 Each subcommand is one entry in a command table: the flags it takes (from
@@ -37,7 +38,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -74,7 +75,7 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
 #: Grid keys of the flags, the config's top level and its grid section.
-_GRID_KEYS = ("n", "x_min", "dx", "half_width")
+_GRID_KEYS = ("n", "half_width")
 
 
 class UsageError(Exception):
@@ -90,7 +91,7 @@ class Settings:
 
     `get` and the spec readers record each value they hand out in `inputs`,
     which the finisher writes as the manifest's inputs; `lookup` reads
-    without recording (grid flags, output paths, required-flag checks).
+    without recording (output paths, required-flag checks).
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -140,6 +141,12 @@ class Settings:
                 if kind is not None and entries.get(key) is not None:
                     entries[key] = _typed(entries[key], kind, name,
                                           kind is float and flag != "theta")
+            # an untyped flag's config value is a string, or --gaussian's a boolean
+            # (a config 'tolerance', the other flag with an action, was refused above)
+            value = self.config.get(key)
+            want, what = (bool, "a boolean") if spec.get("action") else (str, "a string")
+            if kind is None and value is not None and not isinstance(value, want):
+                raise UsageError(f"config {key!r} must be {what}, got {value!r}")
         for key, value in tolerances.items():
             tolerances[key] = _typed(value, float, f"config tolerances.{key}", finite=True)
 
@@ -184,17 +191,15 @@ class Settings:
         return Window(_resolve_state(self.get("window", "gaussian"), grid))
 
     def grid(self) -> Grid1D:
-        """The config's grid section, then its top level, then the flags; in
-        each, x_min and dx win over the half_width shortcut (x_min = -H).
-        Defaults: n = 256, x_min = -8 and dx = -2*x_min/n, a centred box."""
-        spec = {"n": 256, "x_min": -8.0, "dx": None}
-        for layer in (self.config.get("grid", {}), self.config, vars(self.args)):
-            if layer.get("half_width") is not None:
-                spec.update(x_min=-layer["half_width"], dx=None)
-            spec.update({key: layer[key] for key in spec if layer.get(key) is not None})
-        n, x_min, dx = spec["n"], spec["x_min"], spec["dx"]
+        """The centred box [-half_width, half_width) of n points; each from
+        the flags, else the config's top level, else its grid section, else
+        the defaults n = 256 and half_width = 8."""
+        layers = (vars(self.args), self.config, self.config.get("grid", {}),
+                  {"n": 256, "half_width": 8.0})
+        n, half_width = (next(layer[key] for layer in layers if layer.get(key) is not None)
+                         for key in _GRID_KEYS)
         try:
-            return Grid1D(n, x_min, -2.0 * x_min / n if dx is None else dx)
+            return Grid1D.centered(n, half_width)
         except ConfigurationError as exc:
             raise UsageError(str(exc))
 
@@ -221,33 +226,29 @@ def _read_kind(path: str, kinds: tuple[type, ...], what: str):
     return obj
 
 
+#: Spec token -> (builder, argument type, refusal of an argument not of that
+#: type, refusal of a non-finite one); hermite refuses a negative level itself.
+_STATE_ARGS = {
+    "hermite": (states.hermite, int, "needs an integer level", None),
+    "coherent": (states.coherent, complex, "needs a complex amplitude", "amplitude must be finite"),
+    "chirp": (states.chirp, float, "rate must be a number", "rate must be finite"),
+}
+
+
 def _resolve_state(spec: str, grid: Grid1D) -> SampledFunction1D:
     """Build a state from a spec string or load it from a grid file."""
     token, _, arg = spec.partition(":")
     if token in ("gaussian", "chirp") and not arg:
         return getattr(states, token)(grid)
-    if token == "hermite":
+    if token in _STATE_ARGS:
+        build, kind, not_kind, not_finite = _STATE_ARGS[token]
         try:
-            level = int(arg)
+            value = kind(arg)
         except ValueError:
-            raise UsageError(f"hermite spec needs an integer level: {spec!r}")
-        return states.hermite(grid, level)  # which refuses a negative level
-    if token == "coherent":
-        try:
-            alpha = complex(arg)
-        except ValueError:
-            raise UsageError(f"coherent spec needs a complex amplitude: {spec!r}")
-        if not np.isfinite(alpha):
-            raise UsageError(f"coherent spec amplitude must be finite: {spec!r}")
-        return states.coherent(grid, alpha)
-    if token == "chirp":
-        try:
-            rate = float(arg)
-        except ValueError:
-            raise UsageError(f"chirp spec rate must be a number: {spec!r}")
-        if not math.isfinite(rate):
-            raise UsageError(f"chirp spec rate must be finite: {spec!r}")
-        return states.chirp(grid, rate)
+            raise UsageError(f"{token} spec {not_kind}: {spec!r}")
+        if not_finite and not np.isfinite(value):
+            raise UsageError(f"{token} spec {not_finite}: {spec!r}")
+        return build(grid, value)
     if os.path.exists(spec):
         return _read_kind(spec, (SampledFunction1D,), "a function1d grid file")
     raise UsageError(
@@ -267,6 +268,21 @@ def _write_json(path: str, record: dict) -> None:
 
 def _write_manifest(path: str, payload: dict) -> None:
     _write_json(path, {"format_version": gridfile.FORMAT_VERSION, **payload})
+
+
+def _plain(value: Any) -> Any:
+    """value as JSON data: a dataclass as its fields (None dropped), arrays
+    as lists, complex numbers as [re, im], mapping keys as str."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return [_plain(item) for item in value]
+    if isinstance(value, complex):  # numpy's complex128 too
+        return [float(value.real), float(value.imag)]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _float_csv(value: float) -> str:
@@ -293,10 +309,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "payload": {"choices": gridfile.PAYLOADS,
                 "help": "grid file payload encoding (default csv)"},
     "n": {"type": int, "help": "grid size (even; default 256)"},
-    "x-min": {"type": float, "help": "left grid edge (default -8)"},
-    "dx": {"type": float, "help": "grid spacing (default -2*x_min/n)"},
     "half-width": {"type": float,
-                   "help": "centered grid shortcut: x_min=-H, dx=2H/n"},
+                   "help": "half width H of the centred box [-H, H) (default 8)"},
     "theta": {"type": float,
               "help": "angle (default: the distinguished angle; flow: 0)"},
     "input": {"help": "phase2d grid file"},
@@ -324,7 +338,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
                           "propagator/group-law=1e-5 (repeatable)"},
 }
 _COMMON = ("config", "output", "manifest", "payload")
-_GRID = ("n", "x-min", "dx", "half-width")
+_GRID = ("n", "half-width")
 
 
 @dataclass
@@ -441,15 +455,7 @@ def _run_expect(s: Settings, out: dict) -> _Run:
                   what="a kernel or symbol grid file")
     state = s.state("state", op.grid if isinstance(op, OperatorKernel) else op.grid_x)
     result = expectation(op, state, s.theta())
-    record = {
-        "value": [result.value.real, result.value.imag],
-        "phase_value": [result.phase_value.real, result.phase_value.imag],
-        "residual": result.residual,
-        "self_adjoint": result.self_adjoint,
-    }
-    if result.adjoint_value is not None:
-        record["adjoint_value"] = [result.adjoint_value.real,
-                                   result.adjoint_value.imag]
+    record = _plain(result)
     return _Run({"expectation": record},
                 f"expectation value {result.value:.12g} (phase-space route "
                 f"residual {result.residual:.3e}) -> {out['expectation']}",
@@ -466,15 +472,7 @@ def _run_bopp_spectrum(s: Settings, out: dict) -> _Run:
     report = bopp_spectrum(symbol, count, s.window(symbol.grid_x),
                            representation=s.get("representation", "bopp_conjugated"),
                            gap=s.get("gap", PAIRING_GAP))
-    record = {
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "multiplicities": [int(m) for m in report.multiplicities],
-        "residuals": [float(r) for r in report.residuals],
-        "pairing": {str(k): int(v) for k, v in report.pairing.items()},
-        "reference_eigenvalues": [float(v) for v in report.reference_eigenvalues],
-        "pushforward_residuals": [float(r) for r in report.pushforward_residuals],
-        "gap": float(report.gap),
-    }
+    record = _plain(report)
     eigenvalues = record["eigenvalues"]
     references = [record["reference_eigenvalues"][report.pairing[i]]
                   for i in range(len(eigenvalues))]
@@ -532,17 +530,20 @@ def _run_verify(s: Settings, out: dict) -> _Run:
     seed = s.get("seed", 0)
     overrides = _parse_tolerance_overrides(s)
     s.inputs.update(criteria=list(names), tolerance_overrides=overrides)
+    results = verify.run_all(seed=seed, names=names)
+    labels = [f"{r.criterion}/{r.check}" for r in results]
+    for key in overrides:
+        if key not in labels:
+            raise UsageError(f"tolerance {key!r} names no check of suite {suite}")
     rows = []
     failing: list[str] = []
-    for r in verify.run_all(seed=seed, names=names):
-        tolerance = float(overrides.get(f"{r.criterion}/{r.check}", r.tolerance))
+    for label, r in zip(labels, results):
+        tolerance = float(overrides.get(label, r.tolerance))
         passed = bool(float(r.error) <= tolerance)
-        rows.append({"criterion": r.criterion, "check": r.check,
-                     "tolerance": tolerance, "error": float(r.error),
-                     "passed": passed, "detail": r.detail})
+        rows.append({**_plain(r), "tolerance": tolerance, "error": float(r.error),
+                     "passed": passed})
         if not passed and r.criterion not in failing:
             failing.append(r.criterion)
-    labels = [f"{row['criterion']}/{row['check']}" for row in rows]
     width = max(len(label) for label in labels)
     lines = [f"{'pass' if row['passed'] else 'FAIL'}  {label:<{width}}  "
              f"error={row['error']:.3e}  tolerance={row['tolerance']:.1e}"

@@ -1,10 +1,10 @@
 """Centered 1D grids, sampled functions, and the unitary Fourier pipeline.
 
-Every transform in this package runs on grids that are symmetric about the
-origin (x_min = -N*dx/2, N even).  The Fourier convention is the symmetric
-one: a factor (2*pi)**-0.5 on both directions, e^{-i xi x} forward.  Dual
-grids come out in natural ascending order with spacing 2*pi/(N*dx), so the
-dual of the dual is the original grid again.
+Every grid is symmetric about the origin (x_min = -N*dx/2, N even); Grid1D
+refuses any other, so no transform checks it again.  The Fourier convention
+is the symmetric one: a factor (2*pi)**-0.5 on both directions, e^{-i xi x}
+forward.  Dual grids come out in natural ascending order with spacing
+2*pi/(N*dx), so the dual of the dual is the original grid again.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def fft_workers() -> int:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid x_j = x_min + j*dx, j = 0..n-1, with n even."""
+    """Uniform grid x_j = x_min + j*dx, j = 0..n-1, n even, x_min = -n*dx/2."""
 
     n: int
     x_min: float
@@ -59,13 +59,21 @@ class Grid1D:
                 raise ConfigurationError(f"grid {key} must be a finite number, got {value!r}")
         if not self.dx > 0:
             raise ConfigurationError(f"grid spacing dx must be positive, got {self.dx}")
+        length = self.length if self.n < 2**1023 else math.inf  # past float range
+        # an infinite length is no box: the bound must be finite too
+        if not abs(self.x_min + 0.5 * length) <= GRID_TOL * max(1.0, length) < math.inf:
+            raise ConfigurationError(
+                f"grid must be symmetric about 0 (x_min = -n*dx/2), got "
+                f"x_min={self.x_min}, n*dx/2={0.5 * length}"
+            )
 
     @classmethod
     def centered(cls, n: int, half_width: float) -> "Grid1D":
         """Grid of n points covering [-half_width, half_width)."""
         if not half_width > 0:
             raise ConfigurationError("half_width must be positive")
-        return cls(n, -float(half_width), 2.0 * float(half_width) / n)
+        # max: n = 0 reaches the size check instead of dividing by zero
+        return cls(n, -float(half_width), 2.0 * float(half_width) / max(n, 1))
 
     @property
     def length(self) -> float:
@@ -83,24 +91,9 @@ class Grid1D:
         d = self.dual_spacing
         return Grid1D(self.n, -0.5 * self.n * d, d)
 
-    def is_centered(self) -> bool:
-        return abs(self.x_min + 0.5 * self.length) <= GRID_TOL * max(1.0, abs(self.length))
-
-    def require_centered(self) -> None:
-        if not self.is_centered():
-            raise ConfigurationError(
-                f"grid must be symmetric about 0 (x_min = -n*dx/2), got "
-                f"x_min={self.x_min}, n*dx/2={0.5 * self.length}"
-            )
-
     def matches(self, other: "Grid1D") -> bool:
-        """Equality up to floating-point noise in the spacings."""
-        scale = max(1.0, abs(self.length))
-        return (
-            self.n == other.n
-            and abs(self.x_min - other.x_min) <= GRID_TOL * scale
-            and abs(self.dx - other.dx) <= GRID_TOL * max(1.0, self.dx)
-        )
+        """Equality up to noise in dx; both grids are centred, so x_min follows."""
+        return self.n == other.n and abs(self.dx - other.dx) <= GRID_TOL * max(1.0, self.dx)
 
 
 def _require_matching(g1: Grid1D, g2: Grid1D, what: str) -> None:
@@ -198,7 +191,6 @@ def _spectral_step(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.
 def fourier_1d(f: SampledFunction1D) -> SampledFunction1D:
     """Unitary Fourier transform onto the dual grid:
     (2*pi)**-0.5 * integral e^{-i xi x} f(x) dx, sampled on f.grid.dual()."""
-    f.grid.require_centered()
     return SampledFunction1D(f.grid.dual(), (f.grid.dx / SQRT_TWO_PI) * _centered_fft(f.values))
 
 

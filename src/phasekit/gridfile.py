@@ -8,11 +8,12 @@ then real and imaginary parts, written with round-trippable float reprs) or
 raw little-endian complex128 bytes in row-major order; the raw encoding
 round-trips bit-exactly.  Readers check that the payload length matches the
 shape the header promises, so truncated files fail loudly instead of
-shifting data, and reject non-finite values and repeated CSV indices.  A CSV
-payload goes through numpy's C parser in one call.  If the parser refuses
-it, the reader parses blocks of about sqrt(N) lines, then the lines of the
-first block refused one by one, to name the first faulty line.  No n-entry
-array is made before the rows are known to fill it.
+shifting data, and reject non-finite values, repeated CSV indices, grids off
+centre and symbols whose frequency grid is not the dual.  A CSV payload goes
+through numpy's C parser in one call.  If the parser refuses it, the reader
+parses blocks of about sqrt(N) lines, then the lines of the first block
+refused one by one, to name the first faulty line.  No n-entry array is made
+before the rows are known to fill it.
 
 Polynomial tags on symbols survive the trip through an optional header
 field; without that, a tagged symbol would silently lose its exact-algebra
@@ -53,8 +54,8 @@ class FileFormatError(Exception):
 
 
 def _grid_from_header(entry: dict, what: str) -> Grid1D:
-    # JSON numbers as they stand: Grid1D refuses a non-integer n and a
-    # non-finite or non-numeric x_min or dx
+    # JSON numbers as they stand: Grid1D refuses a non-integer n, a
+    # non-finite or non-numeric x_min or dx, and a grid off centre
     try:
         return Grid1D(entry["n"], entry["x_min"], entry["dx"])
     except (KeyError, TypeError, ConfigurationError) as exc:
@@ -250,4 +251,7 @@ def read(path: str) -> GridObject:
             index = tuple(int(i) for i in np.unravel_index(bad[0], shape))
             raise FileFormatError(f"binary payload entry {index} is not finite")
     poly = (_poly_from_header(header),) if cls is Symbol2D else ()
-    return cls(*grids.values(), values, *poly)
+    try:
+        return cls(*grids.values(), values, *poly)
+    except ConfigurationError as exc:  # a symbol's grids that are not a dual pair
+        raise FileFormatError(f"inconsistent header: {exc}") from exc

@@ -157,8 +157,6 @@ def _propagate_values(
 
 def propagate(F: PhaseFunction2D, theta: float) -> PhaseFunction2D:
     """Apply the unitary propagator U(theta) to a phase-plane function."""
-    F.grid_x.require_centered()
-    F.grid_p.require_centered()
     return PhaseFunction2D(
         F.grid_x, F.grid_p, _propagate_values(F.values, F.grid_x, F.grid_p, theta)
     )
@@ -171,8 +169,6 @@ def generator_apply(F: PhaseFunction2D) -> PhaseFunction2D:
     -2i*xi*d/dx + i*x*d/dx - i*xi*d/dxi + 4i*x*d/dxi; derivatives are
     spectral, and the partial transforms wrapping it are the bare pair.
     """
-    F.grid_x.require_centered()
-    F.grid_p.require_centered()
     grid_e = F.grid_p.dual()
     x = F.grid_x.nodes()[:, None]
     xi = grid_e.nodes()[None, :]

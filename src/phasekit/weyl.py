@@ -115,7 +115,7 @@ class OperatorKernel:
 
 @dataclass(frozen=True)
 class Symbol2D:
-    """Phase-space symbol sampled on grid_x x grid_xi.
+    """Phase-space symbol sampled on grid_x x grid_xi, grid_xi the dual of grid_x.
 
     poly, when present, holds the coefficient matrix c[i, j] of
     sum c[i, j] x**i xi**j that the values render; it marks symbols of
@@ -128,6 +128,10 @@ class Symbol2D:
     poly: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not self.grid_xi.matches(self.grid_x.dual()):
+            raise ConfigurationError(
+                "symbol frequency grid is not the Fourier dual of its position grid"
+            )
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (self.grid_x.n, self.grid_xi.n):
             raise ConfigurationError(
@@ -164,14 +168,6 @@ class ExpectationResult:
 # kernel <-> symbol, exact on the discrete torus
 
 
-def _require_dual_pair(grid_x: Grid1D, grid_xi: Grid1D) -> None:
-    expected = grid_x.dual()
-    if not grid_xi.matches(expected):
-        raise ConfigurationError(
-            "symbol frequency grid is not the Fourier dual of its position grid"
-        )
-
-
 def _diagonal_layout(n: int, sign: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Index of an n x n kernel's diagonals as columns, and their half-sample shift.
 
@@ -193,7 +189,6 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     dual grid with the dx quadrature weight.
     """
     grid = kernel.grid
-    grid.require_centered()
     index, shift = _diagonal_layout(grid.n, -1)
     gmat = np.fft.ifft(np.fft.fft(kernel.values[index], axis=0) * shift, axis=0)
     return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(gmat, axis=1))
@@ -201,9 +196,7 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
 
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     """Kernel of a symbol; runs kernel_to_symbol backwards step by step."""
-    _require_dual_pair(symbol.grid_x, symbol.grid_xi)
     grid = symbol.grid_x
-    grid.require_centered()
     index, shift = _diagonal_layout(grid.n, +1)
     gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
     K = np.empty((grid.n, grid.n), dtype=np.complex128)
@@ -220,7 +213,6 @@ def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
     angles it provides an independent route to theta_symbol.
     """
     grid = kernel.grid
-    grid.require_centered()
     seed = (grid.length / SQRT_TWO_PI) * _centered_ifft(kernel.values, axis=1)
     field = PhaseFunction2D(grid, grid.dual(), seed)
     out = propagate(field, theta)
@@ -297,17 +289,14 @@ def _moyal_poly(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return _poly_trim(out)
 
 
-def polynomial_symbol(
-    coeffs: np.ndarray, grid_x: Grid1D, grid_xi: Grid1D | None = None
-) -> Symbol2D:
-    """Symbol with declared polynomial growth, rendered on the grid pair."""
+def polynomial_symbol(coeffs: np.ndarray, grid_x: Grid1D) -> Symbol2D:
+    """Symbol with declared polynomial growth, rendered on grid_x and its dual."""
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
     if coeffs.shape[0] - 1 > POLY_MAX_DEGREE or coeffs.shape[1] - 1 > POLY_MAX_DEGREE:
         raise ConfigurationError(
             f"polynomial symbol degree exceeds {POLY_MAX_DEGREE} per variable"
         )
-    if grid_xi is None:
-        grid_xi = grid_x.dual()
+    grid_xi = grid_x.dual()
     values = npoly.polygrid2d(grid_x.nodes(), grid_xi.nodes(), coeffs)
     return Symbol2D(grid_x, grid_xi, values.astype(np.complex128), coeffs)
 
@@ -364,7 +353,6 @@ def mccoy_kernel(symbol: Symbol2D) -> OperatorKernel:
     with X the position multiplier and P the spectral derivative matrix."""
     if symbol.poly is None:
         raise ConfigurationError("mccoy_kernel requires a polynomial-tagged symbol")
-    _require_dual_pair(symbol.grid_x, symbol.grid_xi)
     grid = symbol.grid_x
     nodes = grid.nodes()[:, None]
     dmat = _derivative_matrix(grid)

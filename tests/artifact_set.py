@@ -71,11 +71,17 @@ wigner --gaussian --n 32 --output wn32.csv
 evolve --t 0.1 --steps 1 --n 32 --output evn32
 wigner --config in/halfwidth.json --output whw.csv
 flow --config in/typo.json --output typo.csv
+propagate --input in/offcentre.bin --output offc.csv
+star --a in/nondual.csv --b x --output nondual.csv
+wigner --gaussian --n 32 --x-min -4 --output xmin.csv
+wigner --config in/xmin.json --output xmincfg.csv
+verify --suite flow --tolerance flow-algebra/nonexistent=1e-30 --manifest vnone.json
 """
 
 
 def make_inputs(root: str) -> None:
-    """The input files: all on the n=32, half-width-6 grid."""
+    """The input files: all on the n=32, half-width-6 grid, but for two
+    whose headers are edited to an off-centre grid and a non-dual pair."""
     os.makedirs(os.path.join(root, "in"))
     grid = Grid1D.centered(32, 6.0)
     x = grid.nodes()[:, None]
@@ -97,14 +103,23 @@ def make_inputs(root: str) -> None:
     for name, obj in files.items():
         gridfile.write(os.path.join(root, "in", name), obj,
                        "binary" if name.endswith(".bin") else "csv")
+    for source, name, key, entry in (
+            ("phase.bin", "offcentre.bin", "grid_x", {"n": 32, "x_min": 0.0, "dx": 0.375}),
+            ("sym1.csv", "nondual.csv", "grid_xi", {"n": 32, "x_min": -6.0, "dx": 0.375})):
+        with open(os.path.join(root, "in", source), "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+        header = json.dumps({**json.loads(header), key: entry}).encode("utf-8")
+        with open(os.path.join(root, "in", name), "wb") as fh:
+            fh.write(header + b"\n" + body)
     configs = {
-        "frac.json": {"command": "fracwigner", "n": 32, "x_min": -6.0, "dx": 0.375,
+        "frac.json": {"command": "fracwigner", "n": 32, "half_width": 6.0,
                       "theta": 0.7, "state": "hermite:2"},
         "spec.json": {"command": "bopp-spectrum", "symbol": "oscillator", "count": 2,
-                      "grid": {"n": 16, "x_min": -5.0, "dx": 0.625}, "gap": 0.001},
+                      "grid": {"n": 16, "half_width": 5.0}, "gap": 0.001},
         "halfwidth.json": {"command": "wigner", "gaussian": True,
                            "grid": {"n": 32, "half_width": 4}},
         "typo.json": {"thetaa": 0.9},
+        "xmin.json": {"gaussian": True, "n": 32, "x_min": -4.0},
     }
     for name, record in configs.items():
         with open(os.path.join(root, "in", name), "w", encoding="utf-8") as fh:

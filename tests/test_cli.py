@@ -1,6 +1,7 @@
 """End-to-end command-line checks: artifacts, manifests, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_config_merge_and_flag_precedence(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({
         "command": "fracwigner",
-        "grid": {"n": 64, "x_min": -6.0, "dx": 0.1875},
+        "grid": {"n": 64, "half_width": 6.0},
         "theta": 0.1,
         "state": "hermite:1",
     }))
@@ -271,7 +272,7 @@ def test_config_merge_and_flag_precedence(tmp_path):
 
 def test_config_top_level_grid_keys(tmp_path):
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"n": 64, "x_min": -6.0, "dx": 0.1875}))
+    cfg.write_text(json.dumps({"n": 64, "half_width": 6.0}))
     out = str(tmp_path / "w.bin")
     rc = cli.main(["wigner", "--gaussian", "--config", str(cfg),
                    "--output", out, "--payload", "binary"])
@@ -453,9 +454,8 @@ def test_config_grid_section_half_width(tmp_path):
     inputs = _manifest(out + ".manifest.json")["inputs"]
     assert inputs["grid"] == {"n": 32, "x_min": -4.0, "dx": 0.25}
     assert inputs["state"] == "gaussian"  # the config's --gaussian, as the flag would
-    # x_min and dx in the same section still win over the shortcut
-    cfg.write_text(json.dumps({"grid": {"n": 32, "half_width": 4, "dx": 0.375,
-                                        "x_min": -6.0}}))
+    # the config's top level wins over its grid section
+    cfg.write_text(json.dumps({"half_width": 6, "grid": {"n": 32, "half_width": 4}}))
     assert cli.main(["wigner", "--config", str(cfg), "--output", out,
                      "--payload", "binary"]) == 0
     assert gridfile.read(out).grid_x == Grid1D(32, -6.0, 0.375)
@@ -470,6 +470,8 @@ def test_config_grid_section_half_width(tmp_path):
     ("wigner", {"grid": {"half_wdith": 4}}, "grid.half_wdith"),
     ("verify", {"config": "other.json"}, "'config'"),
     ("verify", {"tolerance": ["flow-algebra/period=1e-30"]}, "'tolerance'"),
+    ("wigner", {"x_min": -4.0}, "'x_min'"),
+    ("star", {"grid": {"n": 16, "dx": 0.5}}, "grid.dx"),
 ])
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, config, named):
     cfg = tmp_path / "job.json"
@@ -512,7 +514,7 @@ def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
     ("evolve", {"t": "soon"}),
     ("verify", {"tolerances": {"flow-algebra/period": "tight"}}),
     ("evolve", {"t": float("nan")}),
-    ("wigner", {"grid": {"dx": float("inf")}}),
+    ("wigner", {"grid": {"half_width": float("inf")}}),
     ("verify", {"tolerances": {"flow-algebra/period": float("nan")}}),
 ])
 def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
@@ -532,8 +534,8 @@ def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
     ("gap", ["bopp-spectrum", "--symbol", "x", "--count", "1", "--n", "16",
              "--half-width", "5"]),
     ("half-width", ["wigner", "--n", "16"]),
-    ("x-min", ["wigner", "--n", "16", "--dx", "0.5"]),
-    ("dx", ["wigner", "--n", "16", "--x-min", "-4"]),
+    ("half-width", ["star", "--a", "x", "--b", "xi", "--n", "16"]),
+    ("half-width", ["evolve", "--t", "0.1", "--n", "16"]),
     ("tolerance flow-algebra/period", ["verify", "--suite", "flow"]),
 ])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -645,7 +647,7 @@ def test_wrong_kind_input(tmp_path, capsys):
 def test_oversized_binary_header_is_usage_error(tmp_path, capsys):
     # n = 2**32 on both axes: a numpy product of the shape wraps to 0 bytes,
     # which an empty body would match
-    grid = {"n": 2**32, "x_min": -4.0, "dx": 0.5}
+    grid = {"n": 2**32, "x_min": -2.0**30, "dx": 0.5}
     src = tmp_path / "huge.bin"
     src.write_bytes(json.dumps({"kind": "phase2d", "grid_x": grid, "grid_p": grid,
                                 "format_version": 1, "dtype": "complex128",
@@ -655,6 +657,100 @@ def test_oversized_binary_header_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: binary payload holds 0 bytes")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin"]
+
+
+@pytest.mark.parametrize("command,config,key,what", [
+    ("star", {"a": 1, "b": "x"}, "a", "a string"),
+    ("wigner", {"state": 3}, "state", "a string"),
+    ("evolve", {"t": 0.1, "window": ["gaussian"]}, "window", "a string"),
+    ("wigner", {"gaussian": 1}, "gaussian", "a boolean"),
+])
+def test_config_spec_of_the_wrong_json_type_is_usage_error(tmp_path, capfd, command,
+                                                          config, key, what):
+    # a number is no spec: os.path.exists(1) is true for the open descriptor 1,
+    # which a grid-file read would open and close
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main([command, "--config", str(cfg), "--n", "16", "--half-width", "4",
+                   "--output", str(tmp_path / "out"), "--manifest", str(tmp_path / "m.json")])
+    assert rc == 2
+    os.write(1, b"stdout still open\n")
+    out, err = capfd.readouterr()
+    assert out == "stdout still open\n"
+    assert err == f"error: config {key!r} must be {what}, got {config[key]!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+def _set_header(path, **entries):
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = {**json.loads(raw[:newline]), **entries}
+    path.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
+
+
+@pytest.mark.parametrize("payload", ["csv", "binary"])
+def test_off_centre_or_non_dual_grid_file_is_usage_error(tmp_path, capsys, payload):
+    grid = Grid1D.centered(16, 4.0)
+    values = np.ones((16, 16))
+    phase, symbol = tmp_path / "phase", tmp_path / "symbol"
+    gridfile.write(str(phase), PhaseFunction2D(grid, grid.dual(), values), payload)
+    _set_header(phase, grid_x={"n": 16, "x_min": 0.0, "dx": 0.5})  # [0, 8)
+    gridfile.write(str(symbol), Symbol2D(grid, grid.dual(), values), payload)
+    _set_header(symbol, grid_xi={"n": 16, "x_min": -4.0, "dx": 0.5})  # centred, not the dual
+    for argv, message in (
+            (["propagate", "--input", str(phase)],
+             "malformed grid_x entry in header: grid must be symmetric about 0"),
+            (["star", "--a", str(symbol), "--b", "x"],
+             "inconsistent header: symbol frequency grid is not the Fourier dual")):
+        rc = cli.main([*argv, "--output", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["phase", "symbol"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0"], "grid size n must be a positive even integer, got 0"),
+    (["--n", "7"], "grid size n must be a positive even integer, got 7"),
+    (["--half-width", "0"], "half_width must be positive"),
+    (["--half-width", "-2"], "half_width must be positive"),
+])
+def test_bad_grid_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    rc = cli.main(["wigner", "--gaussian", *argv, "--output", str(tmp_path / "w.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--x-min", "--dx"])
+def test_removed_grid_flags_are_usage_errors(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wigner", "--n", "16", flag, "0.5", "--output", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [f"phasekit: error: unrecognized arguments: {flag} 0.5"]
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+def test_tolerance_naming_no_check_is_usage_error(tmp_path, capsys):
+    man = tmp_path / "m.json"
+    cfg = tmp_path / "job.json"
+    for key in ("flow-algebra/nonexistent", "propagator/unitarity"):  # not of suite flow
+        cfg.write_text(json.dumps({"tolerances": {key: 1e-30}}))
+        for argv in (["--tolerance", f"{key}=1e-30"], ["--config", str(cfg)]):
+            rc = cli.main(["verify", "--suite", "flow", *argv, "--manifest", str(man)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: tolerance {key!r} names no check of suite flow\n"
+            assert captured.out == "" and not man.exists()
+    # one override naming a check of the run still gates it
+    cfg.write_text(json.dumps({"tolerances": {"flow-algebra/period": 1e-30}}))
+    assert cli.main(["verify", "--suite", "flow", "--config", str(cfg),
+                     "--manifest", str(man)]) == 1
+    failed = [row["check"] for row in _manifest(man)["checks"] if not row["passed"]]
+    assert failed == ["period"]
+    capsys.readouterr()
 
 
 def test_state_spec_errors(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit.grid import (
+    GRID_TOL,
     SQRT_TWO_PI,
     ConfigurationError,
     Grid1D,
@@ -32,7 +34,6 @@ def test_centered_constructor():
     nodes = g.nodes()
     assert nodes[0] == pytest.approx(-8.0)
     assert nodes[-1] == pytest.approx(8.0 - 0.25)
-    assert g.is_centered()
 
 
 def test_odd_size_rejected():
@@ -67,16 +68,37 @@ def test_dual_grid_is_self_dual():
     assert dd.matches(g)
 
 
-def test_require_centered_rejects_offset_grid():
-    g = Grid1D(64, 0.0, 0.25)
-    with pytest.raises(ConfigurationError):
-        g.require_centered()
+def test_off_centre_grid_rejected():
+    with pytest.raises(ConfigurationError, match=r"symmetric about 0 .* x_min=0\.0, n\*dx/2=8\.0"):
+        Grid1D(64, 0.0, 0.25)
+    # an n past float range has no finite half width
+    with pytest.raises(ConfigurationError, match="symmetric about 0"):
+        Grid1D(2 * 10**400, -1.0, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**20).map(lambda k: 2 * k),
+       dx=st.floats(1e-6, 1e3),
+       offset=st.one_of(st.floats(-3.0, 3.0), st.just(1.0)),
+       far=st.one_of(st.none(), st.floats(-1e4, 1e4)))
+def test_grid_accepted_exactly_when_centred(n, dx, offset, far):
+    # offsets in tolerance units straddle the acceptance boundary; far is
+    # an arbitrary left edge
+    x_min = -n * dx / 2 + offset * GRID_TOL * max(1.0, n * dx) if far is None else far
+    centred = abs(x_min + n * dx / 2) <= GRID_TOL * max(1.0, n * dx)
+    try:
+        g = Grid1D(n, x_min, dx)
+    except ConfigurationError as exc:
+        assert not centred and "symmetric about 0" in str(exc)
+    else:
+        assert centred
+        assert g.dual().dual().matches(g)  # each dual is accepted too
 
 
 def test_matches_tolerance():
     g = Grid1D.centered(64, 8.0)
     assert g.matches(Grid1D(64, -8.0 + 1e-12, 0.25))
-    assert not g.matches(Grid1D(64, -8.0, 0.2505))
+    assert not g.matches(Grid1D(64, -32 * 0.2505, 0.2505))
     assert not g.matches(Grid1D.centered(128, 8.0))
 
 

@@ -367,7 +367,7 @@ def _handmade(tmp_path, kind, grids, body, payload="csv"):
 
 
 def _grid(n):
-    return {"n": n, "x_min": -2.0, "dx": 0.5}
+    return {"n": n, "x_min": -0.25 * n, "dx": 0.5}
 
 
 def test_binary_header_past_int64_is_rejected(tmp_path):

@@ -391,7 +391,10 @@ def test_expectation_oscillator_modes():
 
 
 def test_symbol_requires_dual_pair():
-    with pytest.raises(ConfigurationError):
-        symbol_to_kernel(
-            Symbol2D(GRID, GRID, np.ones((GRID.n, GRID.n), dtype=complex))
-        )
+    # refused where it is made, so no symbol function meets another pair
+    wider = Grid1D.centered(GRID.n, GRID.length)  # twice the half width
+    for grid_xi in (GRID, wider.dual()):
+        with pytest.raises(ConfigurationError, match="not the Fourier dual"):
+            Symbol2D(GRID, grid_xi, np.ones((GRID.n, GRID.n), dtype=complex))
+    # the dual's own rounding is inside the pairing tolerance
+    Symbol2D(GRID, GRID.dual().dual().dual(), np.ones((GRID.n, GRID.n)))
