@@ -343,7 +343,7 @@ def bopp_spectrum(
         )
     clusters = clusters[:count]
 
-    action = _action(op, grid, grid.dual())
+    action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member
     windows = np.concatenate(((grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T),

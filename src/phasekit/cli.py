@@ -530,11 +530,12 @@ def _run_verify(s: Settings, out: dict) -> _Run:
     seed = s.get("seed", 0)
     overrides = _parse_tolerance_overrides(s)
     s.inputs.update(criteria=list(names), tolerance_overrides=overrides)
+    known = {f"{name}/{check}" for name in names for check in verify.CHECKS[name]}
+    for key in overrides:
+        if key not in known:
+            raise UsageError(f"tolerance {key!r} names no check of suite {suite}")
     results = verify.run_all(seed=seed, names=names)
     labels = [f"{r.criterion}/{r.check}" for r in results]
-    for key in overrides:
-        if key not in labels:
-            raise UsageError(f"tolerance {key!r} names no check of suite {suite}")
     rows = []
     failing: list[str] = []
     for label, r in zip(labels, results):

@@ -165,18 +165,20 @@ class PhaseFunction2D:
 # frequency orderings (no measure factor); _centered_ifft is its exact
 # inverse including the 1/N.  Together they form an exactly unitary pair,
 # which is what keeps every propagator in this package norm-preserving to
-# rounding.
+# rounding.  ifftshift returns a fresh copy in the caller's memory order,
+# which the transform overwrites when it is C-ordered: that is the order an
+# out-of-place transform returns, and sums downstream round by memory order.
 
 
 def _centered_fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.fft.ifftshift(values, axes=axis)
-    v = _sfft.fft(v, axis=axis, workers=fft_workers())
+    v = _sfft.fft(v, axis=axis, overwrite_x=v.flags.c_contiguous, workers=fft_workers())
     return np.fft.fftshift(v, axes=axis)
 
 
 def _centered_ifft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.fft.ifftshift(values, axes=axis)
-    v = _sfft.ifft(v, axis=axis, workers=fft_workers())
+    v = _sfft.ifft(v, axis=axis, overwrite_x=v.flags.c_contiguous, workers=fft_workers())
     return np.fft.fftshift(v, axes=axis)
 
 

@@ -53,7 +53,7 @@ from .wigner import (
 )
 from . import states
 
-__all__ = ["CheckResult", "CRITERIA", "SUITE_ALIASES", "resolve_suite",
+__all__ = ["CheckResult", "CRITERIA", "CHECKS", "SUITE_ALIASES", "resolve_suite",
            "run_criterion", "run_all"]
 
 
@@ -172,6 +172,9 @@ def _propagator(rng: np.random.Generator) -> list[CheckResult]:
 # criterion 3: two routes to the same distribution
 
 
+_INTEGRAL_METHODS = ("trig", "upsample")
+
+
 def _wigner_equivalence(rng: np.random.Generator) -> list[CheckResult]:
     name = "wigner-equivalence"
     grid = Grid1D.centered(256, 8.0)
@@ -184,7 +187,7 @@ def _wigner_equivalence(rng: np.random.Generator) -> list[CheckResult]:
         (states.hermite(grid, 3), g0),
     ]
     out = []
-    for method in ("trig", "upsample"):
+    for method in _INTEGRAL_METHODS:
         err = max(
             _maxabs(wigner_metaplectic(a, b).values,
                     wigner_direct(a, b, method=method).values)
@@ -507,6 +510,28 @@ _REGISTRY: dict[str, Callable[[np.random.Generator], list[CheckResult]]] = {
 }
 
 CRITERIA = tuple(_REGISTRY)
+
+#: Each criterion's check names in the order it reports them, known before
+#: any check runs; a test holds it equal to what run_all returns.
+CHECKS: dict[str, tuple[str, ...]] = {
+    "flow-algebra": ("distinguished-angle-matrix", "symplectic-form", "group-law",
+                     "period"),
+    "propagator": ("unitarity", "group-law", "period", "generator-difference"),
+    "wigner-equivalence": tuple(f"vs-integral-{m}" for m in _INTEGRAL_METHODS),
+    "moyal-identity": ("overlap-identity",),
+    "windowed-calculus": ("reconstruction", "projection-idempotency", "adjointness"),
+    "weyl-calculus": ("symbol-kernel-round-trip", "midpoint-kernel-formula",
+                      "angle-symbol-routes", "rank-one-symbol"),
+    "star-products": ("coordinate-commutator", "kernel-vs-quadrature",
+                      "associativity-kernel", "associativity-angle",
+                      "composition-transport"),
+    "bopp-symbols": ("conjugated-vs-direct", "intertwining"),
+    "bopp-spectrum": ("oscillator-eigenvalues", "eigenvector-pushforward"),
+    "bopp-dynamics": ("evolution-divergence", "norm-drift-per-unit-time"),
+    "symmetries": ("conjugation-parity", "distinguished-angle-realness",
+                   "zero-angle-imaginary-floor", "adjoint-symbol-parity",
+                   "position-marginal"),
+}
 
 #: Short names accepted by the CLI's --suite flag.
 SUITE_ALIASES = {

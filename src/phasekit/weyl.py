@@ -29,6 +29,7 @@ kernel route wherever both are valid.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,16 +169,31 @@ class ExpectationResult:
 # kernel <-> symbol, exact on the discrete torus
 
 
-def _diagonal_layout(n: int, sign: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Index of an n x n kernel's diagonals as columns, and their half-sample shift.
+#: Grid tables kept per process: the kernel<->symbol layout per (n, sign)
+#: and the derivative matrix per grid.  They depend on the grid alone.
+_GRID_TABLES = 8
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A cached table, read-only so that no caller can alter a later call's."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _diagonal_layout(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of an n x n kernel's diagonals as columns, and their
+    half-sample shift.
 
     Column s + n/2 holds the separation-s diagonal K[(v + s) % n, v] down
-    axis 0; the multiplier on its spectrum shifts it by sign * s/2 samples.
+    axis 0, at flat offset ((v + s) % n) * n + v; the multiplier on its
+    spectrum shifts it by sign * s/2 samples.
     """
     v = np.arange(n)[:, None]
     s = np.arange(n)[None, :] - n // 2
     modes = np.fft.fftfreq(n)[:, None] * n
-    return ((v + s) % n, v), np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)
+    return (_frozen(((v + s) % n) * n + v),
+            _frozen(np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)))
 
 
 def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
@@ -189,18 +205,19 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     dual grid with the dx quadrature weight.
     """
     grid = kernel.grid
-    index, shift = _diagonal_layout(grid.n, -1)
-    gmat = np.fft.ifft(np.fft.fft(kernel.values[index], axis=0) * shift, axis=0)
+    flat, shift = _diagonal_layout(grid.n, -1)
+    diagonals = np.take(kernel.values.reshape(-1), flat)
+    gmat = np.fft.ifft(np.fft.fft(diagonals, axis=0) * shift, axis=0)
     return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(gmat, axis=1))
 
 
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     """Kernel of a symbol; runs kernel_to_symbol backwards step by step."""
     grid = symbol.grid_x
-    index, shift = _diagonal_layout(grid.n, +1)
+    flat, shift = _diagonal_layout(grid.n, +1)
     gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
     K = np.empty((grid.n, grid.n), dtype=np.complex128)
-    K[index] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
+    K.reshape(-1)[flat] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
     return OperatorKernel(grid, K)
 
 
@@ -316,9 +333,10 @@ def symbol_oscillator(grid: Grid1D) -> Symbol2D:
     return polynomial_symbol(coeffs, grid)
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
 def _derivative_matrix(grid: Grid1D) -> np.ndarray:
     eye = np.eye(grid.n, dtype=np.complex128)
-    return _spectral_step(eye, grid.dual().nodes()[:, None], axis=0)
+    return _frozen(_spectral_step(eye, grid.dual().nodes()[:, None], axis=0))
 
 
 def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:

@@ -16,6 +16,8 @@ SEED = 0
 def _run(criterion):
     results = verify.run_criterion(criterion, seed=SEED)
     assert results, f"criterion {criterion} produced no checks"
+    # the static table the CLI checks overrides against is what runs
+    assert tuple(r.check for r in results) == verify.CHECKS[criterion]
     failed = []
     for r in results:
         status = "pass" if r.error <= r.tolerance else "FAIL"
@@ -38,6 +40,7 @@ def test_registry_is_complete():
     for alias, target in verify.SUITE_ALIASES.items():
         assert target in verify.CRITERIA, alias
     assert verify.resolve_suite("all") == verify.CRITERIA
+    assert tuple(verify.CHECKS) == verify.CRITERIA
 
 
 def test_checks_are_deterministic():

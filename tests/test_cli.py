@@ -753,6 +753,21 @@ def test_tolerance_naming_no_check_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_tolerance_refused_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    def run_all(*args, **kwargs):
+        raise AssertionError("the suite ran before the override was checked")
+
+    monkeypatch.setattr(cli.verify, "run_all", run_all)
+    man = tmp_path / "m.json"
+    for key in ("flow-algebra/nonexistent", "wigner-equivalence/vs-integral-cubic"):
+        rc = cli.main(["verify", "--suite", "all", "--tolerance", f"{key}=1",
+                       "--manifest", str(man)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: tolerance {key!r} names no check of suite all\n"
+        assert not man.exists()
+
+
 def test_state_spec_errors(tmp_path, capsys):
     for spec, message in (("hermite:x", "integer level"),
                           ("hermite:-1", "hermite order must be >= 0"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from phasekit.grid import (
@@ -11,6 +12,7 @@ from phasekit.grid import (
     Grid1D,
     PhaseFunction2D,
     SampledFunction1D,
+    _centered_fft,
     _centered_ifft,
     conjugate,
     fft_workers,
@@ -184,3 +186,22 @@ def test_fft_workers_env(monkeypatch):
     assert fft_workers() == 4
     monkeypatch.setenv("PHASEKIT_THREADS", "not-a-number")
     assert fft_workers() == 1
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (3, 8, 16), (6,)])
+def test_centered_transforms_leave_their_input_untouched(shape):
+    # the transform overwrites its own shifted copy, never the caller's array,
+    # and gives the bits and memory order of the out-of-place transform
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    frozen = values.copy()
+    frozen.flags.writeable = False
+    for centred, plain in ((_centered_fft, scipy.fft.fft), (_centered_ifft, scipy.fft.ifft)):
+        for axis in range(-len(shape), 0):
+            for given in (values, values.T, frozen):
+                before = given.copy()
+                want = np.fft.fftshift(plain(np.fft.ifftshift(given, axes=axis), axis=axis),
+                                       axes=axis)
+                got = centred(given, axis=axis)
+                assert np.array_equal(got, want) and got.strides == want.strides
+                assert np.array_equal(given, before)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import identity_kernel
-from phasekit import states
+from phasekit import states, weyl
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
@@ -19,6 +19,8 @@ from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
+    _derivative_matrix,
+    _diagonal_layout,
     _moyal_poly,
     _poly_trim,
     expectation,
@@ -87,6 +89,48 @@ def test_dictionary_matches_the_per_diagonal_loop(n):
     assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
     gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
     assert np.array_equal(symbol_to_kernel(symbol).values, _loop_dictionary(gmat, +1))
+
+
+def test_grid_tables_are_built_once_and_read_only():
+    grid = Grid1D.centered(16, 6.0)
+    tables = (*_diagonal_layout(16, -1), *_diagonal_layout(16, +1),
+              _derivative_matrix(grid))
+    again = (*_diagonal_layout(16, -1), *_diagonal_layout(16, +1),
+             _derivative_matrix(Grid1D.centered(16, 6.0)))
+    for table, repeat in zip(tables, again):
+        assert table is repeat
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        with pytest.raises(ValueError):
+            table += 0
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 128])
+def test_dictionary_matches_uncached_pair_index_gather(n):
+    # reference: a fresh layout, unpacked into the (row, column) pair index
+    # the flat gather and scatter must reproduce bit for bit
+    grid = Grid1D.centered(n, 6.0)
+    rng = np.random.default_rng(n + 1)
+    K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    flat, shift = _diagonal_layout.__wrapped__(n, -1)
+    gmat = np.fft.ifft(np.fft.fft(K[np.divmod(flat, n)], axis=0) * shift, axis=0)
+    symbol = kernel_to_symbol(OperatorKernel(grid, K))
+    assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
+    flat, shift = _diagonal_layout.__wrapped__(n, +1)
+    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
+    want = np.empty((n, n), dtype=np.complex128)
+    want[np.divmod(flat, n)] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
+    assert np.array_equal(symbol_to_kernel(symbol).values, want)
+
+
+def test_mccoy_kernel_same_with_uncached_derivative_matrix(monkeypatch):
+    grid = Grid1D.centered(32, 5.0)
+    coeffs = np.array([[0.3, 1.0, 0.5], [0.2j, 0.0, 0.0], [0.5, 0.1, 0.0]])
+    symbols = (symbol_oscillator(grid), polynomial_symbol(coeffs, grid))
+    cached = [mccoy_kernel(sym).values for sym in symbols]
+    monkeypatch.setattr(weyl, "_derivative_matrix", _derivative_matrix.__wrapped__)
+    for sym, values in zip(symbols, cached):
+        assert np.array_equal(mccoy_kernel(sym).values, values)
 
 
 def _loop_moyal_poly(ca, cb):
