@@ -16,13 +16,15 @@ spectrum with each level repeated once per window.  The spectral report
 takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
-(_action) serves apply, the residuals, the evolution and dense_matrix;
-both harnesses refuse grids above DENSE_MAX_N points per axis.
+(_action) serves apply, the residuals, the evolution and dense_matrix; it
+acts in the mixed plane (x, eta), where the residuals and the Lanczos basis
+stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +41,7 @@ from .grid import (
     _centered_ifft,
     _spectral_step,
 )
-from .metaplectic import _Plan, _propagate_values
+from .metaplectic import _Plan, _chirp, _propagate_values, _shear
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -50,15 +52,8 @@ from .weyl import (
 )
 from .wigner import Window, windowed_transform
 
-__all__ = [
-    "PhaseOperator",
-    "SpectralReport",
-    "EvolutionResult",
-    "bopp_intertwining_residual",
-    "dense_matrix",
-    "bopp_spectrum",
-    "evolve_pair",
-]
+__all__ = ["PhaseOperator", "SpectralReport", "EvolutionResult", "bopp_intertwining_residual",
+           "dense_matrix", "bopp_spectrum", "evolve_pair"]
 
 REPRESENTATIONS = ("extended", "bopp_conjugated", "bopp_direct")
 DENSE_MAX_N = 64
@@ -88,14 +83,10 @@ class PhaseOperator:
 
     def __post_init__(self) -> None:
         if self.representation not in REPRESENTATIONS:
-            raise ConfigurationError(
-                f"representation must be one of {REPRESENTATIONS}, "
-                f"got {self.representation!r}"
-            )
+            raise ConfigurationError(f"representation must be one of {REPRESENTATIONS}, "
+                                     f"got {self.representation!r}")
         if self.representation == "bopp_direct" and self.symbol.poly is None:
-            raise ConfigurationError(
-                "bopp_direct requires a polynomial-tagged symbol"
-            )
+            raise ConfigurationError("bopp_direct requires a polynomial-tagged symbol")
 
     def kernel(self) -> OperatorKernel:
         return _operator_kernel(self.symbol)
@@ -105,7 +96,8 @@ class PhaseOperator:
             raise ConfigurationError(
                 "phase function's position grid does not match the operator grid"
             )
-        values = _action(self, phase.grid_x, phase.grid_p)(phase.values)
+        action = _action(self, phase.grid_x, phase.grid_p)
+        values = _centered_ifft(action(_centered_fft(phase.values, axis=-1)), axis=-1)
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
 
@@ -154,14 +146,8 @@ class EvolutionResult:
 # applying the three realizations
 
 
-def _position_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
-    """x + (i/2) d/dp on raw value arrays (batchable over leading axes)."""
-    out = grid_x.nodes()[:, None] * values
-    return out + _spectral_step(values, -0.5 * grid_p.dual().nodes(), axis=-1)
-
-
 def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
-    """p - (i/2) d/dx on raw value arrays (batchable over leading axes)."""
+    """p - (i/2) d/dx on raw (x, p) value arrays (batchable over leading axes)."""
     out = grid_p.nodes() * values
     return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
 
@@ -170,31 +156,39 @@ def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     kernel_values: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator's phase-plane map on raw (..., n, n) value arrays.
+    """The operator's map on raw (..., n, n) values in the mixed plane (x, eta).
 
-    extended multiplies each momentum column by kernel_values (default: dx
-    times the kernel); bopp_conjugated flows back by THETA_WIGNER, does the
-    same, and flows forward again (the map holds both plans).  The kernel
-    acts along x and the partial transforms along p, so it runs in the mixed
-    plane between the two substitutions, under one partial-transform pair:
-    10 FFT passes.  bopp_direct is the 1D quantization word for word in
-    X = x + (i/2) d/dp, P = p - (i/2) d/dx.
+    eta is p's dual: apply and dense_matrix wrap the map in the partial
+    transform pair.  extended applies kernel_values (default: dx times the
+    kernel) along x.  bopp_conjugated does so between the substitutions at
+    -+THETA_WIGNER, whose plans end and start with an eta-shear; the kernel
+    commutes with its transforms, so: x-shear, FFT, chirp, kernel, chirp,
+    inverse FFT, x-shear (6 FFT passes).  bopp_direct is the 1D quantization
+    word for word in X = x + (i/2) d/dp, here x - eta/2, and P = p - (i/2) d/dx
+    inside one partial-transform pair (4 passes).
     """
     if op.representation == "bopp_direct":
+        position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
         return lambda values: _symmetric_expand(
             op.symbol.poly, values,
-            lambda v: _position_action(v, grid_x, grid_p),
-            lambda v: _momentum_action(v, grid_x, grid_p),
+            lambda v: position * v,
+            lambda v: _centered_fft(_momentum_action(
+                _centered_ifft(v, axis=-1), grid_x, grid_p), axis=-1),
         )
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
     if op.representation == "extended":
         return lambda values: np.matmul(kernel_values, values)
 
-    down = _Plan(grid_x, grid_p, -THETA_WIGNER)
-    up = _Plan(grid_x, grid_p, THETA_WIGNER)
-    return lambda values: _centered_ifft(up.substitute(np.matmul(
-        kernel_values, down.substitute(_centered_fft(values, axis=-1)))), axis=-1)
+    (_, x_down), (_, eta_down) = _Plan(grid_x, grid_p, -THETA_WIGNER).shears
+    (_, eta_up), (_, x_up) = _Plan(grid_x, grid_p, THETA_WIGNER).shears
+
+    def conjugated(values: np.ndarray) -> np.ndarray:
+        spec = _chirp(_centered_fft(_shear(values, -2, x_down), axis=-1), eta_down)
+        spec = _chirp(np.matmul(kernel_values, spec), eta_up)
+        return _shear(_centered_ifft(spec, axis=-1), -2, x_up)
+
+    return conjugated
 
 
 def _lift_angle(representation: str) -> float:
@@ -223,16 +217,11 @@ def bopp_intertwining_residual(
     angle = _lift_angle(representation)
     lifted = windowed_transform(kernel.apply(psi), window, angle)
     pushed = op.apply(windowed_transform(psi, window, angle))
-    defect = PhaseFunction2D(
-        lifted.grid_x, lifted.grid_p, pushed.values - lifted.values
-    ).norm()
+    defect = PhaseFunction2D(lifted.grid_x, lifted.grid_p, pushed.values - lifted.values).norm()
     scale = lifted.norm()
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
-        warnings.warn(
-            "lifted reference is numerically zero; returning the absolute "
-            "intertwining defect",
-            stacklevel=2,
-        )
+        warnings.warn("lifted reference is numerically zero; returning the absolute "
+                      "intertwining defect", stacklevel=2)
         return float(defect)
     return float(defect / scale)
 
@@ -245,10 +234,8 @@ def _plane_grid(op: PhaseOperator) -> Grid1D:
     """The operator's position grid, refused above DENSE_MAX_N points."""
     grid = op.symbol.grid_x
     if grid.n > DENSE_MAX_N:
-        raise ConfigurationError(
-            f"dense assembly is capped at {DENSE_MAX_N} points per axis, "
-            f"got {grid.n}"
-        )
+        raise ConfigurationError(f"dense assembly is capped at {DENSE_MAX_N} points per axis, "
+                                 f"got {grid.n}")
     return grid
 
 
@@ -270,24 +257,26 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)
         flat = np.arange(start, stop)
         basis[np.arange(stop - start), flat // n, flat % n] = 1.0
-        image = action(basis)
+        image = _centered_ifft(action(_centered_fft(basis, axis=-1)), axis=-1)
         matrix[:, start:stop] = image.reshape(stop - start, n * n).T
     return matrix
+
+
+def _require_count(name: str, value: int) -> None:
+    # bool is an Integral; 2.5 or True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _require_self_adjoint(kernel: OperatorKernel, what: str) -> None:
     defect = kernel.self_adjoint_defect()
     scale = max(1.0, float(np.abs(kernel.values).max()))
     if defect > SELF_ADJOINT_TOL * scale:
-        raise ConfigurationError(
-            f"{what} requires a self-adjoint operator; kernel deviates from "
-            f"conj-symmetry by {defect:.3e}"
-        )
+        raise ConfigurationError(f"{what} requires a self-adjoint operator; kernel deviates "
+                                 f"from conj-symmetry by {defect:.3e}")
 
 
-def _reference_spectrum(
-    kernel: OperatorKernel,
-) -> tuple[np.ndarray, np.ndarray]:
+def _reference_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenstates of the symmetrized 1D operator."""
     h = kernel.grid.dx * kernel.values
     h = (h + h.conj().T) / 2.0
@@ -324,8 +313,7 @@ def bopp_spectrum(
     pushforward residual is the same measure for the paired member lifted
     against the caller's window, which rides in each member's batch.
     """
-    if count < 1:
-        raise ConfigurationError(f"count must be at least 1, got {count}")
+    _require_count("count", count)
     if not math.isfinite(gap):
         raise ConfigurationError(f"gap must be finite, got {gap}")
     op = PhaseOperator(symbol, representation)
@@ -345,13 +333,14 @@ def bopp_spectrum(
 
     action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     lift = _Plan(grid, grid.dual(), _lift_angle(representation))
-    # the n eigenstate windows, then the caller's, in one batch per member
+    # the n eigenstate windows, then the caller's, in one batch per member;
+    # seeds psi_m (x) conj(w_j) reach the mixed plane by one window transform
     windows = np.concatenate(((grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T),
                               window.transform.values[None]))
+    spectra = _centered_fft(windows.conj(), axis=-1)
 
     def lift_residuals(m: int) -> np.ndarray:
-        seeds = ref_vecs[:, m, None] * windows.conj()[:, None, :]
-        lifts = lift(seeds)
+        lifts = lift.substitute(ref_vecs[:, m, None] * spectra[:, None, :])
         defect = action(lifts) - ref_vals[m] * lifts
         return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
 
@@ -456,8 +445,7 @@ def evolve_pair(
     refused, as in bopp_spectrum.  The divergence is the worst checkpoint
     value of ||Phi - W psi|| / ||Phi||.
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be at least 1, got {steps}")
+    _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
     op = PhaseOperator(symbol, representation)
@@ -475,8 +463,10 @@ def evolve_pair(
     angle = _lift_angle(representation)
     lift0 = windowed_transform(psi0, window, angle)
     action = _action(op, grid, grid.dual(), h1)
-    phases, dims = _krylov_evolve(lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
-                                  lift0.values.reshape(-1).astype(np.complex128), times)
+    # a unitary change of basis leaves Lanczos unchanged: run it in (x, eta)
+    mixed, dims = _krylov_evolve(lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
+                                 _centered_fft(lift0.values, axis=-1).reshape(-1), times)
+    phases = _centered_ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1).reshape(mixed.shape)
 
     weight = math.sqrt(lift0.weight)
     lifted = _propagate_values(states[:, :, None] * window.transform.values.conj(),

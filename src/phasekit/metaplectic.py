@@ -105,54 +105,60 @@ def _chirp_tables(coeff: float, rows: Grid1D, cols: Grid1D) -> tuple[np.ndarray,
             np.exp(phase * np.outer(np.arange(block), j)))
 
 
+def _chirp(spec: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A shear's cross-chirp, multiplied in place through an (..., n/B, B, n) view."""
+    hi, lo = tables
+    view = spec.reshape(spec.shape[:-2] + hi.shape[:1] + lo.shape)
+    view *= hi[:, None, :]
+    view *= lo
+    return view.reshape(spec.shape)
+
+
+def _shear(values: np.ndarray, axis: int, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One shear: a centred FFT along `axis`, the chirp, the inverse FFT."""
+    return _centered_ifft(_chirp(_centered_fft(values, axis=axis), tables), axis=axis)
+
+
 class _Plan:
     """U(theta) on one pair of centred grids: the factorization and each
-    nonzero shear's chirp tables, built once.  Calling it applies U(theta)
-    to raw (..., n, n) value arrays; a caller that repeats an angle holds
-    its plan."""
+    nonzero shear's (axis, chirp tables) in `shears`, built once; a caller
+    that repeats an angle holds its plan."""
 
     def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float):
         grid_e = grid_p.dual()
         self.factorization = shear_factorization(theta, grid_x.matches(grid_e))
         along = {-2: (grid_x.dual(), grid_e), -1: (grid_x, grid_e.dual())}
         # exp(0) = 1: an exactly zero shear is a transform round trip and no more
-        self._shears = [(axis, _chirp_tables(coeff, *along[axis]))
-                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
-                        if coeff != 0.0]
+        self.shears = [(axis, _chirp_tables(coeff, *along[axis]))
+                       for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
+                       if coeff != 0.0]
 
     def substitute(self, values: np.ndarray) -> np.ndarray:
         """Substitute the flow at -theta into mixed (x, eta) values (batched).
 
         Quarter turns are index permutations.  Each shear translates along
-        one axis by a multiple of the other coordinate: a centred FFT, the
-        cross-chirp multiplied in place through an (..., n/B, B, n) view of
-        the spectrum, and the inverse FFT.  The identity returns `values`.
+        one axis by a multiple of the other coordinate (`_shear`).  The
+        identity returns `values`.
         """
         out = values
         neg = (-np.arange(values.shape[-1])) % values.shape[-1]
         for _ in range(self.factorization.quarters):
             out = np.swapaxes(out, -1, -2)[..., neg, :]
-        for axis, (hi, lo) in self._shears:
-            spec = _centered_fft(out, axis=axis)
-            view = spec.reshape(spec.shape[:-2] + hi.shape[:1] + lo.shape)
-            view *= hi[:, None, :]
-            view *= lo
-            out = _centered_ifft(view.reshape(spec.shape), axis=axis)
+        for axis, tables in self.shears:
+            out = _shear(out, axis, tables)
         return out
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        if self.factorization == ShearFactorization(0, None):
-            # Identity flow: skip the transform pair so the zero angle is an
-            # exact no-op rather than an fft/ifft round trip.
-            return np.array(values, dtype=np.complex128)
-        return _centered_ifft(self.substitute(_centered_fft(values, axis=-1)), axis=-1)
 
 
 def _propagate_values(
     values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D, theta: float
 ) -> np.ndarray:
     """Bare-FFT realization of U(theta) on raw value arrays (batchable)."""
-    return _Plan(grid_x, grid_p, theta)(values)
+    plan = _Plan(grid_x, grid_p, theta)
+    if plan.factorization == ShearFactorization(0, None):
+        # Identity flow: skip the transform pair so the zero angle is an
+        # exact no-op rather than an fft/ifft round trip.
+        return np.array(values, dtype=np.complex128)
+    return _centered_ifft(plan.substitute(_centered_fft(values, axis=-1)), axis=-1)
 
 
 def propagate(F: PhaseFunction2D, theta: float) -> PhaseFunction2D:

@@ -9,11 +9,12 @@ from array import array
 import numpy as np
 
 from phasekit import states
-from phasekit.grid import Grid1D, PhaseFunction2D
+from phasekit.bopp import PhaseOperator, _momentum_action
+from phasekit.grid import Grid1D, PhaseFunction2D, _spectral_step
 from phasekit.gridfile import FileFormatError
-from phasekit.metaplectic import QUARTER_TURN, ShearFactorization
-from phasekit.symplectic import SYMPLECTIC_J, flow_matrix
-from phasekit.weyl import OperatorKernel
+from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
+from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
+from phasekit.weyl import OperatorKernel, _symmetric_expand
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
 GENERATOR = np.array(
@@ -157,3 +158,27 @@ def count_fft_passes(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(scipy.fft, name, counted)
     return passes
+
+
+def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
+                        kernel_values: np.ndarray | None = None):
+    """The operator's map on (x, p) values as each realization reads in
+    the plane itself: K @ v for extended, the propagator sandwich
+    U(THETA_WIGNER) (K @ U(-THETA_WIGNER) v) for bopp_conjugated, and for
+    bopp_direct the symmetric word in x + (i/2) d/dp, the spectral step
+    along p, and p - (i/2) d/dx."""
+    if op.representation == "bopp_direct":
+        eta = grid_p.dual().nodes()
+
+        def position(v):
+            return grid_x.nodes()[:, None] * v + _spectral_step(v, -0.5 * eta, axis=-1)
+
+        return lambda values: _symmetric_expand(
+            op.symbol.poly, values, position, lambda v: _momentum_action(v, grid_x, grid_p))
+    if kernel_values is None:
+        kernel_values = grid_x.dx * op.kernel().values
+    if op.representation == "extended":
+        return lambda values: kernel_values @ values
+    return lambda values: _propagate_values(
+        kernel_values @ _propagate_values(values, grid_x, grid_p, -THETA_WIGNER),
+        grid_x, grid_p, THETA_WIGNER)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import count_fft_passes, random_phase_wave
+from helpers import count_fft_passes, plane_action_oracle, random_phase_wave
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
@@ -25,11 +25,12 @@ from phasekit.bopp import (
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
+    PhaseFunction2D,
     SampledFunction1D,
     _centered_fft,
     _centered_ifft,
 )
-from phasekit.metaplectic import _Plan, _propagate_values
+from phasekit.metaplectic import _Plan, _chirp, _shear
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -294,11 +295,16 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     h1 = grid.dx * op.kernel().values
     h1 = (h1 + h1.conj().T) / 2.0
     action = _action(op, grid, grid.dual(), h1)
-    start = windowed_transform(psi0, window, _lift_angle(representation)).values.reshape(-1)
-    krylov, dims = _krylov_evolve(
-        lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), start, result.times)
+    # the basis starts from the lift in the mixed plane (x, eta), and one
+    # batched inverse partial transform brings the checkpoints back
+    lift0 = windowed_transform(psi0, window, _lift_angle(representation)).values
+    mixed, dims = _krylov_evolve(
+        lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
+        _centered_fft(lift0, axis=-1).reshape(-1), result.times)
+    krylov = _centered_ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1).reshape(mixed.shape)
     assert np.array_equal(krylov[-1], result.phase.values.reshape(-1))
     assert tuple(dims) == result.krylov_dims
+    start = lift0.reshape(-1)
     matrix = dense_matrix(op)
     hermitian = (matrix + matrix.conj().T) / 2.0
     dense = _evolve_dense(hermitian, start, result.times).T
@@ -397,28 +403,103 @@ def _conjugated_action_and_batch():
 
 def test_conjugated_action_with_held_plans_is_the_mixed_plane_route():
     # the map builds its two plans once; every call must still equal the
-    # fresh-plan route bit for bit, batched or not: one partial transform,
-    # both substitutions around the kernel, and the inverse transform
+    # fresh-plan route bit for bit, batched or not: the x-shear at
+    # -THETA_WIGNER, the eta-transform, the eta-chirp at -THETA_WIGNER, the
+    # kernel, the eta-chirp at THETA_WIGNER, the inverse eta-transform and
+    # the x-shear at THETA_WIGNER
     grid, K, action, batch = _conjugated_action_and_batch()
     for v in (batch[0], batch, batch[1]):
-        down = _Plan(grid, grid.dual(), -THETA_WIGNER).substitute(_centered_fft(v, axis=-1))
-        up = _Plan(grid, grid.dual(), THETA_WIGNER).substitute(K @ down)
-        assert np.array_equal(action(v), _centered_ifft(up, axis=-1))
+        (_, x_down), (_, eta_down) = _Plan(grid, grid.dual(), -THETA_WIGNER).shears
+        (_, eta_up), (_, x_up) = _Plan(grid, grid.dual(), THETA_WIGNER).shears
+        spec = _chirp(_centered_fft(_shear(v, -2, x_down), axis=-1), eta_down)
+        spec = _chirp(K @ spec, eta_up)
+        assert np.array_equal(action(v), _shear(_centered_ifft(spec, axis=-1), -2, x_up))
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
-    # K acts along x and the partial transforms along p, so the transform
-    # pair between the two flows cancels: the same map up to rounding
+    # K acts along x and the transforms along p and eta, so wrapped in the
+    # partial-transform pair the fused map is the sandwich up to rounding
     grid, K, action, batch = _conjugated_action_and_batch()
+    sandwich = plane_action_oracle(PhaseOperator(symbol_oscillator(grid)), grid, grid.dual(), K)
     for v in (batch[0], batch, batch[1]):
-        down = _propagate_values(v, grid, grid.dual(), -THETA_WIGNER)
-        ref = _propagate_values(K @ down, grid, grid.dual(), THETA_WIGNER)
-        assert np.linalg.norm(action(v) - ref) <= 1e-14 * np.linalg.norm(ref)
+        got = _centered_ifft(action(_centered_fft(v, axis=-1)), axis=-1)
+        ref = sandwich(v)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_conjugated_action_takes_ten_passes(monkeypatch):
-    # 2 partial transforms and 2 passes for each of the four nonzero shears
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 32), st.floats(2.0, 12.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(REPRESENTATIONS), st.integers(1, 3))
+def test_mixed_plane_maps_match_the_plane_oracles(half_n, half_width, seed,
+                                                  representation, batch):
+    # each realization's mixed-plane map, wrapped in the partial-transform
+    # pair, is the (x, p)-plane map it replaced: an exact rewrite, so the
+    # two differ by rounding alone, batched or not
+    grid = Grid1D.centered(2 * half_n, half_width)
+    rng = np.random.default_rng(seed)
+    # every monomial x^i xi^j of degree at most 3
+    degree = np.add.outer(np.arange(4), np.arange(4))
+    coeffs = np.where(degree <= 3, rng.uniform(-1.0, 1.0, (4, 4)), 0.0)
+    op = PhaseOperator(polynomial_symbol(coeffs, grid), representation)
+    values = (rng.standard_normal((batch, grid.n, grid.n))
+              + 1j * rng.standard_normal((batch, grid.n, grid.n)))
+    action = _action(op, grid, grid.dual())
+    got = _centered_ifft(action(_centered_fft(values, axis=-1)), axis=-1)
+    ref = plane_action_oracle(op, grid, grid.dual())(values)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_conjugated_action_takes_six_passes(monkeypatch):
+    # an x-shear each side (2 passes each) and one eta-transform pair
+    # around the kernel; apply adds the partial-transform pair
     grid, _, action, batch = _conjugated_action_and_batch()
     passes = count_fft_passes(monkeypatch)
     action(batch)
-    assert len(passes) == 10
+    assert len(passes) == 6
+    passes.clear()
+    PhaseOperator(symbol_oscillator(grid)).apply(PhaseFunction2D(grid, grid.dual(), batch[0]))
+    assert len(passes) == 8
+
+
+def test_wigner_plans_end_and_start_with_an_eta_shear():
+    # the fused conjugated route relies on this shape: the zero shear of
+    # the midpoint map is skipped, leaving x then eta at -THETA_WIGNER and
+    # eta then x at THETA_WIGNER
+    grid = Grid1D.centered(32, 6.0)
+    assert [axis for axis, _ in _Plan(grid, grid.dual(), -THETA_WIGNER).shears] == [-2, -1]
+    assert [axis for axis, _ in _Plan(grid, grid.dual(), THETA_WIGNER).shears] == [-1, -2]
+
+
+def test_direct_position_makes_no_pass(monkeypatch):
+    # X = x + (i/2) d/dp is the multiplication by x - eta/2 in the mixed
+    # plane; each P is a 4-pass step, so the oscillator word takes 8
+    grid = Grid1D.centered(32, 6.0)
+    batch = np.random.default_rng(3).standard_normal((2, 32, 32)).astype(complex)
+    passes = count_fft_passes(monkeypatch)
+    _action(PhaseOperator(symbol_x(grid), "bopp_direct"), grid, grid.dual())(batch)
+    assert passes == []
+    _action(PhaseOperator(symbol_oscillator(grid), "bopp_direct"), grid, grid.dual())(batch)
+    assert len(passes) == 8
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2", 0])
+def test_spectrum_refuses_a_count_that_is_no_positive_integer(bad):
+    grid = Grid1D.centered(16, 5.0)
+    with pytest.raises(ConfigurationError, match="count must be an integer"):
+        bopp_spectrum(symbol_oscillator(grid), bad, _window(grid))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2", 0])
+def test_evolution_refuses_steps_that_are_no_positive_integer(bad):
+    grid = Grid1D.centered(16, 5.0)
+    with pytest.raises(ConfigurationError, match="steps must be an integer"):
+        evolve_pair(symbol_oscillator(grid), states.gaussian(grid), _window(grid), 0.5, bad)
+
+
+def test_counts_accept_numpy_integers():
+    grid = Grid1D.centered(16, 5.0)
+    report = bopp_spectrum(symbol_oscillator(grid), np.int64(2), _window(grid))
+    assert len(report.eigenvalues) == 2
+    result = evolve_pair(symbol_oscillator(grid), states.gaussian(grid), _window(grid),
+                         0.5, np.int32(2))
+    assert result.times.size == 3

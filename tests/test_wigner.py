@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_phase_wave
 from phasekit import states
-from phasekit.grid import TWO_PI, ConfigurationError, Grid1D
-from phasekit.symplectic import THETA_WIGNER
+from phasekit.grid import TWO_PI, ConfigurationError, Grid1D, SampledFunction1D
+from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import symbol_oscillator, theta_product, theta_symbol
 from phasekit.wigner import (
     Window,
@@ -201,3 +202,30 @@ def test_non_finite_angles_rejected(bad):
     for call in calls:
         with pytest.raises(ConfigurationError, match=f"theta={bad}"):
             call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 64), st.floats(2.0, 16.0), st.floats(-PERIOD, PERIOD),
+       st.integers(0, 2**32 - 1))
+def test_fractional_distribution_is_sesquilinear(half_n, half_width, theta, seed):
+    # linear in psi and conjugate-linear in phi, at every angle and grid
+    grid = Grid1D.centered(2 * half_n, half_width)
+    rng = np.random.default_rng(seed)
+    psi1, psi2, phi1, phi2 = (
+        SampledFunction1D(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+        for _ in range(4))
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+    def dist(psi, phi):
+        return wigner_fractional(psi, phi, theta).values
+
+    def combine(f, g):
+        return SampledFunction1D(grid, a * f.values + b * g.values)
+
+    w11, w21, w12 = dist(psi1, phi1), dist(psi2, phi1), dist(psi1, phi2)
+    linear = dist(combine(psi1, psi2), phi1) - (a * w11 + b * w21)
+    antilinear = dist(psi1, combine(phi1, phi2)) - (np.conj(a) * w11 + np.conj(b) * w12)
+    scale = abs(a) * np.linalg.norm(w11) + abs(b) * max(np.linalg.norm(w21),
+                                                        np.linalg.norm(w12))
+    assert np.linalg.norm(linear) <= 1e-13 * scale
+    assert np.linalg.norm(antilinear) <= 1e-13 * scale
