@@ -17,8 +17,9 @@ takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
 (_action) serves apply, the residuals, the evolution and dense_matrix; it
-acts in the mixed plane (x, eta), where the residuals and the Lanczos basis
-stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
+acts in the mixed plane (x, eta) times (-1)^(i+j), a frame where every
+centred pass is a plain FFT pass and where the residuals and the Lanczos
+basis stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .grid import (
     SampledFunction1D,
     SQRT_TWO_PI,
     _centered_fft,
-    _centered_ifft,
-    _spectral_step,
+    _fft_pass,
 )
-from .metaplectic import _Plan, _chirp, _propagate_values, _shear
+from .metaplectic import _Plan, _chirp, _propagate_values
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -97,7 +97,7 @@ class PhaseOperator:
                 "phase function's position grid does not match the operator grid"
             )
         action = _action(self, phase.grid_x, phase.grid_p)
-        values = _centered_ifft(action(_centered_fft(phase.values, axis=-1)), axis=-1)
+        values = _out_of_frame(action(_into_frame(phase.values)))
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
 
@@ -146,37 +146,57 @@ class EvolutionResult:
 # applying the three realizations
 
 
-def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
-    """p - (i/2) d/dx on raw (x, p) value arrays (batchable over leading axes)."""
-    out = grid_p.nodes() * values
-    return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
+def _checkerboard(rows: int, cols: int) -> np.ndarray:
+    """The frame M = D (x) D as a table of (-1)^(i+j), D = diag((-1)^j)."""
+    return np.outer(1.0 - 2.0 * (np.arange(rows) % 2), 1.0 - 2.0 * (np.arange(cols) % 2))
+
+
+def _into_frame(values: np.ndarray) -> np.ndarray:
+    """(x, p) values -> M C_eta values, up to the sign (-1)^(n/2)."""
+    return _fft_pass(values * _checkerboard(*values.shape[-2:]), -1, False)
+
+
+def _out_of_frame(values: np.ndarray) -> np.ndarray:
+    """The inverse of _into_frame; consumes `values`."""
+    return _fft_pass(values, -1, True) * _checkerboard(*values.shape[-2:])
+
+
+def _plain_shear(values: np.ndarray, axis: int, tables, keep: bool = False) -> np.ndarray:
+    """metaplectic._shear in the frame: the same chirp between plain passes."""
+    return _fft_pass(_chirp(_fft_pass(values, axis, False, keep), tables), axis, True)
 
 
 def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     kernel_values: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator's map on raw (..., n, n) values in the mixed plane (x, eta).
-
-    eta is p's dual: apply and dense_matrix wrap the map in the partial
-    transform pair.  extended applies kernel_values (default: dx times the
-    kernel) along x.  bopp_conjugated does so between the substitutions at
-    -+THETA_WIGNER, whose plans end and start with an eta-shear; the kernel
-    commutes with its transforms, so: x-shear, FFT, chirp, kernel, chirp,
-    inverse FFT, x-shear (6 FFT passes).  bopp_direct is the 1D quantization
-    word for word in X = x + (i/2) d/dp, here x - eta/2, and P = p - (i/2) d/dx
-    inside one partial-transform pair (4 passes).
+    """The operator's map on raw (..., n, n) values in the mixed plane (x, eta),
+    eta p's dual, in the checkerboard frame M = D_x (x) D_eta; it keeps its
+    argument.  For even n a centred DFT is (-1)^(n/2) D F D, F the plain DFT,
+    and D commutes with chirps, multiplications and passes along the other
+    axis: in the frame each centred pass is a plain one, the chirp tables
+    stay, and K (kernel_values, default dx times the kernel) becomes D K D.
+    extended applies D K D along x.  bopp_conjugated does so between the
+    substitutions at -+THETA_WIGNER, whose plans end and start with an
+    eta-shear: x-shear, FFT, chirp, kernel, chirp, inverse FFT, x-shear (6
+    FFT passes).  bopp_direct is the 1D quantization word for word in
+    X = x + (i/2) d/dp, here x - eta/2, and P = p - (i/2) d/dx, here
+    F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes).
     """
     if op.representation == "bopp_direct":
         position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
+        half_xi = 0.5 * grid_x.dual().nodes()[:, None]
+
+        def momentum(values: np.ndarray) -> np.ndarray:
+            plane = _fft_pass(values, -1, True, keep=True)
+            step = _fft_pass(half_xi * _fft_pass(plane, -2, False, keep=True), -2, True)
+            return _fft_pass(grid_p.nodes() * plane + step, -1, False)
+
         return lambda values: _symmetric_expand(
-            op.symbol.poly, values,
-            lambda v: position * v,
-            lambda v: _centered_fft(_momentum_action(
-                _centered_ifft(v, axis=-1), grid_x, grid_p), axis=-1),
-        )
+            op.symbol.poly, values, lambda v: position * v, momentum)
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
+    kernel_values = kernel_values * _checkerboard(grid_x.n, grid_x.n)
     if op.representation == "extended":
         return lambda values: np.matmul(kernel_values, values)
 
@@ -184,9 +204,9 @@ def _action(
     (_, eta_up), (_, x_up) = _Plan(grid_x, grid_p, THETA_WIGNER).shears
 
     def conjugated(values: np.ndarray) -> np.ndarray:
-        spec = _chirp(_centered_fft(_shear(values, -2, x_down), axis=-1), eta_down)
+        spec = _chirp(_fft_pass(_plain_shear(values, -2, x_down, True), -1, False), eta_down)
         spec = _chirp(np.matmul(kernel_values, spec), eta_up)
-        return _shear(_centered_ifft(spec, axis=-1), -2, x_up)
+        return _plain_shear(_fft_pass(spec, -1, True), -2, x_up)
 
     return conjugated
 
@@ -257,7 +277,7 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)
         flat = np.arange(start, stop)
         basis[np.arange(stop - start), flat // n, flat % n] = 1.0
-        image = _centered_ifft(action(_centered_fft(basis, axis=-1)), axis=-1)
+        image = _out_of_frame(action(_into_frame(basis)))
         matrix[:, start:stop] = image.reshape(stop - start, n * n).T
     return matrix
 
@@ -334,13 +354,15 @@ def bopp_spectrum(
     action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member;
-    # seeds psi_m (x) conj(w_j) reach the mixed plane by one window transform
+    # seeds psi_m (x) conj(w_j) reach the frame as D psi_m (x) F(D conj(w_j)),
+    # where quarter turns commute with M and the shears are plain
     windows = np.concatenate(((grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T),
                               window.transform.values[None]))
-    spectra = _centered_fft(windows.conj(), axis=-1)
+    sign = _checkerboard(1, grid.n)
+    spectra, members = _fft_pass(windows.conj() * sign, -1, False), ref_vecs * sign.T
 
     def lift_residuals(m: int) -> np.ndarray:
-        lifts = lift.substitute(ref_vecs[:, m, None] * spectra[:, None, :])
+        lifts = lift.substitute(members[:, m, None] * spectra[:, None, :], _plain_shear)
         defect = action(lifts) - ref_vals[m] * lifts
         return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
 
@@ -463,10 +485,10 @@ def evolve_pair(
     angle = _lift_angle(representation)
     lift0 = windowed_transform(psi0, window, angle)
     action = _action(op, grid, grid.dual(), h1)
-    # a unitary change of basis leaves Lanczos unchanged: run it in (x, eta)
+    # a unitary change of basis leaves Lanczos unchanged: run it in the frame
     mixed, dims = _krylov_evolve(lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
-                                 _centered_fft(lift0.values, axis=-1).reshape(-1), times)
-    phases = _centered_ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1).reshape(mixed.shape)
+                                 _into_frame(lift0.values).reshape(-1), times)
+    phases = _out_of_frame(mixed.reshape(-1, grid.n, grid.n)).reshape(mixed.shape)
 
     weight = math.sqrt(lift0.weight)
     lifted = _propagate_values(states[:, :, None] * window.transform.values.conj(),

@@ -207,11 +207,14 @@ class Settings:
 def _typed(value: Any, kind: type, name: str, finite: bool) -> Any:
     """value as kind, else a UsageError naming it; also if finite is asked
     for and the value is nan or infinite."""
-    try:
+    what = "an integer" if kind is int else "a number"
+    try:  # only what the flag accepts: a JSON true is no number, and int(2.5) truncates
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         value = kind(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
+        raise UsageError(f"{name} must be {what}, got {value!r}")
     if finite and not math.isfinite(value):
         raise UsageError(f"{name} must be finite, got {value}")
     return value

@@ -161,25 +161,29 @@ class PhaseFunction2D:
 
 # --- bare centered DFT helpers -------------------------------------------
 #
-# _centered_fft computes sum_j e^{-i xi_m x_j} v_j for centered node and
-# frequency orderings (no measure factor); _centered_ifft is its exact
-# inverse including the 1/N.  Together they form an exactly unitary pair,
-# which is what keeps every propagator in this package norm-preserving to
-# rounding.  ifftshift returns a fresh copy in the caller's memory order,
-# which the transform overwrites when it is C-ordered: that is the order an
-# out-of-place transform returns, and sums downstream round by memory order.
+# _fft_pass is the one scipy.fft call site: a plain DFT, or its inverse with
+# the 1/N, along one axis; it overwrites a C-ordered argument unless told to
+# keep it.  _centered_fft (sum_j e^{-i xi_m x_j} v_j on centred orderings, no
+# measure factor) is that pass between shifts, _centered_ifft its exact
+# inverse: a unitary pair, which keeps every propagator norm-preserving to
+# rounding.  ifftshift returns a fresh copy in the caller's memory order, which
+# the pass overwrites when C-ordered, the order an out-of-place transform
+# returns; sums downstream round by memory order.  For even N the centred DFT
+# is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): the Bopp harness's frame.
+
+
+def _fft_pass(values: np.ndarray, axis: int, inverse: bool, keep: bool = False) -> np.ndarray:
+    transform = _sfft.ifft if inverse else _sfft.fft
+    return transform(values, axis=axis, overwrite_x=not keep and values.flags.c_contiguous,
+                     workers=fft_workers())
 
 
 def _centered_fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    v = np.fft.ifftshift(values, axes=axis)
-    v = _sfft.fft(v, axis=axis, overwrite_x=v.flags.c_contiguous, workers=fft_workers())
-    return np.fft.fftshift(v, axes=axis)
+    return np.fft.fftshift(_fft_pass(np.fft.ifftshift(values, axes=axis), axis, False), axes=axis)
 
 
 def _centered_ifft(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    v = np.fft.ifftshift(values, axes=axis)
-    v = _sfft.ifft(v, axis=axis, overwrite_x=v.flags.c_contiguous, workers=fft_workers())
-    return np.fft.fftshift(v, axes=axis)
+    return np.fft.fftshift(_fft_pass(np.fft.ifftshift(values, axes=axis), axis, True), axes=axis)
 
 
 def _spectral_step(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:

@@ -133,19 +133,20 @@ class _Plan:
                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
                        if coeff != 0.0]
 
-    def substitute(self, values: np.ndarray) -> np.ndarray:
+    def substitute(self, values: np.ndarray, shear=_shear) -> np.ndarray:
         """Substitute the flow at -theta into mixed (x, eta) values (batched).
 
         Quarter turns are index permutations.  Each shear translates along
-        one axis by a multiple of the other coordinate (`_shear`).  The
-        identity returns `values`.
+        one axis by a multiple of the other coordinate (`shear`, centred
+        unless the caller works in another frame).  The identity returns
+        `values`.
         """
         out = values
         neg = (-np.arange(values.shape[-1])) % values.shape[-1]
         for _ in range(self.factorization.quarters):
             out = np.swapaxes(out, -1, -2)[..., neg, :]
         for axis, tables in self.shears:
-            out = _shear(out, axis, tables)
+            out = shear(out, axis, tables)
         return out
 
 

@@ -9,7 +9,7 @@ from array import array
 import numpy as np
 
 from phasekit import states
-from phasekit.bopp import PhaseOperator, _momentum_action
+from phasekit.bopp import PhaseOperator
 from phasekit.grid import Grid1D, PhaseFunction2D, _spectral_step
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
@@ -143,21 +143,33 @@ def parse_csv_per_line(lines: list[str], shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(shape)
 
 
+def count_calls(monkeypatch, module, names: tuple[str, ...]) -> list[str]:
+    """Record the name of every call of module.<name>, for each name, made
+    from now on."""
+    calls: list[str] = []
+    for name in names:
+        inner = getattr(module, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def count_fft_passes(monkeypatch) -> list[str]:
     """Record the name of every scipy.fft.fft/ifft call made from now on,
     which is every FFT pass the package makes."""
     import scipy.fft
 
-    passes: list[str] = []
-    for name in ("fft", "ifft"):
-        inner = getattr(scipy.fft, name)
+    return count_calls(monkeypatch, scipy.fft, ("fft", "ifft"))
 
-        def counted(*args, _name=name, _inner=inner, **kwargs):
-            passes.append(_name)
-            return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
-    return passes
+def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
+    """p - (i/2) d/dx on raw (x, p) value arrays (batchable over leading axes)."""
+    out = grid_p.nodes() * values
+    return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
 
 
 def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import count_fft_passes, plane_action_oracle, random_phase_wave
+from helpers import count_calls, count_fft_passes, plane_action_oracle, random_phase_wave
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
@@ -15,8 +16,11 @@ from phasekit.bopp import (
     _action,
     _cluster,
     _evolve_dense,
+    _into_frame,
     _krylov_evolve,
     _lift_angle,
+    _out_of_frame,
+    _plain_shear,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
@@ -28,9 +32,8 @@ from phasekit.grid import (
     PhaseFunction2D,
     SampledFunction1D,
     _centered_fft,
-    _centered_ifft,
 )
-from phasekit.metaplectic import _Plan, _chirp, _shear
+from phasekit.metaplectic import _Plan, _chirp
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -46,6 +49,11 @@ from phasekit.wigner import Window, windowed_transform
 
 def _window(grid):
     return Window(states.gaussian(grid))
+
+
+def _checkerboard(n):
+    """The harness frame M = D (x) D, D = diag((-1)^j), as a table."""
+    return (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
 
 
 def test_representation_validation():
@@ -295,13 +303,15 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     h1 = grid.dx * op.kernel().values
     h1 = (h1 + h1.conj().T) / 2.0
     action = _action(op, grid, grid.dual(), h1)
-    # the basis starts from the lift in the mixed plane (x, eta), and one
-    # batched inverse partial transform brings the checkpoints back
+    # the basis starts from the lift in the mixed plane (x, eta), in the
+    # checkerboard frame: M times the lift, then a plain FFT along p; one
+    # batched plain inverse pass and M bring the checkpoints back
     lift0 = windowed_transform(psi0, window, _lift_angle(representation)).values
+    M = _checkerboard(grid.n)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
-        _centered_fft(lift0, axis=-1).reshape(-1), result.times)
-    krylov = _centered_ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1).reshape(mixed.shape)
+        scipy.fft.fft(lift0 * M, axis=-1).reshape(-1), result.times)
+    krylov = (scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1) * M).reshape(mixed.shape)
     assert np.array_equal(krylov[-1], result.phase.values.reshape(-1))
     assert tuple(dims) == result.krylov_dims
     start = lift0.reshape(-1)
@@ -403,26 +413,35 @@ def _conjugated_action_and_batch():
 
 def test_conjugated_action_with_held_plans_is_the_mixed_plane_route():
     # the map builds its two plans once; every call must still equal the
-    # fresh-plan route bit for bit, batched or not: the x-shear at
-    # -THETA_WIGNER, the eta-transform, the eta-chirp at -THETA_WIGNER, the
-    # kernel, the eta-chirp at THETA_WIGNER, the inverse eta-transform and
-    # the x-shear at THETA_WIGNER
+    # fresh-plan route in the checkerboard frame bit for bit, batched or
+    # not: the plain x-shear at -THETA_WIGNER, the plain eta-transform, the
+    # eta-chirp at -THETA_WIGNER, the kernel D K D, the eta-chirp at
+    # THETA_WIGNER, the plain inverse eta-transform and the plain x-shear at
+    # THETA_WIGNER; and the map leaves its argument as it was
     grid, K, action, batch = _conjugated_action_and_batch()
+    DKD = K * _checkerboard(grid.n)
+
+    def shear(v, tables):
+        return scipy.fft.ifft(_chirp(scipy.fft.fft(v, axis=-2), tables), axis=-2)
+
     for v in (batch[0], batch, batch[1]):
+        kept = v.copy()
         (_, x_down), (_, eta_down) = _Plan(grid, grid.dual(), -THETA_WIGNER).shears
         (_, eta_up), (_, x_up) = _Plan(grid, grid.dual(), THETA_WIGNER).shears
-        spec = _chirp(_centered_fft(_shear(v, -2, x_down), axis=-1), eta_down)
-        spec = _chirp(K @ spec, eta_up)
-        assert np.array_equal(action(v), _shear(_centered_ifft(spec, axis=-1), -2, x_up))
+        spec = _chirp(scipy.fft.fft(shear(v, x_down), axis=-1), eta_down)
+        spec = _chirp(DKD @ spec, eta_up)
+        assert np.array_equal(action(v), shear(scipy.fft.ifft(spec, axis=-1), x_up))
+        assert np.array_equal(v, kept)
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
     # K acts along x and the transforms along p and eta, so wrapped in the
-    # partial-transform pair the fused map is the sandwich up to rounding
+    # crossings into and out of the frame the fused map is the sandwich up
+    # to rounding
     grid, K, action, batch = _conjugated_action_and_batch()
     sandwich = plane_action_oracle(PhaseOperator(symbol_oscillator(grid)), grid, grid.dual(), K)
     for v in (batch[0], batch, batch[1]):
-        got = _centered_ifft(action(_centered_fft(v, axis=-1)), axis=-1)
+        got = _out_of_frame(action(_into_frame(v)))
         ref = sandwich(v)
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -432,8 +451,8 @@ def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
        st.sampled_from(REPRESENTATIONS), st.integers(1, 3))
 def test_mixed_plane_maps_match_the_plane_oracles(half_n, half_width, seed,
                                                   representation, batch):
-    # each realization's mixed-plane map, wrapped in the partial-transform
-    # pair, is the (x, p)-plane map it replaced: an exact rewrite, so the
+    # each realization's mixed-plane map, wrapped in the crossings into and
+    # out of the checkerboard frame, is the (x, p)-plane map it replaced: an exact rewrite, so the
     # two differ by rounding alone, batched or not
     grid = Grid1D.centered(2 * half_n, half_width)
     rng = np.random.default_rng(seed)
@@ -444,7 +463,7 @@ def test_mixed_plane_maps_match_the_plane_oracles(half_n, half_width, seed,
     values = (rng.standard_normal((batch, grid.n, grid.n))
               + 1j * rng.standard_normal((batch, grid.n, grid.n)))
     action = _action(op, grid, grid.dual())
-    got = _centered_ifft(action(_centered_fft(values, axis=-1)), axis=-1)
+    got = _out_of_frame(action(_into_frame(values)))
     ref = plane_action_oracle(op, grid, grid.dual())(values)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -468,6 +487,27 @@ def test_wigner_plans_end_and_start_with_an_eta_shear():
     grid = Grid1D.centered(32, 6.0)
     assert [axis for axis, _ in _Plan(grid, grid.dual(), -THETA_WIGNER).shears] == [-2, -1]
     assert [axis for axis, _ in _Plan(grid, grid.dual(), THETA_WIGNER).shears] == [-1, -2]
+
+
+def test_harness_steps_make_no_shift_call(monkeypatch):
+    # in the checkerboard frame every pass is a plain one: an action of each
+    # realization, a Lanczos run over it and a lift batch make no fftshift
+    # or ifftshift call; only the crossing's modulation touches the signs
+    grid = Grid1D.centered(16, 5.0)
+    rng = np.random.default_rng(23)
+    start = _into_frame(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    actions = [_action(PhaseOperator(symbol_oscillator(grid), rep), grid, grid.dual())
+               for rep in REPRESENTATIONS]
+    lift = _Plan(grid, grid.dual(), THETA_WIGNER)
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    for action in actions:
+        action(start)
+        _krylov_evolve(lambda v: action(v.reshape(16, 16)).reshape(-1), start.reshape(-1),
+                       np.array([0.0, 0.25]))
+    lift.substitute(start[None].copy(), _plain_shear)
+    assert shifts == []
+    _centered_fft(start)  # the counter sees the centred pass's two shifts
+    assert shifts == ["ifftshift", "fftshift"]
 
 
 def test_direct_position_makes_no_pass(monkeypatch):

@@ -516,6 +516,13 @@ def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
     ("evolve", {"t": float("nan")}),
     ("wigner", {"grid": {"half_width": float("inf")}}),
     ("verify", {"tolerances": {"flow-algebra/period": float("nan")}}),
+    # a config number must be what its flag accepts: no truncation, no booleans
+    ("bopp-spectrum", {"symbol": "oscillator", "count": 2.5}),
+    ("evolve", {"t": 0.5, "steps": 2.7}),
+    ("wigner", {"gaussian": True, "n": 16.9}),
+    ("bopp-spectrum", {"symbol": "oscillator", "count": True}),
+    ("bopp-spectrum", {"symbol": "oscillator", "count": 1, "half_width": True}),
+    ("evolve", {"t": 0.5, "steps": float("inf")}),
 ])
 def test_bad_config_number_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "job.json"

@@ -14,6 +14,7 @@ from phasekit.grid import (
     SampledFunction1D,
     _centered_fft,
     _centered_ifft,
+    _fft_pass,
     conjugate,
     fft_workers,
     fourier_1d,
@@ -205,3 +206,27 @@ def test_centered_transforms_leave_their_input_untouched(shape):
                 got = centred(given, axis=axis)
                 assert np.array_equal(got, want) and got.strides == want.strides
                 assert np.array_equal(given, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_n=st.integers(1, 32), other=st.integers(1, 8).map(lambda k: 2 * k),
+       batch=st.integers(0, 3), axis=st.sampled_from((-1, -2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_centred_dft_is_the_plain_dft_between_sign_flips(half_n, other, batch, axis, seed):
+    # for even n the centred DFT is (-1)^(n/2) D F D, F the plain DFT and
+    # D = diag((-1)^j) along the transformed axis: the identity behind the
+    # Bopp harness's checkerboard frame; batched or not, on either axis
+    n = 2 * half_n
+    shape = (n, other) if axis == -2 else (other, n)
+    shape = (batch, *shape) if batch else shape
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = values.copy()
+    d = ((-1.0) ** np.arange(n)).reshape((n, 1) if axis == -2 else (n,))
+    sign = (-1.0) ** half_n
+    for centred, inverse in ((_centered_fft, False), (_centered_ifft, True)):
+        got = centred(values, axis=axis)
+        want = sign * d * _fft_pass(d * values, axis, inverse, keep=True)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    _fft_pass(values, axis, False, keep=True)
+    assert np.array_equal(values, kept)
