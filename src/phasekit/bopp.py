@@ -16,10 +16,9 @@ spectrum with each level repeated once per window.  The spectral report
 takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
-(_action) serves apply, the residuals, the evolution and dense_matrix; it
-acts in the mixed plane (x, eta) times (-1)^(i+j), a frame where every
-centred pass is a plain FFT pass and where the residuals and the Lanczos
-basis stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
+(_action) serves apply, the residuals, the evolution and dense_matrix, in
+metaplectic's checkerboard frame, where the residuals and the Lanczos basis
+stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ from .grid import (
     PhaseFunction2D,
     SampledFunction1D,
     SQRT_TWO_PI,
-    _centered_fft,
     _fft_pass,
 )
-from .metaplectic import _Plan, _chirp, _propagate_values
+from .metaplectic import (_Plan, _checkerboard, _chirp, _into_frame, _out_of_frame,
+                          _plain_shear, _propagate_values)
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -146,40 +145,17 @@ class EvolutionResult:
 # applying the three realizations
 
 
-def _checkerboard(rows: int, cols: int) -> np.ndarray:
-    """The frame M = D (x) D as a table of (-1)^(i+j), D = diag((-1)^j)."""
-    return np.outer(1.0 - 2.0 * (np.arange(rows) % 2), 1.0 - 2.0 * (np.arange(cols) % 2))
-
-
-def _into_frame(values: np.ndarray) -> np.ndarray:
-    """(x, p) values -> M C_eta values, up to the sign (-1)^(n/2)."""
-    return _fft_pass(values * _checkerboard(*values.shape[-2:]), -1, False)
-
-
-def _out_of_frame(values: np.ndarray) -> np.ndarray:
-    """The inverse of _into_frame; consumes `values`."""
-    return _fft_pass(values, -1, True) * _checkerboard(*values.shape[-2:])
-
-
-def _plain_shear(values: np.ndarray, axis: int, tables, keep: bool = False) -> np.ndarray:
-    """metaplectic._shear in the frame: the same chirp between plain passes."""
-    return _fft_pass(_chirp(_fft_pass(values, axis, False, keep), tables), axis, True)
-
-
 def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     kernel_values: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The operator's map on raw (..., n, n) values in the mixed plane (x, eta),
     eta p's dual, in the checkerboard frame M = D_x (x) D_eta; it keeps its
-    argument.  For even n a centred DFT is (-1)^(n/2) D F D, F the plain DFT,
-    and D commutes with chirps, multiplications and passes along the other
-    axis: in the frame each centred pass is a plain one, the chirp tables
-    stay, and K (kernel_values, default dx times the kernel) becomes D K D.
-    extended applies D K D along x.  bopp_conjugated does so between the
-    substitutions at -+THETA_WIGNER, whose plans end and start with an
-    eta-shear: x-shear, FFT, chirp, kernel, chirp, inverse FFT, x-shear (6
-    FFT passes).  bopp_direct is the 1D quantization word for word in
+    argument.  In the frame K (kernel_values, default dx times the kernel)
+    becomes D K D, which extended applies along x.  bopp_conjugated does so
+    between the substitutions at -+THETA_WIGNER, whose plans end and start
+    with an eta-shear: x-shear, FFT, chirp, kernel, chirp, inverse FFT,
+    x-shear (6 FFT passes).  bopp_direct is the 1D quantization word for word in
     X = x + (i/2) d/dp, here x - eta/2, and P = p - (i/2) d/dx, here
     F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes).
     """
@@ -187,10 +163,12 @@ def _action(
         position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
         half_xi = 0.5 * grid_x.dual().nodes()[:, None]
 
-        def momentum(values: np.ndarray) -> np.ndarray:
-            plane = _fft_pass(values, -1, True, keep=True)
-            step = _fft_pass(half_xi * _fft_pass(plane, -2, False, keep=True), -2, True)
-            return _fft_pass(grid_p.nodes() * plane + step, -1, False)
+        def momentum(values: np.ndarray, power: int) -> np.ndarray:
+            for _ in range(power):
+                plane = _fft_pass(values, -1, True, keep=True)
+                step = _fft_pass(half_xi * _fft_pass(plane, -2, False, keep=True), -2, True)
+                values = _fft_pass(grid_p.nodes() * plane + step, -1, False)
+            return values
 
         return lambda values: _symmetric_expand(
             op.symbol.poly, values, lambda v: position * v, momentum)
@@ -355,11 +333,12 @@ def bopp_spectrum(
     lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member;
     # seeds psi_m (x) conj(w_j) reach the frame as D psi_m (x) F(D conj(w_j)),
-    # where quarter turns commute with M and the shears are plain
-    windows = np.concatenate(((grid.dx / SQRT_TWO_PI) * _centered_fft(ref_vecs.T),
-                              window.transform.values[None]))
+    # where quarter turns commute with M and the shears are plain; for w_j the
+    # eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj spares the pass
     sign = _checkerboard(1, grid.n)
-    spectra, members = _fft_pass(windows.conj() * sign, -1, False), ref_vecs * sign.T
+    members, scale = ref_vecs * sign.T, (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
+    spectra = np.concatenate((scale * members.T.conj(),
+                              _fft_pass(window.transform.values.conj() * sign, -1, False)))
 
     def lift_residuals(m: int) -> np.ndarray:
         lifts = lift.substitute(members[:, m, None] * spectra[:, None, :], _plain_shear)

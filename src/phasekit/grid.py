@@ -169,7 +169,7 @@ class PhaseFunction2D:
 # rounding.  ifftshift returns a fresh copy in the caller's memory order, which
 # the pass overwrites when C-ordered, the order an out-of-place transform
 # returns; sums downstream round by memory order.  For even N the centred DFT
-# is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): the Bopp harness's frame.
+# is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): metaplectic's frame.
 
 
 def _fft_pass(values: np.ndarray, axis: int, inverse: bool, keep: bool = False) -> np.ndarray:

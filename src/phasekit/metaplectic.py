@@ -25,6 +25,7 @@ from .grid import (
     PhaseFunction2D,
     _centered_fft,
     _centered_ifft,
+    _fft_pass,
     _spectral_step,
 )
 from .symplectic import FREQUENCY, flow_matrix, plane_block
@@ -117,6 +118,27 @@ def _chirp(spec: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 def _shear(values: np.ndarray, axis: int, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One shear: a centred FFT along `axis`, the chirp, the inverse FFT."""
     return _centered_ifft(_chirp(_centered_fft(values, axis=axis), tables), axis=axis)
+
+
+def _checkerboard(rows: int, cols: int) -> np.ndarray:
+    """The frame M = D (x) D of the mixed plane as a table of (-1)^(i+j): by grid's
+    D F D identity, in M quarter turns stay and a shear is _plain_shear."""
+    return np.outer(1.0 - 2.0 * (np.arange(rows) % 2), 1.0 - 2.0 * (np.arange(cols) % 2))
+
+
+def _into_frame(values: np.ndarray) -> np.ndarray:
+    """(x, p) values -> M C_eta values, up to the sign (-1)^(n/2)."""
+    return _fft_pass(values * _checkerboard(*values.shape[-2:]), -1, False)
+
+
+def _out_of_frame(values: np.ndarray) -> np.ndarray:
+    """The inverse of _into_frame; consumes `values`."""
+    return _fft_pass(values, -1, True) * _checkerboard(*values.shape[-2:])
+
+
+def _plain_shear(values: np.ndarray, axis: int, tables, keep: bool = False) -> np.ndarray:
+    """_shear in the frame: the same chirp between plain passes."""
+    return _fft_pass(_chirp(_fft_pass(values, axis, False, keep), tables), axis, True)
 
 
 class _Plan:

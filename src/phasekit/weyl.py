@@ -11,11 +11,11 @@ FFT, or a unit-modulus multiply, so kernel_to_symbol and symbol_to_kernel
 invert each other to machine precision on arbitrary data.
 
 The star product composes kernels: a * b = kernel_to_symbol of the composed
-operator.  A brute-force phase-space quadrature (symplectic Fourier
-transform followed by a twisted convolution) exists solely to certify the
-kernel route on small grids; it discretizes the continuum integral with no
-periodic wrapping, so its agreement with the torus-exact kernel route is a
-genuine two-route check.
+operator.  At another angle theta the angle-theta symbol of a kernel is its
+separation values after one metaplectic substitution, so theta_product runs
+substitution, dictionary and composition as one pipeline.  A brute-force
+phase-space quadrature (symplectic Fourier transform, twisted convolution)
+certifies the kernel route on small grids with no periodic wrapping.
 
 Symbols of unbounded operators (position, momentum, oscillator energy) wrap
 around the box edge when rendered on the grid, so they carry their
@@ -46,9 +46,10 @@ from .grid import (
     TWO_PI,
     _centered_fft,
     _centered_ifft,
+    _fft_pass,
     _spectral_step,
 )
-from .metaplectic import propagate
+from .metaplectic import _Plan, _checkerboard, _into_frame, _out_of_frame, _plain_shear, propagate
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle, wigner_fractional
 
@@ -196,6 +197,27 @@ def _diagonal_layout(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
             _frozen(np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)))
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _kernel_order(n: int) -> np.ndarray:
+    """The inverse of the layout's flat index, so that a scatter is a gather."""
+    return _frozen(np.argsort(_diagonal_layout(n, +1)[0].reshape(-1)))
+
+
+def _gather(kernels: np.ndarray) -> np.ndarray:
+    """(..., n, n) kernels -> their diagonals as columns, recentred."""
+    flat, shift = _diagonal_layout(kernels.shape[-1], -1)
+    diagonals = np.take(kernels.reshape(kernels.shape[:-2] + (-1,)), flat, axis=-1)
+    return _fft_pass(_fft_pass(diagonals, -2, False) * shift, -2, True)
+
+
+def _scatter(columns: np.ndarray) -> np.ndarray:
+    """The inverse of _gather; consumes `columns`."""
+    n = columns.shape[-1]
+    spread = _fft_pass(_fft_pass(columns, -2, False) * _diagonal_layout(n, +1)[1], -2, True)
+    return np.take(spread.reshape(columns.shape[:-2] + (-1,)), _kernel_order(n),
+                   axis=-1).reshape(columns.shape)
+
+
 def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     """Symbol a(x, xi) of a kernel; exact inverse of symbol_to_kernel.
 
@@ -205,20 +227,13 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     dual grid with the dx quadrature weight.
     """
     grid = kernel.grid
-    flat, shift = _diagonal_layout(grid.n, -1)
-    diagonals = np.take(kernel.values.reshape(-1), flat)
-    gmat = np.fft.ifft(np.fft.fft(diagonals, axis=0) * shift, axis=0)
-    return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(gmat, axis=1))
+    return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(_gather(kernel.values), axis=1))
 
 
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     """Kernel of a symbol; runs kernel_to_symbol backwards step by step."""
     grid = symbol.grid_x
-    flat, shift = _diagonal_layout(grid.n, +1)
-    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
-    K = np.empty((grid.n, grid.n), dtype=np.complex128)
-    K.reshape(-1)[flat] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
-    return OperatorKernel(grid, K)
+    return OperatorKernel(grid, _scatter(_centered_ifft(symbol.values, axis=1) / grid.dx))
 
 
 def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
@@ -250,19 +265,19 @@ def theta_symbol(symbol: Symbol2D, theta: float) -> Symbol2D:
     return _transport(symbol, theta - THETA_WIGNER)
 
 
-def _transport(symbol: Symbol2D, angle: float) -> Symbol2D:
-    """Carry a decaying symbol through the propagator by `angle`.
-
-    Polynomial symbols are refused: they carry their mass out to the box
-    edge, so the shear factorization wraps it around and the transported
-    values are noise.  Failing here turns that into a visible error.
-    """
+def _refuse_polynomial(symbol: Symbol2D) -> None:
+    """Polynomial symbols reach the box edge, where the shears wrap them into noise."""
     if symbol.poly is not None:
         raise ConfigurationError(
             "polynomial symbols cannot be transported to another angle "
             "numerically (no decay at the box edge); work at the standard "
             "angle, where the algebraic product is exact"
         )
+
+
+def _transport(symbol: Symbol2D, angle: float) -> Symbol2D:
+    """Carry a decaying symbol through the propagator by `angle`."""
+    _refuse_polynomial(symbol)
     out = propagate(symbol.as_phase_function(), angle)
     return Symbol2D(out.grid_x, out.grid_p, out.values)
 
@@ -339,12 +354,19 @@ def _derivative_matrix(grid: Grid1D) -> np.ndarray:
     return _frozen(_spectral_step(eye, grid.dual().nodes()[:, None], axis=0))
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _derivative_power(grid: Grid1D, j: int) -> np.ndarray:
+    """P^j I = P (P ... (P I)) for j >= 1, where P I = P exactly."""
+    dmat = _derivative_matrix(grid)
+    return dmat if j == 1 else _frozen(dmat @ _derivative_power(grid, j - 1))
+
+
 def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:
     """Symmetric-ordered polynomial in two operators, applied to `start`.
 
     Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r P^j X^{i-r},
-    applied right to left by the callables x_act and p_act.  Kernels use
-    the identity matrix as start; phase-plane actions use the data itself.
+    applied right to left by the callables x_act(term) and p_act(term, j) for
+    P^j, j >= 1.  Kernels start from the identity, phase-plane actions the data.
     """
     total = np.zeros_like(start, dtype=np.complex128)
     for i in range(coeffs.shape[0]):
@@ -357,8 +379,8 @@ def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np
                 term = np.asarray(start, dtype=np.complex128)
                 for _ in range(i - r):
                     term = x_act(term)
-                for _ in range(j):
-                    term = p_act(term)
+                if j:
+                    term = p_act(term, j)
                 for _ in range(r):
                     term = x_act(term)
                 word += math.comb(i, r) * term
@@ -368,15 +390,15 @@ def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np
 
 def mccoy_kernel(symbol: Symbol2D) -> OperatorKernel:
     """Quantize a polynomial-tagged symbol by symmetric-ordering expansion,
-    with X the position multiplier and P the spectral derivative matrix."""
+    with X the position multiplier and P the spectral derivative matrix: the
+    cached P^j I scales the diagonal X^(i-r) I (j products' bits if j <= 1 or i = r)."""
     if symbol.poly is None:
         raise ConfigurationError("mccoy_kernel requires a polynomial-tagged symbol")
     grid = symbol.grid_x
     nodes = grid.nodes()[:, None]
-    dmat = _derivative_matrix(grid)
     total = _symmetric_expand(
         symbol.poly, np.eye(grid.n, dtype=np.complex128),
-        lambda m: nodes * m, lambda m: dmat @ m,
+        lambda m: nodes * m, lambda m, j: _derivative_power(grid, j) * m.diagonal(),
     )
     return OperatorKernel(grid, total / grid.dx)
 
@@ -466,15 +488,32 @@ def theta_product(
     """Star product of two angle-theta symbols, returned at the same angle.
 
     Pulls both factors back to the standard angle, multiplies there, and
-    pushes the result forward.  At the standard angle itself the pullback
-    is skipped entirely, so the result is identical to moyal_product.
+    pushes the result forward; the kernel route is one pipeline in the
+    checkerboard frame, one plan pulls both factors, and each centred pair
+    F_c F_c = n R where propagator and dictionary meet is the reversal R.
+    At the standard angle itself it is moyal_product, bit for bit.
     """
     _require_common_grids(a, b)
     if _is_wigner_angle(theta):
         return moyal_product(a, b, method=method)
     back = THETA_WIGNER - theta
-    base = moyal_product(_transport(a, back), _transport(b, back), method=method)
-    return _transport(base, theta - THETA_WIGNER)
+    if method not in (None, "kernel"):
+        return _transport(moyal_product(_transport(a, back), _transport(b, back),
+                                        method=method), -back)
+    _refuse_polynomial(a)
+    _refuse_polynomial(b)
+    grid, pull = a.grid_x, _Plan(a.grid_x, a.grid_xi, back)
+    n, dx = grid.n, grid.dx
+    reverse, board = (-np.arange(n)) % n, _checkerboard(n, n)
+    # F_c^-1 F_c^-1 = R/n; the sign (-1)^(n/2) of each factor cancels in the product
+    values = pull.substitute(_into_frame(np.stack((a.values, b.values))),
+                             _plain_shear)[..., reverse]
+    values *= board / (n * dx)
+    # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign
+    values = _gather(dx * np.matmul(*_scatter(values)))[..., reverse]
+    values *= board * ((-1) ** (n // 2) * n * dx)
+    push = _Plan(grid, grid.dual(), -back)
+    return Symbol2D(grid, grid.dual(), _out_of_frame(push.substitute(values, _plain_shear)))
 
 
 # --------------------------------------------------------------------------

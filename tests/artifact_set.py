@@ -1,6 +1,7 @@
 """A fixed set of CLI runs whose artifacts two commits can be compared on.
 
 Usage: python tests/artifact_set.py WORKDIR
+       python tests/artifact_set.py --compare DIR_A DIR_B
 
 Makes the input files under WORKDIR/in, runs every command below in-process
 with WORKDIR as the working directory, and prints, per command, its exit
@@ -9,6 +10,10 @@ against two checkouts (PYTHONPATH=<checkout>/src) in two fresh directories
 and diff the printouts: a refactor that keeps behaviour leaves no line
 changed.  Warnings are printed as "Category: message", without the source
 line, so that moving code does not show as a change.
+
+With --compare, it reads two such directories and prints, for each file
+whose sha256 differs, the largest difference of its values relative to the
+largest value in DIR_A, if both copies are grid files, or that it differs.
 """
 
 from __future__ import annotations
@@ -143,9 +148,44 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _digests(root: str) -> dict[str, str]:
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def compare(dir_a: str, dir_b: str) -> None:
+    """Print how each file that differs between two artifact directories differs."""
+    digests_a, digests_b = _digests(dir_a), _digests(dir_b)
+    for path in sorted(digests_a.keys() | digests_b.keys()):
+        if path not in digests_b or path not in digests_a:
+            print(f"{path} only in {dir_a if path in digests_a else dir_b}")
+            continue
+        if digests_a[path] == digests_b[path]:
+            continue
+        try:
+            a, b = (gridfile.read(os.path.join(root, path)).values for root in (dir_a, dir_b))
+        except (gridfile.FileFormatError, ValueError):
+            print(f"{path} differs (not a grid file)")
+            continue
+        if a.shape != b.shape:
+            print(f"{path} differs in shape: {a.shape} and {b.shape}")
+            continue
+        scale = float(np.abs(a).max(initial=0.0))
+        error = float(np.abs(a - b).max(initial=0.0)) / (scale or 1.0)
+        print(f"{path} max relative difference {error:.3e}")
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(argv[1], argv[2])
+        return 0
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     root = os.path.abspath(argv[0])
     os.makedirs(root, exist_ok=True)

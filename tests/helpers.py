@@ -14,7 +14,13 @@ from phasekit.grid import Grid1D, PhaseFunction2D, _spectral_step
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
 from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
-from phasekit.weyl import OperatorKernel, _symmetric_expand
+from phasekit.weyl import (
+    OperatorKernel,
+    Symbol2D,
+    _symmetric_expand,
+    _transport,
+    moyal_product,
+)
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
 GENERATOR = np.array(
@@ -185,8 +191,12 @@ def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
         def position(v):
             return grid_x.nodes()[:, None] * v + _spectral_step(v, -0.5 * eta, axis=-1)
 
-        return lambda values: _symmetric_expand(
-            op.symbol.poly, values, position, lambda v: _momentum_action(v, grid_x, grid_p))
+        def momentum(v, power):
+            for _ in range(power):
+                v = _momentum_action(v, grid_x, grid_p)
+            return v
+
+        return lambda values: _symmetric_expand(op.symbol.poly, values, position, momentum)
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
     if op.representation == "extended":
@@ -194,3 +204,12 @@ def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     return lambda values: _propagate_values(
         kernel_values @ _propagate_values(values, grid_x, grid_p, -THETA_WIGNER),
         grid_x, grid_p, THETA_WIGNER)
+
+
+def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
+    """The angle star product by the composed route: each factor carried to
+    the standard angle by the propagator, symbol_to_kernel, composition,
+    kernel_to_symbol, and the result carried back."""
+    back = THETA_WIGNER - theta
+    base = moyal_product(_transport(a, back), _transport(b, back), method="kernel")
+    return _transport(base, -back)

@@ -16,11 +16,8 @@ from phasekit.bopp import (
     _action,
     _cluster,
     _evolve_dense,
-    _into_frame,
     _krylov_evolve,
     _lift_angle,
-    _out_of_frame,
-    _plain_shear,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
@@ -32,8 +29,9 @@ from phasekit.grid import (
     PhaseFunction2D,
     SampledFunction1D,
     _centered_fft,
+    _fft_pass,
 )
-from phasekit.metaplectic import _Plan, _chirp
+from phasekit.metaplectic import _Plan, _chirp, _into_frame, _out_of_frame, _plain_shear
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -508,6 +506,32 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_eigenstate_window_rows_need_no_pass(n):
+    # F(D conj(w)) for w = (dx/sqrt(2 pi)) F_c psi is (dx/sqrt(2 pi)) (-1)^(n/2) n
+    # conj(D psi), the row bopp_spectrum builds for each eigenstate window
+    grid = Grid1D.centered(n, 5.0)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    weight = grid.dx / np.sqrt(2.0 * np.pi)
+    want = _fft_pass(np.conj(weight * _centered_fft(psi)) * sign, -1, False)
+    got = weight * (-1) ** (n // 2) * n * np.conj(psi * sign)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_spectrum_makes_no_shift_call(monkeypatch):
+    grid = Grid1D.centered(16, 5.0)
+    window, symbol = _window(grid), symbol_oscillator(grid)
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    bopp_spectrum(symbol, 2, window)
+    assert shifts == []
+    # per member a 4-pass lift at THETA_WIGNER and the 6-pass conjugated
+    # action; outside them only the caller's window row takes a pass
+    assert len(passes) == 1 + 2 * (4 + 6)
 
 
 def test_direct_position_makes_no_pass(monkeypatch):

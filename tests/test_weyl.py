@@ -1,12 +1,13 @@
 """Operator kernels, angle symbols, and star products."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import identity_kernel
+from helpers import count_calls, count_fft_passes, identity_kernel, theta_product_oracle
 from phasekit import states, weyl
 from phasekit.grid import (
     ConfigurationError,
@@ -15,14 +16,18 @@ from phasekit.grid import (
     _centered_fft,
     _centered_ifft,
 )
+from phasekit.metaplectic import shear_factorization
 from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
     _derivative_matrix,
+    _derivative_power,
     _diagonal_layout,
+    _kernel_order,
     _moyal_poly,
     _poly_trim,
+    _symmetric_expand,
     expectation,
     fractional_symbol,
     kernel_to_symbol,
@@ -131,6 +136,51 @@ def test_mccoy_kernel_same_with_uncached_derivative_matrix(monkeypatch):
     monkeypatch.setattr(weyl, "_derivative_matrix", _derivative_matrix.__wrapped__)
     for sym, values in zip(symbols, cached):
         assert np.array_equal(mccoy_kernel(sym).values, values)
+
+
+def test_scatter_order_and_derivative_powers_are_cached_and_read_only():
+    grid = Grid1D.centered(16, 6.0)
+    flat, _ = _diagonal_layout(16, +1)
+    order = _kernel_order(16)
+    assert np.array_equal(flat.reshape(-1)[order], np.arange(16 * 16))
+    assert _derivative_power(grid, 1) is _derivative_matrix(grid)
+    for table, repeat in ((order, _kernel_order(16)),
+                          (_derivative_power(grid, 2), _derivative_power(grid, 2))):
+        assert table is repeat
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def _mccoy_product_chain(symbol):
+    # reference: the expansion applied to the identity with one dense
+    # product P @ term per power of P, as mccoy_kernel ran it before
+    grid = symbol.grid_x
+    nodes, dmat = grid.nodes()[:, None], _derivative_matrix(grid)
+    total = _symmetric_expand(
+        symbol.poly, np.eye(grid.n, dtype=np.complex128), lambda m: nodes * m,
+        lambda m, j: functools.reduce(lambda t, _: dmat @ t, range(j), m))
+    return total / grid.dx
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_mccoy_kernel_matches_the_product_chain(n):
+    grid = Grid1D.centered(n, 8.0)
+    x2, xi2 = np.zeros((3, 1)), np.zeros((1, 3))
+    x2[2, 0] = xi2[0, 2] = 1.0
+    shifted = np.zeros((3, 3))
+    shifted[2, 0] = shifted[0, 2] = 0.5
+    shifted[1, 0], shifted[0, 1] = 0.2, -0.1
+    words = [symbol_x(grid), symbol_xi(grid), symbol_oscillator(grid),
+             polynomial_symbol(x2, grid), polynomial_symbol(xi2, grid),
+             polynomial_symbol(shifted, grid)]
+    for symbol in words:
+        assert np.array_equal(mccoy_kernel(symbol).values, _mccoy_product_chain(symbol))
+    # P^2 meets the diagonal x^2 here: the cached power rounds differently
+    x2xi2 = np.zeros((3, 3))
+    x2xi2[2, 2] = 1.0
+    symbol = polynomial_symbol(x2xi2, grid)
+    got, want = mccoy_kernel(symbol).values, _mccoy_product_chain(symbol)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _loop_moyal_poly(ca, cb):
@@ -358,6 +408,68 @@ def test_theta_product_transports_composition():
     rhs = fractional_symbol(k1.compose(k2), theta)
     scale = np.max(np.abs(rhs.values))
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-5 * scale
+
+
+def _random_decaying_symbol(grid, rng):
+    x, xi = grid.nodes()[:, None], grid.dual().nodes()[None, :]
+    cx, cxi, chirp = rng.uniform(-1.0, 1.0, 3)
+    wx, wxi = rng.uniform(0.5, 1.5, 2)
+    values = np.exp(-wx * (x - cx) ** 2 - wxi * (xi - cxi) ** 2 + 1j * chirp * x * xi)
+    return Symbol2D(grid, grid.dual(), values)
+
+
+def test_pull_plans_of_the_examples_take_odd_quarter_turns():
+    # the fused route's examples below reach both odd quarter-turn counts
+    assert shear_factorization(THETA_WIGNER - 1.0).quarters == 1
+    assert shear_factorization(THETA_WIGNER - 2.2).quarters == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([10, 12, 16, 18, 30, 48, 64, 96]), stretch=st.floats(0.8, 1.25),
+       theta=st.floats(-PERIOD, PERIOD), seed=st.integers(0, 2**32 - 1))
+@example(n=12, stretch=1.0, theta=0.0, seed=0)
+@example(n=48, stretch=1.0, theta=1.0, seed=1)
+@example(n=96, stretch=0.9, theta=2.2, seed=2)
+@example(n=64, stretch=1.1, theta=0.4, seed=3)
+@example(n=18, stretch=1.0, theta=0.4, seed=4)
+def test_fused_angle_product_matches_the_composed_route(n, stretch, theta, seed):
+    # the same discrete map up to rounding: each centred transform pair the
+    # fused route leaves out is n times the index reversal exactly; n/2 odd
+    # (10, 18, 30) flips the one frame sign left
+    grid = Grid1D.centered(n, stretch * math.sqrt(math.pi * n / 2))
+    rng = np.random.default_rng(seed)
+    a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
+    got = theta_product(a, b, theta)
+    want = theta_product_oracle(a, b, theta)
+    assert got.grid_x == want.grid_x and got.grid_xi == want.grid_xi
+    assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
+
+
+def test_fused_angle_product_makes_no_shift_call(monkeypatch):
+    # one crossing into the frame, six passes per three-shear plan, the two
+    # half-sample steps and one crossing back; no fftshift anywhere
+    grid = Grid1D.centered(32, 6.0)
+    rng = np.random.default_rng(5)
+    a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    theta_product(a, b, 0.4)
+    assert shifts == []
+    assert len(passes) == 1 + 6 + 2 + 2 + 6 + 1
+
+
+def test_angle_product_refuses_before_any_work(monkeypatch):
+    decaying = _random_decaying_symbol(GRID, np.random.default_rng(6))
+    passes = count_fft_passes(monkeypatch)
+    for a, b in ((symbol_x(GRID), decaying), (decaying, symbol_xi(GRID))):
+        with pytest.raises(ConfigurationError, match="polynomial symbols cannot be transported"):
+            theta_product(a, b, 0.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="is not finite"):
+            theta_product(decaying, decaying, bad)
+    assert passes == []
+    with pytest.raises(ConfigurationError, match="requires polynomial tags on both"):
+        theta_product(decaying, decaying, 0.2, method="algebraic")
 
 
 def test_theta_product_at_distinguished_angle_is_moyal():
