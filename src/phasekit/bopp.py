@@ -17,8 +17,9 @@ takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
 (_action) serves apply, the residuals, the evolution and dense_matrix, in
-metaplectic's checkerboard frame, where the residuals and the Lanczos basis
-stay.  Both harnesses refuse grids above DENSE_MAX_N points per axis.
+metaplectic's checkerboard frame, where both harnesses lift (_frame_lifts),
+measure and evolve.  They share one preamble (_harness), which refuses grids
+above DENSE_MAX_N points per axis and runs the one 1D eigensolve.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from .metaplectic import (_Plan, _checkerboard, _chirp, _into_frame, _out_of_fra
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
-    SELF_ADJOINT_TOL,
     Symbol2D,
     _operator_kernel,
+    _self_adjoint,
     _symmetric_expand,
 )
-from .wigner import Window, windowed_transform
+from .wigner import Window
 
 __all__ = ["PhaseOperator", "SpectralReport", "EvolutionResult", "bopp_intertwining_residual",
            "dense_matrix", "bopp_spectrum", "evolve_pair"]
@@ -212,11 +213,13 @@ def bopp_intertwining_residual(
     kernel = op.kernel()
     if not psi.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match the operator grid")
-    angle = _lift_angle(representation)
-    lifted = windowed_transform(kernel.apply(psi), window, angle)
-    pushed = op.apply(windowed_transform(psi, window, angle))
-    defect = PhaseFunction2D(lifted.grid_x, lifted.grid_p, pushed.values - lifted.values).norm()
-    scale = lifted.norm()
+    # centred lifts of psi and K psi, checked against the action in the frame
+    plane = (psi.grid, psi.grid.dual())
+    seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
+    lift, lifted = _propagate_values(seeds * _window_row(window, psi.grid), *plane,
+                                     _lift_angle(representation))
+    pushed = op.apply(PhaseFunction2D(*plane, lift)).values
+    defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
         warnings.warn("lifted reference is numerically zero; returning the absolute "
                       "intertwining defect", stacklevel=2)
@@ -266,20 +269,43 @@ def _require_count(name: str, value: int) -> None:
         raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
-def _require_self_adjoint(kernel: OperatorKernel, what: str) -> None:
-    defect = kernel.self_adjoint_defect()
-    scale = max(1.0, float(np.abs(kernel.values).max()))
-    if defect > SELF_ADJOINT_TOL * scale:
+def _harness(symbol: Symbol2D, representation: str, given: Grid1D, what: str, mismatch: str):
+    """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint,
+    on the caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points;
+    then the symmetrized 1D operator h = dx (K + K^H)/2 and its orthonormal eigh."""
+    op = PhaseOperator(symbol, representation)
+    kernel = op.kernel()
+    self_adjoint, defect = _self_adjoint(kernel)
+    if not self_adjoint:
         raise ConfigurationError(f"{what} requires a self-adjoint operator; kernel deviates "
                                  f"from conj-symmetry by {defect:.3e}")
-
-
-def _reference_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm eigenstates of the symmetrized 1D operator."""
-    h = kernel.grid.dx * kernel.values
+    if not given.matches(kernel.grid):
+        raise ConfigurationError(mismatch)
+    grid = _plane_grid(op)
+    h = grid.dx * kernel.values
     h = (h + h.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs / math.sqrt(kernel.grid.dx)
+    return op, kernel, h, *np.linalg.eigh(h)
+
+
+def _window_row(window: Window, grid: Grid1D) -> np.ndarray:
+    """conj(FT window), the window's factor of a lift's seed; refused off the states' grid."""
+    if not grid.matches(window.grid):
+        raise ConfigurationError("state and window live on different grids")
+    return window.transform.values.conj()
+
+
+def _seed_row(window: Window, grid: Grid1D) -> np.ndarray:
+    """F(D conj(FT window)), the window's factor of a lift's seed in the frame."""
+    return _fft_pass(_window_row(window, grid) * _checkerboard(1, grid.n)[0], -1, False)
+
+
+def _frame_lifts(lift: _Plan, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Windowed lifts U(angle)(psi (x) conj(FT w)) straight in the frame, batched:
+    each state psi (last axis) times each seed row, (D psi) (x) F(D conj(FT w)),
+    under the plan, whose quarter turns commute with M and whose shears are plain;
+    _into_frame(windowed_transform(...)) to rounding, with neither crossing."""
+    sign = _checkerboard(1, states.shape[-1])[0]
+    return lift.substitute((states * sign)[..., :, None] * rows[..., None, :], _plain_shear)
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
@@ -314,13 +340,11 @@ def bopp_spectrum(
     _require_count("count", count)
     if not math.isfinite(gap):
         raise ConfigurationError(f"gap must be finite, got {gap}")
-    op = PhaseOperator(symbol, representation)
-    kernel = op.kernel()
-    _require_self_adjoint(kernel, "the spectral harness")
-    if not window.grid.matches(kernel.grid):
-        raise ConfigurationError("window grid does not match the operator grid")
-    grid = _plane_grid(op)
-    ref_vals, ref_vecs = _reference_spectrum(kernel)
+    op, kernel, _, ref_vals, ref_vecs = _harness(
+        symbol, representation, window.grid, "the spectral harness",
+        "window grid does not match the operator grid")
+    grid = kernel.grid
+    ref_vecs = ref_vecs / math.sqrt(grid.dx)
     clusters = _cluster(ref_vals, gap)
     if len(clusters) < count:
         raise ConfigurationError(
@@ -332,16 +356,14 @@ def bopp_spectrum(
     action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member;
-    # seeds psi_m (x) conj(w_j) reach the frame as D psi_m (x) F(D conj(w_j)),
-    # where quarter turns commute with M and the shears are plain; for w_j the
-    # eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj spares the pass
-    sign = _checkerboard(1, grid.n)
-    members, scale = ref_vecs * sign.T, (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
-    spectra = np.concatenate((scale * members.T.conj(),
-                              _fft_pass(window.transform.values.conj() * sign, -1, False)))
+    # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
+    # spares the pass: its seed row is that factor times conj(D psi_j)
+    scale = (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
+    rows = np.concatenate((scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj(),
+                           _seed_row(window, grid)[None]))
 
     def lift_residuals(m: int) -> np.ndarray:
-        lifts = lift.substitute(members[:, m, None] * spectra[:, None, :], _plain_shear)
+        lifts = _frame_lifts(lift, ref_vecs[:, m], rows)
         defect = action(lifts) - ref_vals[m] * lifts
         return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
 
@@ -368,16 +390,6 @@ def bopp_spectrum(
 
 # --------------------------------------------------------------------------
 # paired evolution
-
-
-def _evolve_dense(
-    hermitian: np.ndarray, start: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Exact evolution exp(-i t H) start at each requested time (columns)."""
-    vals, vecs = np.linalg.eigh(hermitian)
-    coeffs = vecs.conj().T @ start
-    phases = np.exp(-1j * np.outer(vals, times))
-    return vecs @ (phases * coeffs[:, None])
 
 
 def _krylov_evolve(
@@ -442,45 +454,39 @@ def evolve_pair(
     eigendecomposition.  The phase picture starts from the windowed lift
     and evolves under the realization built from that same kernel by a
     restarted Lanczos exponential over the matrix-free action, which draws
-    no random numbers.  Grids above DENSE_MAX_N points per axis are
-    refused, as in bopp_spectrum.  The divergence is the worst checkpoint
-    value of ||Phi - W psi|| / ||Phi||.
+    no random numbers; it starts from the first of one batch of lifts, of psi0
+    and the state checkpoints, all in the frame, where the checkpoints are
+    compared; only the returned phase leaves it.  Grids above DENSE_MAX_N
+    points per axis are refused, as in bopp_spectrum.  The divergence is the
+    worst checkpoint value of ||Phi - W psi|| / ||Phi||.
     """
     _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
-    op = PhaseOperator(symbol, representation)
-    kernel = op.kernel()
-    _require_self_adjoint(kernel, "paired evolution")
-    grid = _plane_grid(op)
-    if not psi0.grid.matches(grid):
-        raise ConfigurationError("initial state grid does not match the operator")
+    op, kernel, h, vals, vecs = _harness(symbol, representation, psi0.grid, "paired evolution",
+                                         "initial state grid does not match the operator")
+    grid, n = kernel.grid, kernel.grid.n
     times = np.linspace(0.0, t_final, steps + 1)
+    coeffs = vecs.conj().T @ psi0.values
+    states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
-    h1 = grid.dx * kernel.values
-    h1 = (h1 + h1.conj().T) / 2.0
-    states = _evolve_dense(h1, psi0.values.astype(np.complex128), times).T
-
-    angle = _lift_angle(representation)
-    lift0 = windowed_transform(psi0, window, angle)
-    action = _action(op, grid, grid.dual(), h1)
+    lifts = _frame_lifts(_Plan(grid, grid.dual(), _lift_angle(representation)),
+                         np.concatenate((psi0.values[None], states)), _seed_row(window, grid))
+    action = _action(op, grid, grid.dual(), h)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
-    mixed, dims = _krylov_evolve(lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
-                                 _into_frame(lift0.values).reshape(-1), times)
-    phases = _out_of_frame(mixed.reshape(-1, grid.n, grid.n)).reshape(mixed.shape)
-
-    weight = math.sqrt(lift0.weight)
-    lifted = _propagate_values(states[:, :, None] * window.transform.values.conj(),
-                               grid, grid.dual(), angle).reshape(times.size, -1)
-    phase_norms = np.linalg.norm(phases, axis=1) * weight
-    divergences = (np.linalg.norm(phases - lifted, axis=1) * weight
+    mixed, dims = _krylov_evolve(lambda v: action(v.reshape(n, n)).reshape(-1),
+                                 lifts[0].reshape(-1), times)
+    # in the frame a norm is sqrt(n) times the plane's
+    weight = math.sqrt(grid.dx * grid.dual().dx / n)
+    phase_norms = np.linalg.norm(mixed, axis=1) * weight
+    divergences = (np.linalg.norm(mixed - lifts[1:].reshape(times.size, -1), axis=1) * weight
                    / np.maximum(phase_norms, _RESIDUAL_FLOOR))
     later = times > 0
     drifts = [float(np.max(np.abs(v[later] - v[0]) / times[later], initial=0.0))
               for v in (np.linalg.norm(states, axis=1) * math.sqrt(grid.dx), phase_norms)]
     return EvolutionResult(
         state=SampledFunction1D(grid, states[-1]),
-        phase=PhaseFunction2D(grid, grid.dual(), phases[-1].reshape(grid.n, grid.n)),
+        phase=PhaseFunction2D(grid, grid.dual(), _out_of_frame(mixed[-1].reshape(n, n))),
         divergence=float(divergences.max()),
         state_norm_drift=drifts[0],
         phase_norm_drift=drifts[1],

@@ -497,11 +497,15 @@ def theta_product(
     if _is_wigner_angle(theta):
         return moyal_product(a, b, method=method)
     back = THETA_WIGNER - theta
-    if method not in (None, "kernel"):
-        return _transport(moyal_product(_transport(a, back), _transport(b, back),
-                                        method=method), -back)
     _refuse_polynomial(a)
     _refuse_polynomial(b)
+    if method == "quadrature":
+        return _transport(moyal_product(_transport(a, back), _transport(b, back),
+                                        method=method), -back)
+    if method == "algebraic":
+        moyal_product(a, b, method=method)  # both factors are untagged here: it refuses
+    if method not in (None, "kernel"):
+        raise ConfigurationError(f"unknown star product method {method!r}")
     grid, pull = a.grid_x, _Plan(a.grid_x, a.grid_xi, back)
     n, dx = grid.n, grid.dx
     reverse, board = (-np.arange(n)) % n, _checkerboard(n, n)
@@ -518,6 +522,13 @@ def theta_product(
 
 # --------------------------------------------------------------------------
 # expectation values
+
+
+def _self_adjoint(kernel: OperatorKernel) -> tuple[bool, float]:
+    """Whether the kernel is conj-symmetric within SELF_ADJOINT_TOL * max(1, max|K|),
+    and its defect."""
+    defect = kernel.self_adjoint_defect()
+    return defect <= SELF_ADJOINT_TOL * max(1.0, float(np.abs(kernel.values).max())), defect
 
 
 def _operator_kernel(op: OperatorKernel | Symbol2D) -> OperatorKernel:
@@ -549,9 +560,7 @@ def expectation(
         raise ConfigurationError("state grid does not match operator grid")
     applied = kernel.apply(state)
     value = applied.inner(state)
-    defect = kernel.self_adjoint_defect()
-    scale = max(1.0, float(np.abs(kernel.values).max()))
-    self_adjoint = defect <= SELF_ADJOINT_TOL * scale
+    self_adjoint, defect = _self_adjoint(kernel)
     adjoint_value = None
     if not self_adjoint:
         warnings.warn(

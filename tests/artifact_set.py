@@ -13,7 +13,10 @@ line, so that moving code does not show as a change.
 
 With --compare, it reads two such directories and prints, for each file
 whose sha256 differs, the largest difference of its values relative to the
-largest value in DIR_A, if both copies are grid files, or that it differs.
+largest value in DIR_A, if both copies are grid files; else, for text such
+as a JSON manifest or a CSV table that differs only in its numbers, the
+largest relative difference of a number, |a - b| / max(|a|, |b|), with
+that pair; else that it differs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import sys
 import warnings
@@ -158,6 +162,32 @@ def _digests(root: str) -> dict[str, str]:
     return out
 
 
+#: A decimal number as JSON and Python's float repr write it.
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _text_difference(path_a: str, path_b: str) -> str:
+    """How two text files differ: the largest relative difference of their
+    numbers, read in order, when the text around the numbers is the same."""
+    words, numbers = [], []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                return "differs (not text)"
+        words.append(_NUMBER.split(text))
+        numbers.append(np.array([float(m) for m in _NUMBER.findall(text)]))
+    if words[0] != words[1]:
+        return "differs (not only in its numbers)"
+    a, b = numbers
+    scale = np.maximum(np.abs(a), np.abs(b))
+    errors = np.abs(a - b) / np.where(scale > 0, scale, 1.0)
+    worst = int(np.argmax(errors))
+    return (f"max relative difference {errors[worst]:.3e} over {a.size} numbers, "
+            f"at {a[worst]:.6e} against {b[worst]:.6e}")
+
+
 def compare(dir_a: str, dir_b: str) -> None:
     """Print how each file that differs between two artifact directories differs."""
     digests_a, digests_b = _digests(dir_a), _digests(dir_b)
@@ -170,7 +200,7 @@ def compare(dir_a: str, dir_b: str) -> None:
         try:
             a, b = (gridfile.read(os.path.join(root, path)).values for root in (dir_a, dir_b))
         except (gridfile.FileFormatError, ValueError):
-            print(f"{path} differs (not a grid file)")
+            print(f"{path} {_text_difference(*(os.path.join(root, path) for root in (dir_a, dir_b)))}")
             continue
         if a.shape != b.shape:
             print(f"{path} differs in shape: {a.shape} and {b.shape}")

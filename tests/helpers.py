@@ -206,6 +206,15 @@ def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
         grid_x, grid_p, THETA_WIGNER)
 
 
+def evolve_dense(hermitian: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact evolution exp(-i t H) start at each requested time (columns), by
+    the eigendecomposition of H: the dense route the Lanczos evolution replaced."""
+    vals, vecs = np.linalg.eigh(hermitian)
+    coeffs = vecs.conj().T @ start
+    phases = np.exp(-1j * np.outer(vals, times))
+    return vecs @ (phases * coeffs[:, None])
+
+
 def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
     """The angle star product by the composed route: each factor carried to
     the standard angle by the propagator, symbol_to_kernel, composition,

@@ -7,7 +7,8 @@ import pytest
 import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import count_calls, count_fft_passes, plane_action_oracle, random_phase_wave
+from helpers import (count_calls, count_fft_passes, evolve_dense, plane_action_oracle,
+                     random_phase_wave)
 from phasekit import states
 from phasekit.bopp import (
     PhaseOperator,
@@ -15,9 +16,10 @@ from phasekit.bopp import (
     _KRYLOV_MAX_DIM,
     _action,
     _cluster,
-    _evolve_dense,
+    _frame_lifts,
     _krylov_evolve,
     _lift_angle,
+    _seed_row,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
@@ -265,6 +267,18 @@ def test_evolution_refuses_grids_above_the_dense_cap():
                     _window(grid), 0.5, 4)
 
 
+@pytest.mark.parametrize("other", [Grid1D.centered(32, 7.0), Grid1D.centered(16, 6.0)])
+def test_lifts_refuse_a_window_on_another_grid(other):
+    # a window with the state's n but another half-width would give a wrong
+    # lift without any error, one with another n a broadcasting error
+    grid = Grid1D.centered(32, 6.0)
+    symbol, psi0 = symbol_oscillator(grid), states.coherent(grid, 0.8)
+    with pytest.raises(ConfigurationError, match="state and window live on different grids"):
+        evolve_pair(symbol, psi0, _window(other), 0.5, 4)
+    with pytest.raises(ConfigurationError, match="state and window live on different grids"):
+        bopp_intertwining_residual(symbol, psi0, _window(other))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.floats(2.0, 8.0), st.integers(0, 2**32 - 1),
        st.sampled_from(("extended", "bopp_conjugated", "bopp_direct")),
@@ -302,20 +316,21 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     h1 = (h1 + h1.conj().T) / 2.0
     action = _action(op, grid, grid.dual(), h1)
     # the basis starts from the lift in the mixed plane (x, eta), in the
-    # checkerboard frame: M times the lift, then a plain FFT along p; one
-    # batched plain inverse pass and M bring the checkpoints back
-    lift0 = windowed_transform(psi0, window, _lift_angle(representation)).values
+    # checkerboard frame M = D (x) D: the seed (D psi0) (x) F(D conj(FT w))
+    # under the lift plan's shears as plain shears; one batched plain
+    # inverse pass and M bring the checkpoints back to the plane
     M = _checkerboard(grid.n)
+    seed = np.outer(psi0.values * M[0], scipy.fft.fft(window.transform.values.conj() * M[0]))
+    lift0 = _Plan(grid, grid.dual(), _lift_angle(representation)).substitute(seed, _plain_shear)
     mixed, dims = _krylov_evolve(
-        lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1),
-        scipy.fft.fft(lift0 * M, axis=-1).reshape(-1), result.times)
+        lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
     krylov = (scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1) * M).reshape(mixed.shape)
     assert np.array_equal(krylov[-1], result.phase.values.reshape(-1))
     assert tuple(dims) == result.krylov_dims
-    start = lift0.reshape(-1)
+    start = (scipy.fft.ifft(lift0, axis=-1) * M).reshape(-1)
     matrix = dense_matrix(op)
     hermitian = (matrix + matrix.conj().T) / 2.0
-    dense = _evolve_dense(hermitian, start, result.times).T
+    dense = evolve_dense(hermitian, start, result.times).T
     scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))) \
         * np.linalg.norm(start)
     assert np.max(np.abs(krylov - dense)) <= 1e-10 * scale
@@ -506,6 +521,35 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
+
+
+@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("angle", [0.0, THETA_WIGNER])
+def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
+    # the evolution's lifts skip both crossings: (D psi) (x) F(D conj(FT w))
+    # under plain shears is the centred windowed lift taken into the frame,
+    # for n/2 even and odd and for the lift angle of each realization
+    grid = Grid1D.centered(n, 5.0)
+    rng = np.random.default_rng(n)
+    psi = SampledFunction1D(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    window = _window(grid)
+    got = _frame_lifts(_Plan(grid, grid.dual(), angle), psi.values, _seed_row(window, grid))
+    want = _into_frame(windowed_transform(psi, window, angle).values)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_evolution_makes_no_shift_call(monkeypatch):
+    # the lifts of psi0 and its checkpoints are one plain batch in the frame
+    # and only the returned phase leaves it: outside the Lanczos actions (6
+    # passes each under bopp_conjugated) one pass makes the window's seed
+    # row, 4 the batch at THETA_WIGNER and 1 the crossing back
+    grid = Grid1D.centered(16, 5.0)
+    window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    result = evolve_pair(symbol, psi0, window, 1.0, 4)
+    assert shifts == []
+    assert len(passes) == 1 + 4 + 6 * sum(result.krylov_dims) + 1
 
 
 @pytest.mark.parametrize("n", [16, 18])

@@ -1,10 +1,15 @@
 """End-to-end command-line checks: artifacts, manifests, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasekit import cli, gridfile, states
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
@@ -804,3 +809,111 @@ def test_builtin_symbol_requires_valid_spec(tmp_path, capsys):
                    "--output", str(tmp_path / "s.out")])
     assert rc == 2
     assert "symbol" in capsys.readouterr().err
+
+
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10)
+
+
+def _write(path, content):
+    with open(path, "wb" if isinstance(content, bytes) else "w") as fh:
+        fh.write(content)
+    return path
+
+
+#: One entry per error class: the exit code, a pattern its stderr must hold,
+#: and an argv builder called with hypothesis's draw and a fresh directory.
+#: Drawn numbers go in as --flag=value, which argparse never reads as a flag.
+_EXIT_CASES = {
+    "unknown subcommand": (2, "invalid choice", lambda draw, root: [
+        draw(_WORDS.filter(lambda w: w not in cli._COMMANDS))]),
+    "unknown flag": (2, "unrecognized arguments: --no-such-", lambda draw, root: [
+        draw(st.sampled_from(sorted(cli._COMMANDS))), f"--no-such-{draw(_WORDS)}", "1"]),
+    "bad flag choice": (2, "argument --method: invalid choice", lambda draw, root: [
+        "star", "--a", "x", "--b", "xi", "--method", draw(_WORDS.filter(
+            lambda w: w not in ("algebraic", "kernel", "quadrature"))),
+        "--output", os.path.join(root, "s.csv")]),
+    "missing required flag": (2, "^error: [a-z-]+ needs --", lambda draw, root: [
+        draw(st.sampled_from(["propagate", "reconstruct", "weyl-symbol", "star", "expect"])),
+        "--output", os.path.join(root, "o.csv")]),
+    "non-finite angle": (2, "theta=(nan|inf|-inf) is not finite", lambda draw, root: [
+        *draw(st.sampled_from([["flow"], ["fracwigner", "--n", "16", "--half-width", "5"]])),
+        "--theta=" + draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999"])),
+        "--output", os.path.join(root, "o.csv")]),
+    "bad grid size": (2, "grid size n must be a positive even integer", lambda draw, root: [
+        "wigner", "--gaussian",
+        f"--n={draw(st.integers(-40, 41).filter(lambda n: n <= 0 or n % 2))}",
+        "--output", os.path.join(root, "w.csv")]),
+    "bad half-width": (2, "half.width must be", lambda draw, root: [
+        "wigner", "--gaussian", "--n", "16",
+        "--half-width=" + draw(st.sampled_from(["0", "-1.5", "nan", "inf", "-inf"])),
+        "--output", os.path.join(root, "w.csv")]),
+    "above the dense cap": (2, "capped at 64 points", lambda draw, root: [
+        *draw(st.sampled_from([["evolve", "--t", "0.5"], ["bopp-spectrum", "--symbol", "x", "--count", "1"]])),
+        f"--n={2 * draw(st.integers(33, 64))}", "--half-width", "8",
+        "--output", os.path.join(root, "b")]),
+    "missing config file": (2, "config file not found", lambda draw, root: [
+        "flow", "--config", os.path.join(root, draw(_WORDS) + ".json")]),
+    "config not a JSON object": (2, "must hold a JSON object", lambda draw, root: [
+        "flow", "--config", _write(os.path.join(root, "c.json"), json.dumps(
+            draw(st.one_of(st.integers(), st.lists(st.integers(), max_size=3), _WORDS))))]),
+    "config not JSON": (2, "not valid JSON", lambda draw, root: [
+        "flow", "--config", _write(os.path.join(root, "c.json"), "{" + draw(_WORDS))]),
+    "unknown config key": (2, "is not a setting of flow", lambda draw, root: [
+        "flow", "--config", _write(os.path.join(root, "c.json"),
+                                   json.dumps({"zz" + draw(_WORDS): 1})),
+        "--output", os.path.join(root, "f.csv")]),
+    "config names another command": (2, "config declares command", lambda draw, root: [
+        "flow", "--config", _write(os.path.join(root, "c.json"), json.dumps(
+            {"command": draw(st.sampled_from(sorted(set(cli._COMMANDS) - {"flow"})))})),
+        "--output", os.path.join(root, "f.csv")]),
+    "missing input file": (2, "No such file or directory", lambda draw, root: [
+        "propagate", "--input", os.path.join(root, draw(_WORDS) + ".csv"),
+        "--output", os.path.join(root, "p.csv")]),
+    "malformed state file": (2, "^error: ", lambda draw, root: [
+        "wigner", "--state", _write(os.path.join(root, "s.csv"), draw(st.binary(max_size=64))),
+        "--output", os.path.join(root, "w.csv")]),
+    "unwritable output": (2, "Is a directory|No such file or directory", lambda draw, root: [
+        "flow", "--output", draw(st.sampled_from([root, os.path.join(root, "absent", "f.csv")]))]),
+    "polynomial symbols off the angle": (2, "polynomial symbols cannot be transported",
+                                         lambda draw, root: [
+        "star", "--a", "x", "--b", draw(st.sampled_from(["xi", "oscillator"])), "--n", "16",
+        "--half-width", "5", "--output", os.path.join(root, "s.csv"),
+        f"--theta={draw(st.floats(-3.0, 3.0).filter(lambda t: abs(t - THETA_WIGNER) > 1e-6))!r}"]),
+    "tolerance naming no check": (2, "names no check of suite flow", lambda draw, root: [
+        "verify", "--suite", "flow", "--tolerance", f"flow-algebra/{draw(_WORDS)}x=1e-30",
+        "--manifest", os.path.join(root, "v.json")]),
+    "unknown suite": (2, "unknown suite", lambda draw, root: [
+        "verify", "--suite", "zz" + draw(_WORDS), "--manifest", os.path.join(root, "v.json")]),
+    # these checks are 2.2e-16 to 3.7e-16 off at every seed
+    "verify failure": (1, "^failing criteria: flow-algebra$", lambda draw, root: [
+        "verify", "--suite", "flow", f"--seed={draw(st.integers(0, 2**16))}", "--tolerance",
+        "flow-algebra/" + draw(st.sampled_from(
+            ["distinguished-angle-matrix", "symplectic-form", "period"]))
+        + f"={draw(st.floats(0.0, 1e-16))!r}", "--manifest", os.path.join(root, "v.json")]),
+    "verify pass": (0, "^$", lambda draw, root: [
+        "verify", "--suite", "flow", f"--seed={draw(st.integers(0, 2**16))}",
+        "--manifest", os.path.join(root, "v.json")]),
+    "flow at a finite angle": (0, "^$", lambda draw, root: [
+        "flow", f"--theta={draw(st.floats(-1e6, 1e6))!r}", "--output",
+        os.path.join(root, "f.csv")]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_EXIT_CASES)), st.data())
+def test_exit_codes_follow_the_contract(case, data):
+    # every usage-error class exits 2 with a message, whether argparse or
+    # the run refuses it, and only a failing verify check exits 1
+    code_wanted, pattern, build = _EXIT_CASES[case]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        argv = build(data.draw, root)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    message = err.getvalue().strip()
+    assert code == code_wanted, (argv, message)
+    assert re.search(pattern, message), (argv, message)
+    assert ("error:" in message) == (code == 2), (argv, message)

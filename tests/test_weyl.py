@@ -472,6 +472,25 @@ def test_angle_product_refuses_before_any_work(monkeypatch):
         theta_product(decaying, decaying, 0.2, method="algebraic")
 
 
+def test_off_angle_routes_refuse_before_any_pass(monkeypatch):
+    # the algebraic route cannot succeed off the distinguished angle: tagged
+    # factors cannot be transported and untagged ones carry no coefficients;
+    # so it, an unknown method and a tagged quadrature factor are refused,
+    # with the messages of the transport and of moyal_product, before any pass
+    grid = Grid1D.centered(32, 6.0)
+    decaying = _random_decaying_symbol(grid, np.random.default_rng(8))
+    passes = count_fft_passes(monkeypatch)
+    for a, b, method, message in (
+            (decaying, decaying, "algebraic", "requires polynomial tags on both"),
+            (symbol_x(grid), symbol_xi(grid), "algebraic", "polynomial symbols cannot"),
+            (decaying, symbol_xi(grid), "algebraic", "polynomial symbols cannot"),
+            (decaying, symbol_xi(grid), "quadrature", "polynomial symbols cannot"),
+            (decaying, decaying, "sideways", "unknown star product method 'sideways'")):
+        with pytest.raises(ConfigurationError, match=message):
+            theta_product(a, b, 0.4, method=method)
+    assert passes == []
+
+
 def test_theta_product_at_distinguished_angle_is_moyal():
     a = kernel_to_symbol(_decaying_kernel(GRID, 73))
     b = kernel_to_symbol(_decaying_kernel(GRID, 74))
