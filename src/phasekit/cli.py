@@ -608,8 +608,20 @@ def _finish(s: Settings) -> int:
     return EXIT_PASS
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with a float flag's dash-led value attached, --theta -1e-3 as --theta=-1e-3:
+    argparse takes a separate -1e-3, -inf or -nan for a flag (only -1, -.5 for numbers)."""
+    floats = {f"--{name}" for name, spec in _FLAGS.items() if spec.get("type") is float}
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in floats and word.startswith("-") and not word.startswith("--"):
+            word = out.pop() + "=" + word
+        out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return _finish(Settings(args))
     except (UsageError, ConfigurationError, FileFormatError, OSError) as exc:

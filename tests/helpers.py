@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from typing import Callable
 
 import numpy as np
 
 from phasekit import states
-from phasekit.bopp import PhaseOperator
+from phasekit.bopp import _KRYLOV_MAX_DIM, _KRYLOV_TOL, PhaseOperator
 from phasekit.grid import Grid1D, PhaseFunction2D, _spectral_step
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
@@ -222,3 +223,52 @@ def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
     back = THETA_WIGNER - theta
     base = moyal_product(_transport(a, back), _transport(b, back), method="kernel")
     return _transport(base, -back)
+
+
+def krylov_evolve_per_step(
+    action: Callable[[np.ndarray], np.ndarray], start: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """exp(-i t A) start at each ascending time (rows), A Hermitian, by the
+    per-vector rule the strided check of bopp._krylov_evolve replaced.
+
+    A fully reorthogonalized Lanczos basis grows until Saad's estimate, run
+    after every new vector, is below _KRYLOV_TOL at every remaining time; at
+    _KRYLOV_MAX_DIM vectors it restarts from the furthest certified time, or a
+    halved sub-step if none is.  Also returns the basis dimension of each segment.
+    """
+
+    def estimate(tau: np.ndarray) -> np.ndarray:
+        """beta_m |e_m^T exp(-i tau T_m) e_1|, adding e_m^T e_1 = [m == 1] exactly."""
+        return beta * np.abs(weights[-1] @ np.expm1(-1j * np.outer(lam, tau)) + (m == 1))
+
+    out = np.empty((times.size, start.size), dtype=np.complex128)
+    basis = np.empty((_KRYLOV_MAX_DIM, start.size), dtype=np.complex128)
+    tri = np.zeros((_KRYLOV_MAX_DIM + 1, _KRYLOV_MAX_DIM + 1))
+    dims, origin, vector, k = [], 0.0, start, 0
+    while k < times.size:
+        norm = float(np.linalg.norm(vector))
+        basis[0] = vector / (norm or 1.0)
+        taus = times[k:] - origin
+        for m in range(1, _KRYLOV_MAX_DIM + 1):
+            w = action(basis[m - 1])
+            tri[m - 1, m - 1] = np.vdot(basis[m - 1], w).real
+            for _ in range(2):
+                w = w - basis[:m].T @ (basis[:m] @ w.conj()).conj()
+            beta = tri[m, m - 1] = tri[m - 1, m] = np.linalg.norm(w)
+            lam, q = np.linalg.eigh(tri[:m, :m])
+            weights = q * q[0]  # exp(-i tau T_m) e_1 = weights @ exp(-i tau lam)
+            # below about eps beta sum|weights[-1]| the estimate is rounding
+            tol = max(_KRYLOV_TOL, np.finfo(float).eps * beta * np.abs(weights[-1]).sum())
+            certified = estimate(taus) < tol
+            if certified.all() or m == _KRYLOV_MAX_DIM:
+                break
+            basis[m] = w / beta
+        dims.append(m)
+        reach = taus.size if certified.all() else int(np.argmin(certified))
+        step = taus[:max(reach, 1)]
+        while not reach and estimate(step)[0] >= tol:
+            step = step / 2.0
+        ends = norm * ((weights @ np.exp(-1j * np.outer(lam, step))).T @ basis[:m])
+        out[k:k + reach], vector, k = ends[:reach], ends[-1], k + reach
+        origin = times[k - 1] if reach else origin + step[0]
+    return out, dims

@@ -1,5 +1,6 @@
 """Phase-plane operator realizations: spectra, dynamics, intertwining."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (count_calls, count_fft_passes, evolve_dense, plane_action_oracle,
-                     random_phase_wave)
-from phasekit import states
+from helpers import (count_calls, count_fft_passes, evolve_dense, krylov_evolve_per_step,
+                     plane_action_oracle, random_phase_wave)
+from phasekit import bopp, states, weyl
 from phasekit.bopp import (
     PhaseOperator,
     REPRESENTATIONS,
+    _KRYLOV_CHECK,
     _KRYLOV_MAX_DIM,
     _action,
     _cluster,
@@ -112,6 +114,18 @@ def test_intertwining_residuals():
         for rep in ("extended", "bopp_conjugated"):
             res = bopp_intertwining_residual(sym, h, window, rep)
             assert res < 1e-5
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_residual_quantizes_the_symbol_once(monkeypatch, representation):
+    # the phase-plane action is built from the kernel the residual holds,
+    # not from a second quantization of the symbol
+    grid = Grid1D.centered(32, 6.0)
+    calls = count_calls(monkeypatch, weyl, ("mccoy_kernel",))
+    residual = bopp_intertwining_residual(symbol_oscillator(grid), states.coherent(grid, 0.8),
+                                          _window(grid), representation)
+    assert calls == ["mccoy_kernel"]
+    assert np.isfinite(residual)
 
 
 def test_oscillator_spectrum():
@@ -358,10 +372,49 @@ def test_krylov_restarts_and_sub_steps_match_expm():
     assert dims[0] == _KRYLOV_MAX_DIM
     # checkpoint restarts alone would need at most one segment per time
     assert len(dims) > times.size
+    # Saad's estimate is not monotone in the dimension: with single-threaded
+    # BLAS the per-vector rule's last segment stops at 105, where the
+    # estimate dips under the tolerance, but it is above it at 108-124, so
+    # the strided check stops at 125 (other BLAS rounding can make the two
+    # agree); the restarts before it are the same, and both are certified
+    want, want_dims = krylov_evolve_per_step(lambda v: hermitian @ v, start, times)
+    assert dims[:-1] == want_dims[:-1]
+    assert want_dims[-1] <= dims[-1] < _KRYLOV_MAX_DIM
     for k, t in enumerate(times):
         exact = expm(-1j * t * hermitian) @ start
         assert np.linalg.norm(out[k] - exact) < 1e-11
+        assert np.linalg.norm(want[k] - exact) < 1e-11
     assert np.linalg.norm(out[:3] - early) < 1e-12
+
+
+def _harness_start(n, half_width, representation):
+    """evolve_pair's frame action and Lanczos start for the oscillator and
+    coherent(0.8) under a Gaussian window."""
+    grid = Grid1D.centered(n, half_width)
+    op = PhaseOperator(symbol_oscillator(grid), representation)
+    h = grid.dx * op.kernel().values
+    action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
+    lift = _frame_lifts(_Plan(grid, grid.dual(), _lift_angle(representation)),
+                        states.coherent(grid, 0.8).values, _seed_row(_window(grid), grid))
+    return lambda v: action(v.reshape(n, n)).reshape(-1), lift.reshape(-1)
+
+
+@pytest.mark.parametrize("n,half_width,representation", [
+    (32, 6.0, "bopp_conjugated"), (32, 6.0, "extended"), (16, 5.0, "bopp_direct"),
+    (24, 6.0, "bopp_direct")])
+def test_strided_check_keeps_the_per_vector_bases(monkeypatch, n, half_width, representation):
+    # checking every _KRYLOV_CHECK-th vector, then the skipped ones in
+    # ascending order, picks the per-vector rule's dimension bit for bit (one
+    # segment of 40, 40 and 121 vectors, and a restart at n=24), with at most
+    # ceil(dim / 4) + 3 eigensolves per segment (_KRYLOV_CHECK is 4)
+    action, start = _harness_start(n, half_width, representation)
+    times = np.linspace(0.0, 2.0 * np.pi, 17)
+    want, want_dims = krylov_evolve_per_step(action, start, times)
+    eighs = count_calls(monkeypatch, np.linalg, ("eigh",))
+    got, dims = _krylov_evolve(action, start, times)
+    assert dims == want_dims and len(dims) == (2 if n == 24 else 1)
+    assert np.array_equal(got, want)
+    assert len(eighs) <= sum(math.ceil(d / _KRYLOV_CHECK) + _KRYLOV_CHECK - 1 for d in dims)
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
@@ -542,14 +595,25 @@ def test_evolution_makes_no_shift_call(monkeypatch):
     # the lifts of psi0 and its checkpoints are one plain batch in the frame
     # and only the returned phase leaves it: outside the Lanczos actions (6
     # passes each under bopp_conjugated) one pass makes the window's seed
-    # row, 4 the batch at THETA_WIGNER and 1 the crossing back
+    # row, 4 the batch at THETA_WIGNER and 1 the crossing back.  A segment
+    # runs up to _KRYLOV_CHECK - 1 actions past its dimension, so the
+    # actions are counted as run
     grid = Grid1D.centered(16, 5.0)
     window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
+    actions = []
+    evolve = bopp._krylov_evolve
+
+    def counted(action, start, times):
+        return evolve(lambda v: actions.append(1) or action(v), start, times)
+
+    monkeypatch.setattr(bopp, "_krylov_evolve", counted)
     shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     passes = count_fft_passes(monkeypatch)
     result = evolve_pair(symbol, psi0, window, 1.0, 4)
     assert shifts == []
-    assert len(passes) == 1 + 4 + 6 * sum(result.krylov_dims) + 1
+    assert len(passes) == 1 + 4 + 6 * len(actions) + 1
+    dims = result.krylov_dims
+    assert sum(dims) <= len(actions) < sum(dims) + _KRYLOV_CHECK * len(dims)
 
 
 @pytest.mark.parametrize("n", [16, 18])

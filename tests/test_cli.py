@@ -512,6 +512,43 @@ def test_non_finite_theta_in_config_is_usage_error(tmp_path, capsys):
     assert "theta=nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-0.5", "-1_000.25"])
+def test_float_flag_takes_a_separate_dash_led_value(tmp_path, value):
+    # argparse reads -1e-3 as a flag of its own; the separate word must run
+    # exactly as the attached --theta=-1e-3 does
+    runs = {}
+    for spelling, argv in (("joined", [f"--theta={value}"]), ("separate", ["--theta", value])):
+        out = str(tmp_path / f"{spelling}.csv")
+        assert cli.main(["flow", *argv, "--output", out]) == 0
+        runs[spelling] = (open(out, encoding="utf-8").read(),
+                          _manifest(out + ".manifest.json")["inputs"])
+    assert runs["separate"] == runs["joined"]
+    assert runs["joined"][1]["theta"] == float(value)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["flow", "--theta", "-inf"], "error: angle theta=-inf is not finite"),
+    (["flow", "--theta", "-nan"], "error: angle theta=nan is not finite"),
+    (["flow", "--theta", "-1e999"], "error: angle theta=-inf is not finite"),
+    (["wigner", "--gaussian", "--n", "16", "--half-width", "-inf"],
+     "error: --half-width must be finite, got -inf"),
+    (["evolve", "--n", "16", "--half-width", "5", "--t", "-inf"], "error: --t must be finite"),
+])
+def test_separate_non_finite_value_reaches_its_message(tmp_path, capsys, argv, message):
+    rc = cli.main([*argv, "--output", str(tmp_path / "o"), "--manifest", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("word", ["-x", "-", "-1e", "--output"])
+def test_separate_non_numeric_value_is_refused(tmp_path, word):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "--theta", word, "--output", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command,config", [
     ("flow", {"theta": "abc"}),
     ("wigner", {"grid": {"n": "big"}}),
@@ -820,9 +857,15 @@ def _write(path, content):
     return path
 
 
+def _number_flag(draw, flag, value):
+    """--flag=value or --flag value, drawn: the CLI reads both alike."""
+    return draw(st.sampled_from([[f"--{flag}={value}"], [f"--{flag}", value]]))
+
+
 #: One entry per error class: the exit code, a pattern its stderr must hold,
 #: and an argv builder called with hypothesis's draw and a fresh directory.
-#: Drawn numbers go in as --flag=value, which argparse never reads as a flag.
+#: Drawn numbers go in as --flag=value, which argparse never reads as a flag,
+#: or, where _number_flag draws the spelling, as a separate word.
 _EXIT_CASES = {
     "unknown subcommand": (2, "invalid choice", lambda draw, root: [
         draw(_WORDS.filter(lambda w: w not in cli._COMMANDS))]),
@@ -837,7 +880,8 @@ _EXIT_CASES = {
         "--output", os.path.join(root, "o.csv")]),
     "non-finite angle": (2, "theta=(nan|inf|-inf) is not finite", lambda draw, root: [
         *draw(st.sampled_from([["flow"], ["fracwigner", "--n", "16", "--half-width", "5"]])),
-        "--theta=" + draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999"])),
+        *_number_flag(draw, "theta", draw(st.sampled_from(["nan", "inf", "-inf", "-nan", "1e999",
+                                                           "-1e999"]))),
         "--output", os.path.join(root, "o.csv")]),
     "bad grid size": (2, "grid size n must be a positive even integer", lambda draw, root: [
         "wigner", "--gaussian",
@@ -845,7 +889,8 @@ _EXIT_CASES = {
         "--output", os.path.join(root, "w.csv")]),
     "bad half-width": (2, "half.width must be", lambda draw, root: [
         "wigner", "--gaussian", "--n", "16",
-        "--half-width=" + draw(st.sampled_from(["0", "-1.5", "nan", "inf", "-inf"])),
+        *_number_flag(draw, "half-width",
+                      draw(st.sampled_from(["0", "-1.5", "-1e-3", "nan", "inf", "-inf"]))),
         "--output", os.path.join(root, "w.csv")]),
     "above the dense cap": (2, "capped at 64 points", lambda draw, root: [
         *draw(st.sampled_from([["evolve", "--t", "0.5"], ["bopp-spectrum", "--symbol", "x", "--count", "1"]])),
@@ -894,7 +939,7 @@ _EXIT_CASES = {
         "verify", "--suite", "flow", f"--seed={draw(st.integers(0, 2**16))}",
         "--manifest", os.path.join(root, "v.json")]),
     "flow at a finite angle": (0, "^$", lambda draw, root: [
-        "flow", f"--theta={draw(st.floats(-1e6, 1e6))!r}", "--output",
+        "flow", *_number_flag(draw, "theta", repr(draw(st.floats(-1e6, 1e6)))), "--output",
         os.path.join(root, "f.csv")]),
 }
 
