@@ -16,10 +16,10 @@ spectrum with each level repeated once per window.  The spectral report
 takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
-(_action) serves apply, the residuals, the evolution and dense_matrix, in
-metaplectic's checkerboard frame, where both harnesses lift (_frame_lifts),
-measure and evolve.  They share one preamble (_harness), which refuses grids
-above DENSE_MAX_N points per axis and runs the one 1D eigensolve.
+(_action) serves apply, the residuals, the evolution and dense_matrix in the
+x-transform of metaplectic's checkerboard frame, where both harnesses lift
+(_frame_lifts), measure and evolve.  They share one preamble (_harness), which
+refuses grids above DENSE_MAX_N points per axis and runs the one 1D eigensolve.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .grid import (
     _fft_pass,
 )
 from .metaplectic import (_Plan, _checkerboard, _chirp, _into_frame, _out_of_frame,
-                          _plain_shear, _propagate_values)
+                          _propagate_values)
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -62,7 +62,7 @@ PAIRING_GAP = 1.0e-4
 _RESIDUAL_FLOOR = 1.0e-12
 _KRYLOV_TOL = 1.0e-14
 _KRYLOV_MAX_DIM = 128
-_KRYLOV_CHECK = 4  # eigh(T_39) > an action at n=32 (115-190 vs ~130 us); <= 3 actions wasted
+_KRYLOV_CHECK = 4  # eigh(T_39) > an action at n=32 (170-190 vs ~120 us); <= 3 actions wasted
 
 
 # --------------------------------------------------------------------------
@@ -95,10 +95,8 @@ class PhaseOperator:
     def apply(self, phase: PhaseFunction2D) -> PhaseFunction2D:
         if not phase.grid_x.matches(self.symbol.grid_x):
             raise ConfigurationError(
-                "phase function's position grid does not match the operator grid"
-            )
-        action = _action(self, phase.grid_x, phase.grid_p)
-        values = _out_of_frame(action(_into_frame(phase.values)))
+                "phase function's position grid does not match the operator grid")
+        values = _in_plane(_action(self, phase.grid_x, phase.grid_p), phase.values)
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
 
@@ -147,20 +145,24 @@ class EvolutionResult:
 # applying the three realizations
 
 
+def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
+    """A spectral-frame map on (x, p) values, between the crossings in and out (2 passes each)."""
+    return _out_of_frame(_fft_pass(action(_fft_pass(_into_frame(values), -2, False)), -2, True))
+
+
 def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     kernel_values: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator's map on raw (..., n, n) values in the mixed plane (x, eta),
-    eta p's dual, in the checkerboard frame M = D_x (x) D_eta; it keeps its
-    argument.  In the frame K (kernel_values, default dx times the kernel)
-    becomes D K D, which extended applies along x.  bopp_conjugated does so
-    between the substitutions at -+THETA_WIGNER, whose plans end and start
-    with an eta-shear: x-shear, FFT, chirp, kernel, chirp, inverse FFT,
-    x-shear (6 FFT passes).  bopp_direct is the 1D quantization word for word in
-    X = x + (i/2) d/dp, here x - eta/2, and P = p - (i/2) d/dx, here
-    F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes).
-    """
+    """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x
+    of the mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its
+    argument.  In M the kernel K (kernel_values, default dx times the kernel) is D K D;
+    extended applies F D K D F^-1.  bopp_conjugated applies D K D between the plans at
+    -+THETA_WIGNER, which end and start with an eta-shear, an x-shear here a chirp: chirp,
+    inverse x pass, eta pass, chirp, kernel, chirp, inverse eta pass, x pass, chirp (4 FFT
+    passes).  bopp_direct is the 1D quantization word for word in the mixed plane, between
+    an inverse and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2, and
+    P = p - (i/2) d/dx, there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
     if op.representation == "bopp_direct":
         position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
         half_xi = 0.5 * grid_x.dual().nodes()[:, None]
@@ -172,21 +174,23 @@ def _action(
                 values = _fft_pass(grid_p.nodes() * plane + step, -1, False)
             return values
 
-        return lambda values: _symmetric_expand(
-            op.symbol.poly, values, lambda v: position * v, momentum)
+        return lambda values: _fft_pass(_symmetric_expand(op.symbol.poly, _fft_pass(
+            values, -2, True, keep=True), lambda v: position * v, momentum), -2, False)
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
     kernel_values = kernel_values * _checkerboard(grid_x.n, grid_x.n)
     if op.representation == "extended":
-        return lambda values: np.matmul(kernel_values, values)
+        spectral = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
+        return lambda values: np.matmul(spectral, values)
 
     (_, x_down), (_, eta_down) = _Plan(grid_x, grid_p, -THETA_WIGNER).shears
     (_, eta_up), (_, x_up) = _Plan(grid_x, grid_p, THETA_WIGNER).shears
+    x_down = _chirp(np.ones((grid_x.n, grid_x.n), complex), x_down)  # in full: out of place
 
     def conjugated(values: np.ndarray) -> np.ndarray:
-        spec = _chirp(_fft_pass(_plain_shear(values, -2, x_down, True), -1, False), eta_down)
-        spec = _chirp(np.matmul(kernel_values, spec), eta_up)
-        return _plain_shear(_fft_pass(spec, -1, True), -2, x_up)
+        mixed = _fft_pass(_fft_pass(values * x_down, -2, True), -1, False)
+        mixed = _chirp(np.matmul(kernel_values, _chirp(mixed, eta_down)), eta_up)
+        return _chirp(_fft_pass(_fft_pass(mixed, -1, True), -2, False), x_up)
 
     return conjugated
 
@@ -219,7 +223,7 @@ def bopp_intertwining_residual(
     seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
     lift, lifted = _propagate_values(seeds * _window_row(window, psi.grid), *plane,
                                      _lift_angle(representation))
-    pushed = _out_of_frame(_action(op, *plane, psi.grid.dx * kernel.values)(_into_frame(lift)))
+    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values), lift)
     defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
         warnings.warn("lifted reference is numerically zero; returning the absolute "
@@ -259,8 +263,7 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
         basis = np.zeros((stop - start, n, n), dtype=np.complex128)
         flat = np.arange(start, stop)
         basis[np.arange(stop - start), flat // n, flat % n] = 1.0
-        image = _out_of_frame(action(_into_frame(basis)))
-        matrix[:, start:stop] = image.reshape(stop - start, n * n).T
+        matrix[:, start:stop] = _in_plane(action, basis).reshape(stop - start, n * n).T
     return matrix
 
 
@@ -300,13 +303,18 @@ def _seed_row(window: Window, grid: Grid1D) -> np.ndarray:
     return _fft_pass(_window_row(window, grid) * _checkerboard(1, grid.n)[0], -1, False)
 
 
-def _frame_lifts(lift: _Plan, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Windowed lifts U(angle)(psi (x) conj(FT w)) straight in the frame, batched:
-    each state psi (last axis) times each seed row, (D psi) (x) F(D conj(FT w)),
-    under the plan, whose quarter turns commute with M and whose shears are plain;
-    _into_frame(windowed_transform(...)) to rounding, with neither crossing."""
-    sign = _checkerboard(1, states.shape[-1])[0]
-    return lift.substitute((states * sign)[..., :, None] * rows[..., None, :], _plain_shear)
+def _frame_lifts(grid: Grid1D, angle: float, rows: np.ndarray) -> Callable[..., np.ndarray]:
+    """Windowed lifts U(angle)(psi (x) conj(FT w)) in the spectral frame, F_x _into_frame of
+    windowed_transform, of states psi (last axis) against seed rows F(D conj(FT w)), batched:
+    at angle 0 (F D psi) (x) row; at THETA_WIGNER, after the rows' one eta pass, the eta-shear's
+    chirp and inverse pass, an x pass and the x-shear's chirp."""
+    sign = _checkerboard(1, grid.n)[0]
+    if not angle:
+        return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
+    (_, eta), (_, x) = _Plan(grid, grid.dual(), angle).shears
+    rows = _fft_pass(rows, -1, False, keep=True)
+    return lambda psi: _chirp(_fft_pass(_fft_pass(_chirp(
+        (psi * sign)[..., :, None] * rows[..., None, :], eta), -1, True), -2, False), x)
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
@@ -339,8 +347,8 @@ def bopp_spectrum(
     against the caller's window, which rides in each member's batch.
     """
     _require_count("count", count)
-    if not math.isfinite(gap):
-        raise ConfigurationError(f"gap must be finite, got {gap}")
+    if not (math.isfinite(gap) and gap >= 0):
+        raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
     op, kernel, _, ref_vals, ref_vecs = _harness(
         symbol, representation, window.grid, "the spectral harness",
         "window grid does not match the operator grid")
@@ -355,16 +363,15 @@ def bopp_spectrum(
     clusters = clusters[:count]
 
     action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
-    lift = _Plan(grid, grid.dual(), _lift_angle(representation))
     # the n eigenstate windows, then the caller's, in one batch per member;
     # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
     # spares the pass: its seed row is that factor times conj(D psi_j)
     scale = (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
-    rows = np.concatenate((scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj(),
-                           _seed_row(window, grid)[None]))
+    lift = _frame_lifts(grid, _lift_angle(representation), np.concatenate((
+        scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj(), _seed_row(window, grid)[None])))
 
     def lift_residuals(m: int) -> np.ndarray:
-        lifts = _frame_lifts(lift, ref_vecs[:, m], rows)
+        lifts = lift(ref_vecs[:, m])
         defect = action(lifts) - ref_vals[m] * lifts
         return np.linalg.norm(defect, axis=(-2, -1)) / np.linalg.norm(lifts, axis=(-2, -1))
 
@@ -483,23 +490,24 @@ def evolve_pair(
     coeffs = vecs.conj().T @ psi0.values
     states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
-    lifts = _frame_lifts(_Plan(grid, grid.dual(), _lift_angle(representation)),
-                         np.concatenate((psi0.values[None], states)), _seed_row(window, grid))
+    lifts = _frame_lifts(grid, _lift_angle(representation), _seed_row(window, grid))(
+        np.concatenate((psi0.values[None], states)))
     action = _action(op, grid, grid.dual(), h)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
     mixed, dims = _krylov_evolve(lambda v: action(v.reshape(n, n)).reshape(-1),
                                  lifts[0].reshape(-1), times)
-    # in the frame a norm is sqrt(n) times the plane's
-    weight = math.sqrt(grid.dx * grid.dual().dx / n)
+    # in the frame a norm is n times the plane's
+    weight = math.sqrt(grid.dx * grid.dual().dx) / n
     phase_norms = np.linalg.norm(mixed, axis=1) * weight
     divergences = (np.linalg.norm(mixed - lifts[1:].reshape(times.size, -1), axis=1) * weight
                    / np.maximum(phase_norms, _RESIDUAL_FLOOR))
     later = times > 0
     drifts = [float(np.max(np.abs(v[later] - v[0]) / times[later], initial=0.0))
               for v in (np.linalg.norm(states, axis=1) * math.sqrt(grid.dx), phase_norms)]
+    phase = _out_of_frame(_fft_pass(mixed[-1].reshape(n, n), -2, True))  # consumes mixed[-1]
     return EvolutionResult(
         state=SampledFunction1D(grid, states[-1]),
-        phase=PhaseFunction2D(grid, grid.dual(), _out_of_frame(mixed[-1].reshape(n, n))),
+        phase=PhaseFunction2D(grid, grid.dual(), phase),
         divergence=float(divergences.max()),
         state_norm_drift=drifts[0],
         phase_norm_drift=drifts[1],

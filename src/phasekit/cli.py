@@ -139,8 +139,10 @@ class Settings:
             for name, entries in ((f"--{flag}", vars(args)), (f"config {key!r}", self.config),
                                   (f"config grid.{key}", grid if key in _GRID_KEYS else {})):
                 if kind is not None and entries.get(key) is not None:
-                    entries[key] = _typed(entries[key], kind, name,
-                                          kind is float and flag != "theta")
+                    entries[key] = value = _typed(entries[key], kind, name,
+                                                  kind is float and flag != "theta")
+                    if flag == "gap" and value < 0:  # every level would be its own cluster
+                        raise UsageError(f"{name} must be finite and nonnegative, got {value}")
             # an untyped flag's config value is a string, or --gaussian's a boolean
             # (a config 'tolerance', the other flag with an action, was refused above)
             value = self.config.get(key)

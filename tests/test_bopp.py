@@ -19,6 +19,7 @@ from phasekit.bopp import (
     _action,
     _cluster,
     _frame_lifts,
+    _in_plane,
     _krylov_evolve,
     _lift_angle,
     _seed_row,
@@ -35,7 +36,7 @@ from phasekit.grid import (
     _centered_fft,
     _fft_pass,
 )
-from phasekit.metaplectic import _Plan, _chirp, _into_frame, _out_of_frame, _plain_shear
+from phasekit.metaplectic import _Plan, _chirp, _into_frame
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -329,19 +330,19 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     h1 = grid.dx * op.kernel().values
     h1 = (h1 + h1.conj().T) / 2.0
     action = _action(op, grid, grid.dual(), h1)
-    # the basis starts from the lift in the mixed plane (x, eta), in the
-    # checkerboard frame M = D (x) D: the seed (D psi0) (x) F(D conj(FT w))
-    # under the lift plan's shears as plain shears; one batched plain
-    # inverse pass and M bring the checkpoints back to the plane
+    # the basis starts from the lift in the spectral frame, the x-transform
+    # of the mixed plane (x, eta) in the checkerboard frame M = D (x) D; a
+    # batched plain inverse pass along each axis and M bring the checkpoints
+    # back to the plane
     M = _checkerboard(grid.n)
-    seed = np.outer(psi0.values * M[0], scipy.fft.fft(window.transform.values.conj() * M[0]))
-    lift0 = _Plan(grid, grid.dual(), _lift_angle(representation)).substitute(seed, _plain_shear)
+    lift0 = _frame_lifts(grid, _lift_angle(representation), _seed_row(window, grid))(psi0.values)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
-    krylov = (scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-1) * M).reshape(mixed.shape)
+    krylov = (scipy.fft.ifft(scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-2), axis=-1)
+              * M).reshape(mixed.shape)
     assert np.array_equal(krylov[-1], result.phase.values.reshape(-1))
     assert tuple(dims) == result.krylov_dims
-    start = (scipy.fft.ifft(lift0, axis=-1) * M).reshape(-1)
+    start = (scipy.fft.ifft(scipy.fft.ifft(lift0, axis=-2), axis=-1) * M).reshape(-1)
     matrix = dense_matrix(op)
     hermitian = (matrix + matrix.conj().T) / 2.0
     dense = evolve_dense(hermitian, start, result.times).T
@@ -394,9 +395,9 @@ def _harness_start(n, half_width, representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     h = grid.dx * op.kernel().values
     action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
-    lift = _frame_lifts(_Plan(grid, grid.dual(), _lift_angle(representation)),
-                        states.coherent(grid, 0.8).values, _seed_row(_window(grid), grid))
-    return lambda v: action(v.reshape(n, n)).reshape(-1), lift.reshape(-1)
+    lift = _frame_lifts(grid, _lift_angle(representation), _seed_row(_window(grid), grid))
+    start = lift(states.coherent(grid, 0.8).values)
+    return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
 
 @pytest.mark.parametrize("n,half_width,representation", [
@@ -440,10 +441,11 @@ def test_evolution_rejects_a_non_finite_final_time(bad):
                     _window(grid), bad, 3)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_spectrum_rejects_a_non_finite_gap(bad):
+    # a negative gap would put every level in a cluster of its own
     grid = Grid1D.centered(16, 5.0)
-    with pytest.raises(ConfigurationError, match="gap must be finite"):
+    with pytest.raises(ConfigurationError, match="gap must be finite and nonnegative"):
         bopp_spectrum(symbol_oscillator(grid), 2, _window(grid), gap=bad)
 
 
@@ -477,26 +479,26 @@ def _conjugated_action_and_batch():
     return grid, grid.dx * op.kernel().values, _action(op, grid, grid.dual()), batch
 
 
-def test_conjugated_action_with_held_plans_is_the_mixed_plane_route():
+def test_conjugated_action_with_held_plans_is_the_spectral_frame_route():
     # the map builds its two plans once; every call must still equal the
-    # fresh-plan route in the checkerboard frame bit for bit, batched or
-    # not: the plain x-shear at -THETA_WIGNER, the plain eta-transform, the
-    # eta-chirp at -THETA_WIGNER, the kernel D K D, the eta-chirp at
-    # THETA_WIGNER, the plain inverse eta-transform and the plain x-shear at
-    # THETA_WIGNER; and the map leaves its argument as it was
+    # fresh-plan route in the spectral frame bit for bit, batched or not:
+    # the x-chirp at -THETA_WIGNER (as one full table, so that the argument
+    # is kept without a copy), the plain inverse x-transform, the plain
+    # eta-transform, the eta-chirp at -THETA_WIGNER, the kernel D K D, the
+    # eta-chirp at THETA_WIGNER, the plain inverse eta-transform, the plain
+    # x-transform and the x-chirp at THETA_WIGNER; and the map leaves its
+    # argument as it was
     grid, K, action, batch = _conjugated_action_and_batch()
     DKD = K * _checkerboard(grid.n)
-
-    def shear(v, tables):
-        return scipy.fft.ifft(_chirp(scipy.fft.fft(v, axis=-2), tables), axis=-2)
-
     for v in (batch[0], batch, batch[1]):
         kept = v.copy()
         (_, x_down), (_, eta_down) = _Plan(grid, grid.dual(), -THETA_WIGNER).shears
         (_, eta_up), (_, x_up) = _Plan(grid, grid.dual(), THETA_WIGNER).shears
-        spec = _chirp(scipy.fft.fft(shear(v, x_down), axis=-1), eta_down)
-        spec = _chirp(DKD @ spec, eta_up)
-        assert np.array_equal(action(v), shear(scipy.fft.ifft(spec, axis=-1), x_up))
+        x_full = _chirp(np.ones((grid.n, grid.n), complex), x_down)
+        mixed = scipy.fft.fft(scipy.fft.ifft(v * x_full, axis=-2), axis=-1)
+        mixed = _chirp(DKD @ _chirp(mixed, eta_down), eta_up)
+        want = _chirp(scipy.fft.fft(scipy.fft.ifft(mixed, axis=-1), axis=-2), x_up)
+        assert np.array_equal(action(v), want)
         assert np.array_equal(v, kept)
 
 
@@ -507,7 +509,7 @@ def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
     grid, K, action, batch = _conjugated_action_and_batch()
     sandwich = plane_action_oracle(PhaseOperator(symbol_oscillator(grid)), grid, grid.dual(), K)
     for v in (batch[0], batch, batch[1]):
-        got = _out_of_frame(action(_into_frame(v)))
+        got = _in_plane(action, v)
         ref = sandwich(v)
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -515,11 +517,11 @@ def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 32), st.floats(2.0, 12.0), st.integers(0, 2**32 - 1),
        st.sampled_from(REPRESENTATIONS), st.integers(1, 3))
-def test_mixed_plane_maps_match_the_plane_oracles(half_n, half_width, seed,
-                                                  representation, batch):
-    # each realization's mixed-plane map, wrapped in the crossings into and
-    # out of the checkerboard frame, is the (x, p)-plane map it replaced: an exact rewrite, so the
-    # two differ by rounding alone, batched or not
+def test_spectral_frame_maps_match_the_plane_oracles(half_n, half_width, seed,
+                                                      representation, batch):
+    # each realization's map in the spectral frame, wrapped in the crossings
+    # into and out of it, is the (x, p)-plane map it replaced: an exact
+    # rewrite, so the two differ by rounding alone, batched or not
     grid = Grid1D.centered(2 * half_n, half_width)
     rng = np.random.default_rng(seed)
     # every monomial x^i xi^j of degree at most 3
@@ -529,18 +531,19 @@ def test_mixed_plane_maps_match_the_plane_oracles(half_n, half_width, seed,
     values = (rng.standard_normal((batch, grid.n, grid.n))
               + 1j * rng.standard_normal((batch, grid.n, grid.n)))
     action = _action(op, grid, grid.dual())
-    got = _out_of_frame(action(_into_frame(values)))
+    got = _in_plane(action, values)
     ref = plane_action_oracle(op, grid, grid.dual())(values)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_conjugated_action_takes_six_passes(monkeypatch):
-    # an x-shear each side (2 passes each) and one eta-transform pair
-    # around the kernel; apply adds the partial-transform pair
+def test_conjugated_action_takes_four_passes(monkeypatch):
+    # in the spectral frame an x-shear is its chirp: an x-transform pair
+    # and an eta-transform pair around the kernel; apply adds both
+    # crossings, 2 passes each
     grid, _, action, batch = _conjugated_action_and_batch()
     passes = count_fft_passes(monkeypatch)
     action(batch)
-    assert len(passes) == 6
+    assert len(passes) == 4
     passes.clear()
     PhaseOperator(symbol_oscillator(grid)).apply(PhaseFunction2D(grid, grid.dual(), batch[0]))
     assert len(passes) == 8
@@ -556,21 +559,23 @@ def test_wigner_plans_end_and_start_with_an_eta_shear():
 
 
 def test_harness_steps_make_no_shift_call(monkeypatch):
-    # in the checkerboard frame every pass is a plain one: an action of each
-    # realization, a Lanczos run over it and a lift batch make no fftshift
-    # or ifftshift call; only the crossing's modulation touches the signs
+    # in the spectral frame every pass is a plain one: an action of each
+    # realization, a Lanczos run over it and a lift batch at each angle make
+    # no fftshift or ifftshift call; only the crossing's modulation touches
+    # the signs
     grid = Grid1D.centered(16, 5.0)
     rng = np.random.default_rng(23)
-    start = _into_frame(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    start = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     actions = [_action(PhaseOperator(symbol_oscillator(grid), rep), grid, grid.dual())
                for rep in REPRESENTATIONS]
-    lift = _Plan(grid, grid.dual(), THETA_WIGNER)
+    row = _seed_row(_window(grid), grid)
     shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     for action in actions:
         action(start)
         _krylov_evolve(lambda v: action(v.reshape(16, 16)).reshape(-1), start.reshape(-1),
                        np.array([0.0, 0.25]))
-    lift.substitute(start[None].copy(), _plain_shear)
+    for angle in (0.0, THETA_WIGNER):
+        _frame_lifts(grid, angle, row)(start[:2])
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
@@ -579,23 +584,25 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
 @pytest.mark.parametrize("n", [16, 18])
 @pytest.mark.parametrize("angle", [0.0, THETA_WIGNER])
 def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
-    # the evolution's lifts skip both crossings: (D psi) (x) F(D conj(FT w))
-    # under plain shears is the centred windowed lift taken into the frame,
-    # for n/2 even and odd and for the lift angle of each realization
+    # the harnesses' lifts skip both crossings: the seed (D psi) (x) F(D conj(FT w))
+    # under the plan, its last x-shear a chirp, is the centred windowed lift
+    # taken into the spectral frame, the x-transform of the checkerboard
+    # frame, for n/2 even and odd and for the lift angle of each realization
     grid = Grid1D.centered(n, 5.0)
     rng = np.random.default_rng(n)
     psi = SampledFunction1D(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     window = _window(grid)
-    got = _frame_lifts(_Plan(grid, grid.dual(), angle), psi.values, _seed_row(window, grid))
-    want = _into_frame(windowed_transform(psi, window, angle).values)
+    got = _frame_lifts(grid, angle, _seed_row(window, grid))(psi.values)
+    want = scipy.fft.fft(_into_frame(windowed_transform(psi, window, angle).values), axis=-2)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_evolution_makes_no_shift_call(monkeypatch):
     # the lifts of psi0 and its checkpoints are one plain batch in the frame
-    # and only the returned phase leaves it: outside the Lanczos actions (6
+    # and only the returned phase leaves it: outside the Lanczos actions (4
     # passes each under bopp_conjugated) one pass makes the window's seed
-    # row, 4 the batch at THETA_WIGNER and 1 the crossing back.  A segment
+    # row, one transforms it along eta, 2 make the batch at THETA_WIGNER and
+    # 2 the crossing back.  A segment
     # runs up to _KRYLOV_CHECK - 1 actions past its dimension, so the
     # actions are counted as run
     grid = Grid1D.centered(16, 5.0)
@@ -611,7 +618,7 @@ def test_evolution_makes_no_shift_call(monkeypatch):
     passes = count_fft_passes(monkeypatch)
     result = evolve_pair(symbol, psi0, window, 1.0, 4)
     assert shifts == []
-    assert len(passes) == 1 + 4 + 6 * len(actions) + 1
+    assert len(passes) == 1 + 1 + 2 + 4 * len(actions) + 2
     dims = result.krylov_dims
     assert sum(dims) <= len(actions) < sum(dims) + _KRYLOV_CHECK * len(dims)
 
@@ -637,21 +644,25 @@ def test_spectrum_makes_no_shift_call(monkeypatch):
     passes = count_fft_passes(monkeypatch)
     bopp_spectrum(symbol, 2, window)
     assert shifts == []
-    # per member a 4-pass lift at THETA_WIGNER and the 6-pass conjugated
-    # action; outside them only the caller's window row takes a pass
-    assert len(passes) == 1 + 2 * (4 + 6)
+    # per member a 2-pass lift at THETA_WIGNER and the 4-pass conjugated
+    # action; outside them the caller's window row takes a pass and the
+    # block of n + 1 rows one eta pass
+    assert len(passes) == 2 + 2 * (2 + 4)
 
 
 def test_direct_position_makes_no_pass(monkeypatch):
     # X = x + (i/2) d/dp is the multiplication by x - eta/2 in the mixed
-    # plane; each P is a 4-pass step, so the oscillator word takes 8
+    # plane and each P is a 4-pass step; the word runs there between an
+    # inverse and a forward x pass, so the x word takes 2 and the
+    # oscillator word 10
     grid = Grid1D.centered(32, 6.0)
     batch = np.random.default_rng(3).standard_normal((2, 32, 32)).astype(complex)
     passes = count_fft_passes(monkeypatch)
     _action(PhaseOperator(symbol_x(grid), "bopp_direct"), grid, grid.dual())(batch)
-    assert passes == []
+    assert len(passes) == 2
+    passes.clear()
     _action(PhaseOperator(symbol_oscillator(grid), "bopp_direct"), grid, grid.dual())(batch)
-    assert len(passes) == 8
+    assert len(passes) == 10
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2", 0])

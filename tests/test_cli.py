@@ -599,6 +599,20 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, monkeypatch, flag, a
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_gap_is_usage_error(tmp_path, capsys, where):
+    # a negative gap would put every level in a cluster of its own
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"gap": -1.0}))
+    given = ["--gap", "-1"] if where == "flag" else ["--config", str(cfg)]
+    rc = cli.main(["bopp-spectrum", "--symbol", "x", "--count", "1", "--n", "16",
+                   "--half-width", "5", *given, "--output", str(tmp_path / "out")])
+    assert rc == 2
+    name = "--gap" if where == "flag" else "config 'gap'"
+    assert f"error: {name} must be finite and nonnegative, got -1.0" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
 def test_evolve_above_the_dense_cap_is_usage_error(tmp_path, capsys):
     base = tmp_path / "ev"
     rc = cli.main(["evolve", "--n", "80", "--half-width", "8", "--t", "0.5",
