@@ -62,7 +62,7 @@ PAIRING_GAP = 1.0e-4
 _RESIDUAL_FLOOR = 1.0e-12
 _KRYLOV_TOL = 1.0e-14
 _KRYLOV_MAX_DIM = 128
-_KRYLOV_CHECK = 4  # eigh(T_39) > an action at n=32 (170-190 vs ~120 us); <= 3 actions wasted
+_KRYLOV_CHECK = 4  # eigh(T_39) > 2 actions at n=32 (120-165 vs 50-65 us); <= 3 actions wasted
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +145,23 @@ class EvolutionResult:
 # applying the three realizations
 
 
+def _wigner_flows(grid_x: Grid1D, grid_p: Grid1D) -> tuple[Callable[..., np.ndarray], ...]:
+    """The plans at -THETA_WIGNER (keeps its argument) and THETA_WIGNER (in place) in the spectral
+    frame: first chirp, inverse pass along its axis, forward pass along the other, second chirp.
+    One plan's whole tables serve both: the other's are these conjugated, in reverse order."""
+    up = [(axis, _chirp(np.ones((grid_x.n, grid_p.n), complex), tables))
+          for axis, tables in _Plan(grid_x, grid_p, THETA_WIGNER).shears]
+
+    def flow(shears: list, values: np.ndarray, keep: bool) -> np.ndarray:
+        (first, head), (second, tail) = shears
+        values = np.multiply(values, head, out=None if keep else values)
+        values = _fft_pass(_fft_pass(values, first, True), second, False)
+        return np.multiply(values, tail, out=values)
+
+    down = [(axis, table.conj()) for axis, table in up[::-1]]
+    return (lambda values: flow(down, values, True)), (lambda values: flow(up, values, False))
+
+
 def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
     """A spectral-frame map on (x, p) values, between the crossings in and out (2 passes each)."""
     return _out_of_frame(_fft_pass(action(_fft_pass(_into_frame(values), -2, False)), -2, True))
@@ -158,11 +175,10 @@ def _action(
     of the mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its
     argument.  In M the kernel K (kernel_values, default dx times the kernel) is D K D;
     extended applies F D K D F^-1.  bopp_conjugated applies D K D between the plans at
-    -+THETA_WIGNER, which end and start with an eta-shear, an x-shear here a chirp: chirp,
-    inverse x pass, eta pass, chirp, kernel, chirp, inverse eta pass, x pass, chirp (4 FFT
-    passes).  bopp_direct is the 1D quantization word for word in the mixed plane, between
-    an inverse and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2, and
-    P = p - (i/2) d/dx, there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
+    -+THETA_WIGNER, which end and start with an eta-shear, 2 FFT passes each (_wigner_flows).
+    bopp_direct is the 1D quantization word for word in the mixed plane, between an inverse
+    and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2, and P = p - (i/2) d/dx,
+    there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
     if op.representation == "bopp_direct":
         position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
         half_xi = 0.5 * grid_x.dual().nodes()[:, None]
@@ -183,16 +199,8 @@ def _action(
         spectral = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
         return lambda values: np.matmul(spectral, values)
 
-    (_, x_down), (_, eta_down) = _Plan(grid_x, grid_p, -THETA_WIGNER).shears
-    (_, eta_up), (_, x_up) = _Plan(grid_x, grid_p, THETA_WIGNER).shears
-    x_down = _chirp(np.ones((grid_x.n, grid_x.n), complex), x_down)  # in full: out of place
-
-    def conjugated(values: np.ndarray) -> np.ndarray:
-        mixed = _fft_pass(_fft_pass(values * x_down, -2, True), -1, False)
-        mixed = _chirp(np.matmul(kernel_values, _chirp(mixed, eta_down)), eta_up)
-        return _chirp(_fft_pass(_fft_pass(mixed, -1, True), -2, False), x_up)
-
-    return conjugated
+    down, up = _wigner_flows(grid_x, grid_p)
+    return lambda values: up(np.matmul(kernel_values, down(values)))
 
 
 def _lift_angle(representation: str) -> float:
@@ -255,14 +263,11 @@ def dense_matrix(op: PhaseOperator) -> np.ndarray:
     points per axis to keep the n^2 x n^2 result at desk scale.
     """
     grid = _plane_grid(op)
-    action = _action(op, grid, grid.dual())
-    n = grid.n
+    action, n = _action(op, grid, grid.dual()), grid.n
     matrix = np.empty((n * n, n * n), dtype=np.complex128)
     for start in range(0, n * n, _DENSE_CHUNK):
         stop = min(start + _DENSE_CHUNK, n * n)
-        basis = np.zeros((stop - start, n, n), dtype=np.complex128)
-        flat = np.arange(start, stop)
-        basis[np.arange(stop - start), flat // n, flat % n] = 1.0
+        basis = np.eye(stop - start, n * n, start, dtype=np.complex128).reshape(-1, n, n)
         matrix[:, start:stop] = _in_plane(action, basis).reshape(stop - start, n * n).T
     return matrix
 
@@ -276,7 +281,7 @@ def _require_count(name: str, value: int) -> None:
 def _harness(symbol: Symbol2D, representation: str, given: Grid1D, what: str, mismatch: str):
     """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint,
     on the caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points;
-    then the symmetrized 1D operator h = dx (K + K^H)/2 and its orthonormal eigh."""
+    the lift angle; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     self_adjoint, defect = _self_adjoint(kernel)
@@ -285,10 +290,9 @@ def _harness(symbol: Symbol2D, representation: str, given: Grid1D, what: str, mi
                                  f"from conj-symmetry by {defect:.3e}")
     if not given.matches(kernel.grid):
         raise ConfigurationError(mismatch)
-    grid = _plane_grid(op)
-    h = grid.dx * kernel.values
+    h = _plane_grid(op).dx * kernel.values  # refused above the cap
     h = (h + h.conj().T) / 2.0
-    return op, kernel, h, *np.linalg.eigh(h)
+    return op, kernel, _lift_angle(representation), h, *np.linalg.eigh(h)
 
 
 def _window_row(window: Window, grid: Grid1D) -> np.ndarray:
@@ -298,23 +302,23 @@ def _window_row(window: Window, grid: Grid1D) -> np.ndarray:
     return window.transform.values.conj()
 
 
-def _seed_row(window: Window, grid: Grid1D) -> np.ndarray:
-    """F(D conj(FT window)), the window's factor of a lift's seed in the frame."""
-    return _fft_pass(_window_row(window, grid) * _checkerboard(1, grid.n)[0], -1, False)
+def _seed_row(window: Window, grid: Grid1D, angle: float) -> np.ndarray:
+    """The window's row of a lift at `angle` (see _frame_lifts): F(D conj(FT window)) at 0; at
+    THETA_WIGNER its eta pass too, and F F = n R, R the index reversal, spares both passes."""
+    row = _window_row(window, grid) * _checkerboard(1, grid.n)[0]
+    return grid.n * row[(-np.arange(grid.n)) % grid.n] if angle else _fft_pass(row, -1, False)
 
 
 def _frame_lifts(grid: Grid1D, angle: float, rows: np.ndarray) -> Callable[..., np.ndarray]:
     """Windowed lifts U(angle)(psi (x) conj(FT w)) in the spectral frame, F_x _into_frame of
-    windowed_transform, of states psi (last axis) against seed rows F(D conj(FT w)), batched:
-    at angle 0 (F D psi) (x) row; at THETA_WIGNER, after the rows' one eta pass, the eta-shear's
-    chirp and inverse pass, an x pass and the x-shear's chirp."""
+    windowed_transform, of states psi (last axis) against rows F(D conj(FT w)), batched: at
+    angle 0 (F D psi) (x) row; at THETA_WIGNER the rows have taken one more eta pass, and the
+    seed (D psi) (x) row takes the plan (eta-chirp, inverse eta pass, x pass, x-chirp)."""
     sign = _checkerboard(1, grid.n)[0]
     if not angle:
         return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
-    (_, eta), (_, x) = _Plan(grid, grid.dual(), angle).shears
-    rows = _fft_pass(rows, -1, False, keep=True)
-    return lambda psi: _chirp(_fft_pass(_fft_pass(_chirp(
-        (psi * sign)[..., :, None] * rows[..., None, :], eta), -1, True), -2, False), x)
+    up = _wigner_flows(grid, grid.dual())[1]
+    return lambda psi: up((psi * sign)[..., :, None] * rows[..., None, :])
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
@@ -349,26 +353,24 @@ def bopp_spectrum(
     _require_count("count", count)
     if not (math.isfinite(gap) and gap >= 0):
         raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
-    op, kernel, _, ref_vals, ref_vecs = _harness(
+    op, kernel, angle, _, ref_vals, ref_vecs = _harness(
         symbol, representation, window.grid, "the spectral harness",
         "window grid does not match the operator grid")
-    grid = kernel.grid
-    ref_vecs = ref_vecs / math.sqrt(grid.dx)
+    grid, ref_vecs = kernel.grid, ref_vecs / math.sqrt(kernel.grid.dx)
     clusters = _cluster(ref_vals, gap)
     if len(clusters) < count:
-        raise ConfigurationError(
-            f"requested {count} eigenvalue clusters but the spectrum has "
-            f"only {len(clusters)} at gap {gap:.1e}"
-        )
+        raise ConfigurationError(f"requested {count} eigenvalue clusters but the spectrum has "
+                                 f"only {len(clusters)} at gap {gap:.1e}")
     clusters = clusters[:count]
 
     action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     # the n eigenstate windows, then the caller's, in one batch per member;
     # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
-    # spares the pass: its seed row is that factor times conj(D psi_j)
+    # spares the pass: its row at angle 0 is that factor times conj(D psi_j)
     scale = (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
-    lift = _frame_lifts(grid, _lift_angle(representation), np.concatenate((
-        scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj(), _seed_row(window, grid)[None])))
+    rows = scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj()
+    lift = _frame_lifts(grid, angle, np.concatenate((
+        _fft_pass(rows, -1, False) if angle else rows, _seed_row(window, grid, angle)[None])))
 
     def lift_residuals(m: int) -> np.ndarray:
         lifts = lift(ref_vecs[:, m])
@@ -377,23 +379,14 @@ def bopp_spectrum(
 
     eigenvalues = np.array([float(ref_vals[c].mean()) for c in clusters])
     multiplicities = np.array([grid.n * (c.stop - c.start) for c in clusters])
-    pairing = {
-        k: c.start + int(np.argmin(np.abs(ref_vals[c] - eigenvalues[k])))
-        for k, c in enumerate(clusters)
-    }
+    pairing = {k: c.start + int(np.argmin(np.abs(ref_vals[c] - eigenvalues[k])))
+               for k, c in enumerate(clusters)}
     member_residuals = {m: lift_residuals(m) for c in clusters for m in range(c.start, c.stop)}
     residuals = np.array([max(float(member_residuals[m][:-1].max())
                               for m in range(c.start, c.stop)) for c in clusters])
     pushforward = np.array([float(member_residuals[pairing[k]][-1]) for k in range(count)])
-    return SpectralReport(
-        eigenvalues=eigenvalues,
-        multiplicities=multiplicities,
-        residuals=residuals,
-        pairing=pairing,
-        reference_eigenvalues=ref_vals,
-        pushforward_residuals=pushforward,
-        gap=gap,
-    )
+    return SpectralReport(eigenvalues, multiplicities, residuals, pairing, ref_vals, pushforward,
+                          gap)
 
 
 # --------------------------------------------------------------------------
@@ -483,14 +476,15 @@ def evolve_pair(
     _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
-    op, kernel, h, vals, vecs = _harness(symbol, representation, psi0.grid, "paired evolution",
-                                         "initial state grid does not match the operator")
+    op, kernel, angle, h, vals, vecs = _harness(
+        symbol, representation, psi0.grid, "paired evolution",
+        "initial state grid does not match the operator")
     grid, n = kernel.grid, kernel.grid.n
     times = np.linspace(0.0, t_final, steps + 1)
     coeffs = vecs.conj().T @ psi0.values
     states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
-    lifts = _frame_lifts(grid, _lift_angle(representation), _seed_row(window, grid))(
+    lifts = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(
         np.concatenate((psi0.values[None], states)))
     action = _action(op, grid, grid.dual(), h)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
@@ -505,13 +499,6 @@ def evolve_pair(
     drifts = [float(np.max(np.abs(v[later] - v[0]) / times[later], initial=0.0))
               for v in (np.linalg.norm(states, axis=1) * math.sqrt(grid.dx), phase_norms)]
     phase = _out_of_frame(_fft_pass(mixed[-1].reshape(n, n), -2, True))  # consumes mixed[-1]
-    return EvolutionResult(
-        state=SampledFunction1D(grid, states[-1]),
-        phase=PhaseFunction2D(grid, grid.dual(), phase),
-        divergence=float(divergences.max()),
-        state_norm_drift=drifts[0],
-        phase_norm_drift=drifts[1],
-        times=times,
-        divergences=divergences,
-        krylov_dims=tuple(dims),
-    )
+    state, phase = SampledFunction1D(grid, states[-1]), PhaseFunction2D(grid, grid.dual(), phase)
+    return EvolutionResult(state, phase, float(divergences.max()), *drifts, times, divergences,
+                           tuple(dims))

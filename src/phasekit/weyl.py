@@ -49,7 +49,8 @@ from .grid import (
     _fft_pass,
     _spectral_step,
 )
-from .metaplectic import _Plan, _checkerboard, _into_frame, _out_of_frame, _plain_shear, propagate
+from .metaplectic import (ShearFactorization, _Plan, _checkerboard, _into_frame, _out_of_frame,
+                          _plain_shear, propagate, shear_factorization)
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle, wigner_fractional
 
@@ -482,6 +483,18 @@ def moyal_product(a: Symbol2D, b: Symbol2D, method: str | None = None) -> Symbol
     raise ConfigurationError(f"unknown star product method {method!r}")
 
 
+def _push_plan(pull: _Plan, grid_xi: Grid1D, grid: Grid1D, theta: float) -> _Plan:
+    """_Plan(grid, grid.dual(), theta), consuming the pull: where it mirrors the pull (same grids
+    and even turns, shears (-d, -c, -b)), the pull's tables conjugated in reverse, same bits."""
+    turns, shears = pull.factorization.quarters, pull.factorization.shears
+    mirror = shears and ShearFactorization(turns, (-shears[2], -shears[1], -shears[0]))
+    if turns % 2 or grid_xi != grid.dual() or shear_factorization(theta) != mirror:
+        return _Plan(grid, grid.dual(), theta)
+    pull.factorization = mirror
+    pull.shears = [(axis, (hi.conj(), lo.conj())) for axis, (hi, lo) in pull.shears[::-1]]
+    return pull
+
+
 def theta_product(
     a: Symbol2D, b: Symbol2D, theta: float, method: str | None = None
 ) -> Symbol2D:
@@ -516,7 +529,7 @@ def theta_product(
     # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign
     values = _gather(dx * np.matmul(*_scatter(values)))[..., reverse]
     values *= board * ((-1) ** (n // 2) * n * dx)
-    push = _Plan(grid, grid.dual(), -back)
+    push = _push_plan(pull, a.grid_xi, grid, -back)  # consumes pull
     return Symbol2D(grid, grid.dual(), _out_of_frame(push.substitute(values, _plain_shear)))
 
 

@@ -258,6 +258,24 @@ def test_evolution_pictures_agree():
     assert result.times[-1] == pytest.approx(2.0 * np.pi)
 
 
+def test_evolution_weighs_frame_norms_as_plane_norms():
+    # a power-of-two scale of psi0 scales every intermediate exactly; once
+    # the phase norm is below _RESIDUAL_FLOOR the divergences are plane-norm
+    # defects over the floor, so they must follow the plane norm of psi0's
+    # lift, which a wrong frame-norm weight misses by its own factor
+    grid = Grid1D.centered(32, 6.0)
+    window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
+    scale = 2.0 ** -60
+    plane_norm = scale * windowed_transform(psi0, window, THETA_WIGNER).norm()
+    assert plane_norm < bopp._RESIDUAL_FLOOR / 100
+    big = evolve_pair(symbol, psi0, window, 2.0 * np.pi, 8)
+    small = evolve_pair(symbol, SampledFunction1D(grid, scale * psi0.values), window,
+                        2.0 * np.pi, 8)
+    assert np.max(big.divergences) > 0
+    want = big.divergences * (plane_norm / bopp._RESIDUAL_FLOOR)
+    assert np.allclose(small.divergences, want, rtol=1e-8, atol=0.0)
+
+
 def test_evolution_period_return():
     # after one oscillator period the coherent state returns to itself up
     # to the known global phase
@@ -335,7 +353,8 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     # batched plain inverse pass along each axis and M bring the checkpoints
     # back to the plane
     M = _checkerboard(grid.n)
-    lift0 = _frame_lifts(grid, _lift_angle(representation), _seed_row(window, grid))(psi0.values)
+    angle = _lift_angle(representation)
+    lift0 = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(psi0.values)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
     krylov = (scipy.fft.ifft(scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-2), axis=-1)
@@ -395,7 +414,8 @@ def _harness_start(n, half_width, representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     h = grid.dx * op.kernel().values
     action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
-    lift = _frame_lifts(grid, _lift_angle(representation), _seed_row(_window(grid), grid))
+    angle = _lift_angle(representation)
+    lift = _frame_lifts(grid, angle, _seed_row(_window(grid), grid, angle))
     start = lift(states.coherent(grid, 0.8).values)
     return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
@@ -479,27 +499,55 @@ def _conjugated_action_and_batch():
     return grid, grid.dx * op.kernel().values, _action(op, grid, grid.dual()), batch
 
 
+def _whole_tables(grid, angle):
+    """Each shear's chirp of a fresh plan at `angle`, as one whole n x n table."""
+    return [_chirp(np.ones((grid.n, grid.n), complex), tables)
+            for _, tables in _Plan(grid, grid.dual(), angle).shears]
+
+
 def test_conjugated_action_with_held_plans_is_the_spectral_frame_route():
     # the map builds its two plans once; every call must still equal the
-    # fresh-plan route in the spectral frame bit for bit, batched or not:
-    # the x-chirp at -THETA_WIGNER (as one full table, so that the argument
-    # is kept without a copy), the plain inverse x-transform, the plain
-    # eta-transform, the eta-chirp at -THETA_WIGNER, the kernel D K D, the
-    # eta-chirp at THETA_WIGNER, the plain inverse eta-transform, the plain
-    # x-transform and the x-chirp at THETA_WIGNER; and the map leaves its
-    # argument as it was
+    # fresh-plan route in the spectral frame bit for bit, batched or not,
+    # each chirp one multiply by its whole table: the x-chirp at
+    # -THETA_WIGNER, the plain inverse x-transform, the plain eta-transform,
+    # the eta-chirp at -THETA_WIGNER, the kernel D K D, the eta-chirp at
+    # THETA_WIGNER, the plain inverse eta-transform, the plain x-transform
+    # and the x-chirp at THETA_WIGNER; and the map leaves its argument as it
+    # was
     grid, K, action, batch = _conjugated_action_and_batch()
     DKD = K * _checkerboard(grid.n)
     for v in (batch[0], batch, batch[1]):
         kept = v.copy()
-        (_, x_down), (_, eta_down) = _Plan(grid, grid.dual(), -THETA_WIGNER).shears
-        (_, eta_up), (_, x_up) = _Plan(grid, grid.dual(), THETA_WIGNER).shears
-        x_full = _chirp(np.ones((grid.n, grid.n), complex), x_down)
-        mixed = scipy.fft.fft(scipy.fft.ifft(v * x_full, axis=-2), axis=-1)
-        mixed = _chirp(DKD @ _chirp(mixed, eta_down), eta_up)
-        want = _chirp(scipy.fft.fft(scipy.fft.ifft(mixed, axis=-1), axis=-2), x_up)
+        x_down, eta_down = _whole_tables(grid, -THETA_WIGNER)
+        eta_up, x_up = _whole_tables(grid, THETA_WIGNER)
+        mixed = scipy.fft.fft(scipy.fft.ifft(v * x_down, axis=-2), axis=-1)
+        mixed = (DKD @ (mixed * eta_down)) * eta_up
+        want = scipy.fft.fft(scipy.fft.ifft(mixed, axis=-1), axis=-2) * x_up
         assert np.array_equal(action(v), want)
         assert np.array_equal(v, kept)
+
+
+def test_held_maps_expand_their_chirps_once(monkeypatch):
+    # the conjugated action's four chirps come from the two whole tables of
+    # the plan at THETA_WIGNER, and so do the lift's two, built with the map;
+    # applying either makes no hi/lo chirp
+    grid = Grid1D.centered(32, 6.0)
+    rng = np.random.default_rng(29)
+    batch = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
+    row = _seed_row(_window(grid), grid, THETA_WIGNER)
+    op = PhaseOperator(symbol_oscillator(grid))
+    chirps = count_calls(monkeypatch, bopp, ("_chirp",))
+    action = _action(op, grid, grid.dual())
+    assert len(chirps) == 2
+    lift = _frame_lifts(grid, THETA_WIGNER, row)
+    assert len(chirps) == 4
+    chirps.clear()
+    for _ in range(3):
+        action(batch)
+        action(batch[0])
+        lift(batch[0])
+        lift(batch[0, 0])
+    assert chirps == []
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
@@ -554,8 +602,13 @@ def test_wigner_plans_end_and_start_with_an_eta_shear():
     # the midpoint map is skipped, leaving x then eta at -THETA_WIGNER and
     # eta then x at THETA_WIGNER
     grid = Grid1D.centered(32, 6.0)
-    assert [axis for axis, _ in _Plan(grid, grid.dual(), -THETA_WIGNER).shears] == [-2, -1]
-    assert [axis for axis, _ in _Plan(grid, grid.dual(), THETA_WIGNER).shears] == [-1, -2]
+    down, up = (_Plan(grid, grid.dual(), angle) for angle in (-THETA_WIGNER, THETA_WIGNER))
+    assert [axis for axis, _ in down.shears] == [-2, -1]
+    assert [axis for axis, _ in up.shears] == [-1, -2]
+    # and the plan at -THETA_WIGNER mirrors the other: its tables are the
+    # other's conjugated in reverse order, bit for bit, so one plan serves
+    for (_, tables), (_, mirrored) in zip(down.shears, up.shears[::-1]):
+        assert all(np.array_equal(t, m.conj()) for t, m in zip(tables, mirrored))
 
 
 def test_harness_steps_make_no_shift_call(monkeypatch):
@@ -568,14 +621,14 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
     start = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     actions = [_action(PhaseOperator(symbol_oscillator(grid), rep), grid, grid.dual())
                for rep in REPRESENTATIONS]
-    row = _seed_row(_window(grid), grid)
+    window = _window(grid)
     shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     for action in actions:
         action(start)
         _krylov_evolve(lambda v: action(v.reshape(16, 16)).reshape(-1), start.reshape(-1),
                        np.array([0.0, 0.25]))
     for angle in (0.0, THETA_WIGNER):
-        _frame_lifts(grid, angle, row)(start[:2])
+        _frame_lifts(grid, angle, _seed_row(window, grid, angle))(start[:2])
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
@@ -587,22 +640,26 @@ def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
     # the harnesses' lifts skip both crossings: the seed (D psi) (x) F(D conj(FT w))
     # under the plan, its last x-shear a chirp, is the centred windowed lift
     # taken into the spectral frame, the x-transform of the checkerboard
-    # frame, for n/2 even and odd and for the lift angle of each realization
+    # frame, for n/2 even and odd and for the lift angle of each realization;
+    # at THETA_WIGNER the row's two eta passes are n times the reversal,
+    # which only a window that is not even can tell from no reversal
     grid = Grid1D.centered(n, 5.0)
     rng = np.random.default_rng(n)
     psi = SampledFunction1D(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    window = _window(grid)
-    got = _frame_lifts(grid, angle, _seed_row(window, grid))(psi.values)
-    want = scipy.fft.fft(_into_frame(windowed_transform(psi, window, angle).values), axis=-2)
-    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    shifted = states.coherent(grid, 0.6 + 0.4j)
+    shifted = Window(SampledFunction1D(grid, shifted.values / shifted.norm()))
+    for window in (_window(grid), shifted):
+        got = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(psi.values)
+        want = scipy.fft.fft(_into_frame(windowed_transform(psi, window, angle).values), axis=-2)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_evolution_makes_no_shift_call(monkeypatch):
     # the lifts of psi0 and its checkpoints are one plain batch in the frame
     # and only the returned phase leaves it: outside the Lanczos actions (4
-    # passes each under bopp_conjugated) one pass makes the window's seed
-    # row, one transforms it along eta, 2 make the batch at THETA_WIGNER and
-    # 2 the crossing back.  A segment
+    # passes each under bopp_conjugated) the window's row takes none (its two
+    # eta passes are n times the reversal), 2 make the batch at THETA_WIGNER
+    # and 2 the crossing back.  A segment
     # runs up to _KRYLOV_CHECK - 1 actions past its dimension, so the
     # actions are counted as run
     grid = Grid1D.centered(16, 5.0)
@@ -618,7 +675,7 @@ def test_evolution_makes_no_shift_call(monkeypatch):
     passes = count_fft_passes(monkeypatch)
     result = evolve_pair(symbol, psi0, window, 1.0, 4)
     assert shifts == []
-    assert len(passes) == 1 + 1 + 2 + 4 * len(actions) + 2
+    assert len(passes) == 2 + 4 * len(actions) + 2
     dims = result.krylov_dims
     assert sum(dims) <= len(actions) < sum(dims) + _KRYLOV_CHECK * len(dims)
 
@@ -645,9 +702,9 @@ def test_spectrum_makes_no_shift_call(monkeypatch):
     bopp_spectrum(symbol, 2, window)
     assert shifts == []
     # per member a 2-pass lift at THETA_WIGNER and the 4-pass conjugated
-    # action; outside them the caller's window row takes a pass and the
-    # block of n + 1 rows one eta pass
-    assert len(passes) == 2 + 2 * (2 + 4)
+    # action; outside them the n eigenstate rows take one eta pass and the
+    # caller's window row none
+    assert len(passes) == 1 + 2 * (2 + 4)
 
 
 def test_direct_position_makes_no_pass(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import count_calls, count_fft_passes, identity_kernel, theta_product_oracle
-from phasekit import states, weyl
+from phasekit import metaplectic, states, weyl
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
@@ -16,7 +16,7 @@ from phasekit.grid import (
     _centered_fft,
     _centered_ifft,
 )
-from phasekit.metaplectic import shear_factorization
+from phasekit.metaplectic import _Plan, shear_factorization
 from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -27,6 +27,7 @@ from phasekit.weyl import (
     _kernel_order,
     _moyal_poly,
     _poly_trim,
+    _push_plan,
     _symmetric_expand,
     expectation,
     fractional_symbol,
@@ -456,6 +457,55 @@ def test_fused_angle_product_makes_no_shift_call(monkeypatch):
     theta_product(a, b, 0.4)
     assert shifts == []
     assert len(passes) == 1 + 6 + 2 + 2 + 6 + 1
+
+
+def test_push_plan_is_the_fresh_plan_bit_for_bit(monkeypatch):
+    # where the push mirrors the pull it takes the pull's tables conjugated
+    # in reverse order; elsewhere (odd quarter turns, or a push that picks
+    # another quarter count, as at -1.7) it builds its own: either way the
+    # factorization and every table are those of a fresh plan
+    grid = Grid1D.centered(128, 8.0)
+    built, reused = count_calls(monkeypatch, weyl, ("_Plan",)), set()
+    for theta in [*np.linspace(-2.4, 2.4, 241), 0.4, -1.7]:
+        back = THETA_WIGNER - theta
+        pull = _Plan(grid, grid.dual(), back)
+        built.clear()
+        push, fresh = _push_plan(pull, grid.dual(), grid, -back), _Plan(grid, grid.dual(), -back)
+        assert push.factorization == fresh.factorization
+        assert [axis for axis, _ in push.shears] == [axis for axis, _ in fresh.shears]
+        for (_, got), (_, want) in zip(push.shears, fresh.shears):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if not built:
+            reused.add(round(float(theta), 6))
+    assert 0.4 in reused and -1.7 not in reused
+    assert shear_factorization(THETA_WIGNER + 1.7).quarters == 0
+    assert shear_factorization(-THETA_WIGNER - 1.7).quarters % 2
+
+
+@pytest.mark.parametrize("theta", [-2.4, -1.7, -0.7, 0.4, 1.0, 2.2])
+@pytest.mark.parametrize("nudge", [0.0, 1e-12])
+def test_angle_product_is_unchanged_by_the_reused_push(monkeypatch, theta, nudge):
+    # the same bits as a freshly built push, also for a frequency grid that
+    # only matches the dual (the pull's tables are then not the push's)
+    grid = Grid1D.centered(128, 8.0)
+    dxi = grid.dual().dx * (1.0 + nudge)
+    rng = np.random.default_rng(11)
+    a, b = (Symbol2D(grid, Grid1D(128, -64 * dxi, dxi), _random_decaying_symbol(grid, rng).values)
+            for _ in range(2))
+    got = theta_product(a, b, theta).values
+    monkeypatch.setattr(weyl, "_push_plan",
+                        lambda pull, grid_xi, grid, angle: _Plan(grid, grid.dual(), angle))
+    assert np.array_equal(got, theta_product(a, b, theta).values)
+
+
+def test_angle_product_at_a_mirrored_angle_builds_three_tables(monkeypatch):
+    # at 0.4 the push mirrors the pull: one plan's three tables serve both
+    grid = Grid1D.centered(128, 8.0)
+    rng = np.random.default_rng(12)
+    a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
+    tables = count_calls(monkeypatch, metaplectic, ("_chirp_tables",))
+    theta_product(a, b, 0.4)
+    assert len(tables) == 3
 
 
 def test_angle_product_refuses_before_any_work(monkeypatch):
