@@ -17,9 +17,10 @@ takes the 1D eigensolve and certifies every level by the residuals of its
 lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
 (_action) serves apply, the residuals, the evolution and dense_matrix in the
-x-transform of metaplectic's checkerboard frame, where both harnesses lift
-(_frame_lifts), measure and evolve.  They share one preamble (_harness), which
-refuses grids above DENSE_MAX_N points per axis and runs the one 1D eigensolve.
+x-transform of metaplectic's checkerboard frame, where both harnesses lift,
+measure and evolve.  Their one preamble (_harness) refuses grids above
+DENSE_MAX_N points per axis, holds one plan at THETA_WIGNER for the action and
+the lifts (_held_maps) and runs the one 1D eigensolve.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ class EvolutionResult:
 
 def _wigner_flows(grid_x: Grid1D, grid_p: Grid1D) -> tuple[Callable[..., np.ndarray], ...]:
     """The plans at -THETA_WIGNER (keeps its argument) and THETA_WIGNER (in place) in the spectral
-    frame: first chirp, inverse pass along its axis, forward pass along the other, second chirp.
-    One plan's whole tables serve both: the other's are these conjugated, in reverse order."""
-    up = [(axis, _chirp(np.ones((grid_x.n, grid_p.n), complex), tables))
-          for axis, tables in _Plan(grid_x, grid_p, THETA_WIGNER).shears]
+    frame: first chirp, inverse pass along its axis, forward pass along the other, second chirp,
+    each chirp one multiply by its whole table.  One plan serves both, the first as its inverse."""
+    plan = _Plan(grid_x, grid_p, THETA_WIGNER)
+    down, up = ([(axis, _chirp(np.ones((grid_x.n, grid_p.n), complex), tables))
+                 for axis, tables in held.shears] for held in (plan.inverse(), plan))
 
     def flow(shears: list, values: np.ndarray, keep: bool) -> np.ndarray:
         (first, head), (second, tail) = shears
@@ -158,7 +160,6 @@ def _wigner_flows(grid_x: Grid1D, grid_p: Grid1D) -> tuple[Callable[..., np.ndar
         values = _fft_pass(_fft_pass(values, first, True), second, False)
         return np.multiply(values, tail, out=values)
 
-    down = [(axis, table.conj()) for axis, table in up[::-1]]
     return (lambda values: flow(down, values, True)), (lambda values: flow(up, values, False))
 
 
@@ -169,16 +170,16 @@ def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) ->
 
 def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
-    kernel_values: np.ndarray | None = None,
+    kernel_values: np.ndarray | None = None, flows: tuple | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x
     of the mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its
     argument.  In M the kernel K (kernel_values, default dx times the kernel) is D K D;
     extended applies F D K D F^-1.  bopp_conjugated applies D K D between the plans at
-    -+THETA_WIGNER, which end and start with an eta-shear, 2 FFT passes each (_wigner_flows).
-    bopp_direct is the 1D quantization word for word in the mixed plane, between an inverse
-    and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2, and P = p - (i/2) d/dx,
-    there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
+    -+THETA_WIGNER, which end and start with an eta-shear, 2 FFT passes each (flows, else
+    built: _wigner_flows).  bopp_direct is the 1D quantization word for word in the mixed
+    plane, between an inverse and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2,
+    and P = p - (i/2) d/dx, there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
     if op.representation == "bopp_direct":
         position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
         half_xi = 0.5 * grid_x.dual().nodes()[:, None]
@@ -199,13 +200,36 @@ def _action(
         spectral = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
         return lambda values: np.matmul(spectral, values)
 
-    down, up = _wigner_flows(grid_x, grid_p)
+    down, up = flows or _wigner_flows(grid_x, grid_p)
     return lambda values: up(np.matmul(kernel_values, down(values)))
 
 
-def _lift_angle(representation: str) -> float:
-    """Analysis angle whose lift intertwines with the given realization."""
-    return 0.0 if representation == "extended" else THETA_WIGNER
+def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
+    """The one place that tells the lift angles apart: 0 for extended, else THETA_WIGNER; the
+    flows of bopp_conjugated's action (_wigner_flows), shared by its lifts (bopp_direct's lifts
+    build their own); lifts(rows) lifts states psi (last axis) against windows w of rows
+    F(D conj(FT w)), if any, then the caller's, to U(angle)(psi (x) conj(FT w)) in the spectral
+    frame: at 0 (F D psi) (x) row; at THETA_WIGNER (D psi) (x) row takes the flow, each row an
+    eta pass (the caller's two: F F = n R, R the index reversal)."""
+    if not grid.matches(window.grid):
+        raise ConfigurationError("state and window live on different grids")
+    sign = _checkerboard(1, grid.n)[0]
+    row = window.transform.values.conj() * sign
+    if op.representation == "extended":
+        def lifts(rows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+            seed = _fft_pass(row, -1, False, keep=True)
+            rows = seed if rows is None else np.concatenate((rows, seed[None]))
+            return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
+
+        return 0.0, None, lifts
+    flows = _wigner_flows(grid, grid.dual()) if op.representation == "bopp_conjugated" else None
+
+    def lifts(rows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+        up, seed = (flows or _wigner_flows(grid, grid.dual()))[1], grid.n * row[-np.arange(grid.n)]
+        rows = seed if rows is None else np.concatenate((_fft_pass(rows, -1, False), seed[None]))
+        return lambda psi: up((psi * sign)[..., :, None] * rows[..., None, :])
+
+    return THETA_WIGNER, flows, lifts
 
 
 def bopp_intertwining_residual(
@@ -227,11 +251,10 @@ def bopp_intertwining_residual(
     if not psi.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match the operator grid")
     # centred lifts of psi and K psi, checked against the action in the frame
-    plane = (psi.grid, psi.grid.dual())
+    plane, (angle, flows, _) = (psi.grid, psi.grid.dual()), _held_maps(op, psi.grid, window)
     seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
-    lift, lifted = _propagate_values(seeds * _window_row(window, psi.grid), *plane,
-                                     _lift_angle(representation))
-    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values), lift)
+    lift, lifted = _propagate_values(seeds * window.transform.values.conj(), *plane, angle)
+    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values, flows), lift)
     defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
         warnings.warn("lifted reference is numerically zero; returning the absolute "
@@ -278,10 +301,11 @@ def _require_count(name: str, value: int) -> None:
         raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
-def _harness(symbol: Symbol2D, representation: str, given: Grid1D, what: str, mismatch: str):
-    """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint,
-    on the caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points;
-    the lift angle; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
+def _harness(symbol: Symbol2D, representation: str, window: Window, given: Grid1D, what: str,
+             mismatch: str):
+    """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint, on the
+    caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points; the flows and lifts
+    of _held_maps; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     self_adjoint, defect = _self_adjoint(kernel)
@@ -290,45 +314,17 @@ def _harness(symbol: Symbol2D, representation: str, given: Grid1D, what: str, mi
                                  f"from conj-symmetry by {defect:.3e}")
     if not given.matches(kernel.grid):
         raise ConfigurationError(mismatch)
-    h = _plane_grid(op).dx * kernel.values  # refused above the cap
+    grid = _plane_grid(op)  # refused above the cap
+    _, flows, lifts = _held_maps(op, grid, window)
+    h = grid.dx * kernel.values
     h = (h + h.conj().T) / 2.0
-    return op, kernel, _lift_angle(representation), h, *np.linalg.eigh(h)
-
-
-def _window_row(window: Window, grid: Grid1D) -> np.ndarray:
-    """conj(FT window), the window's factor of a lift's seed; refused off the states' grid."""
-    if not grid.matches(window.grid):
-        raise ConfigurationError("state and window live on different grids")
-    return window.transform.values.conj()
-
-
-def _seed_row(window: Window, grid: Grid1D, angle: float) -> np.ndarray:
-    """The window's row of a lift at `angle` (see _frame_lifts): F(D conj(FT window)) at 0; at
-    THETA_WIGNER its eta pass too, and F F = n R, R the index reversal, spares both passes."""
-    row = _window_row(window, grid) * _checkerboard(1, grid.n)[0]
-    return grid.n * row[(-np.arange(grid.n)) % grid.n] if angle else _fft_pass(row, -1, False)
-
-
-def _frame_lifts(grid: Grid1D, angle: float, rows: np.ndarray) -> Callable[..., np.ndarray]:
-    """Windowed lifts U(angle)(psi (x) conj(FT w)) in the spectral frame, F_x _into_frame of
-    windowed_transform, of states psi (last axis) against rows F(D conj(FT w)), batched: at
-    angle 0 (F D psi) (x) row; at THETA_WIGNER the rows have taken one more eta pass, and the
-    seed (D psi) (x) row takes the plan (eta-chirp, inverse eta pass, x pass, x-chirp)."""
-    sign = _checkerboard(1, grid.n)[0]
-    if not angle:
-        return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
-    up = _wigner_flows(grid, grid.dual())[1]
-    return lambda psi: up((psi * sign)[..., :, None] * rows[..., None, :])
+    return op, kernel, flows, lifts, h, *np.linalg.eigh(h)
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
     """Split an ascending eigenvalue list into gap-separated clusters."""
-    if values.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(values) > gap)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks + 1, [values.size]))
-    return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
+    edges = [0, *(np.nonzero(np.diff(values) > gap)[0] + 1), values.size]
+    return [slice(int(a), int(b)) for a, b in zip(edges, edges[1:])] if values.size else []
 
 
 def bopp_spectrum(
@@ -353,8 +349,8 @@ def bopp_spectrum(
     _require_count("count", count)
     if not (math.isfinite(gap) and gap >= 0):
         raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
-    op, kernel, angle, _, ref_vals, ref_vecs = _harness(
-        symbol, representation, window.grid, "the spectral harness",
+    op, kernel, flows, lifts, _, ref_vals, ref_vecs = _harness(
+        symbol, representation, window, window.grid, "the spectral harness",
         "window grid does not match the operator grid")
     grid, ref_vecs = kernel.grid, ref_vecs / math.sqrt(kernel.grid.dx)
     clusters = _cluster(ref_vals, gap)
@@ -363,14 +359,12 @@ def bopp_spectrum(
                                  f"only {len(clusters)} at gap {gap:.1e}")
     clusters = clusters[:count]
 
-    action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
+    action = _action(op, grid, grid.dual(), grid.dx * kernel.values, flows)
     # the n eigenstate windows, then the caller's, in one batch per member;
     # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
-    # spares the pass: its row at angle 0 is that factor times conj(D psi_j)
+    # spares the pass: its row F(D conj(FT w_j)) is that factor times conj(D psi_j)
     scale = (grid.dx / SQRT_TWO_PI) * (-1) ** (grid.n // 2) * grid.n
-    rows = scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj()
-    lift = _frame_lifts(grid, angle, np.concatenate((
-        _fft_pass(rows, -1, False) if angle else rows, _seed_row(window, grid, angle)[None])))
+    lift = lifts(scale * (ref_vecs.T * _checkerboard(1, grid.n)).conj())
 
     def lift_residuals(m: int) -> np.ndarray:
         lifts = lift(ref_vecs[:, m])
@@ -476,17 +470,16 @@ def evolve_pair(
     _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
-    op, kernel, angle, h, vals, vecs = _harness(
-        symbol, representation, psi0.grid, "paired evolution",
+    op, kernel, flows, lifts, h, vals, vecs = _harness(
+        symbol, representation, window, psi0.grid, "paired evolution",
         "initial state grid does not match the operator")
     grid, n = kernel.grid, kernel.grid.n
     times = np.linspace(0.0, t_final, steps + 1)
     coeffs = vecs.conj().T @ psi0.values
     states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
-    lifts = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(
-        np.concatenate((psi0.values[None], states)))
-    action = _action(op, grid, grid.dual(), h)
+    lifts = lifts()(np.concatenate((psi0.values[None], states)))
+    action = _action(op, grid, grid.dual(), h, flows)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
     mixed, dims = _krylov_evolve(lambda v: action(v.reshape(n, n)).reshape(-1),
                                  lifts[0].reshape(-1), times)

@@ -116,11 +116,10 @@ class Settings:
                     f"config declares command {declared!r} but "
                     f"{args.command!r} was invoked"
                 )
-        # Every number is converted and checked here, once, with the type
-        # the flag table declares; Settings.theta checks the angle.
+        # Every number is converted and checked here, once, with the type the flag
+        # table declares; Settings.theta checks the angle, verify its tolerances.
         grid = self.config.get("grid", {})
-        tolerances = self.config.get("tolerances", {})
-        if not (isinstance(grid, dict) and isinstance(tolerances, dict)):
+        if not (isinstance(grid, dict) and isinstance(self.config.get("tolerances", {}), dict)):
             raise UsageError("config 'grid' and 'tolerances' must be JSON objects")
         # A config names only settings of the invoked command: its flags but
         # --config and --tolerance (whose config form is tolerances), plus a
@@ -149,8 +148,6 @@ class Settings:
             want, what = (bool, "a boolean") if spec.get("action") else (str, "a string")
             if kind is None and value is not None and not isinstance(value, want):
                 raise UsageError(f"config {key!r} must be {what}, got {value!r}")
-        for key, value in tolerances.items():
-            tolerances[key] = _typed(value, float, f"config tolerances.{key}", finite=True)
 
     def lookup(self, key: str, default: Any = None) -> Any:
         """The flag, else the config value, else default; not recorded."""
@@ -431,13 +428,9 @@ def _run_reconstruct(s: Settings, out: dict) -> _Run:
           "weyl-symbol.csv", {"symbol": ""}, required=("kernel",))
 def _run_weyl_symbol(s: Settings, out: dict) -> _Run:
     kernel = _read_kind(s.get("kernel"), (OperatorKernel,), "an operator kernel")
-    theta = s.theta()
-    # The distinguished angle has an exact route; other angles go through
-    # the propagator.
-    if _is_wigner_angle(theta):
-        symbol = kernel_to_symbol(kernel)
-    else:
-        symbol = fractional_symbol(kernel, theta)
+    theta = s.theta()  # the distinguished angle has an exact route, others the propagator
+    exact = _is_wigner_angle(theta)
+    symbol = kernel_to_symbol(kernel) if exact else fractional_symbol(kernel, theta)
     return _Run({"symbol": symbol}, f"symbol at theta={theta:g} -> {out['symbol']}")
 
 
@@ -513,13 +506,23 @@ def _run_evolve(s: Settings, out: dict) -> _Run:
                              "route": "krylov", "krylov_dims": list(result.krylov_dims)}})
 
 
-def _parse_tolerance_overrides(s: Settings) -> dict[str, float]:
-    overrides = dict(s.config.get("tolerances", {}))
+def _parse_tolerance_overrides(s: Settings, suite: str, names: tuple[str, ...]) -> dict:
+    """The config's tolerances, then each --tolerance over them, checked alike: a finite
+    number of at least 0 (0 passes only an exact check) for a check of the suite."""
+    known = {f"{name}/{check}" for name in names for check in verify.CHECKS[name]}
+    given = [(f"config tolerances.{k}", k, v) for k, v in s.config.get("tolerances", {}).items()]
     for item in (getattr(s.args, "tolerance", None) or []):
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--tolerance needs criterion/check=value: {item!r}")
-        overrides[key] = _typed(value, float, f"--tolerance {key}", finite=True)
+        given.append((f"--tolerance {key}", key, value))
+    overrides = {}
+    for name, key, value in given:
+        overrides[key] = value = _typed(value, float, name, finite=True)
+        if value < 0:  # no error is below it: the check would fail whatever it measured
+            raise UsageError(f"{name} must be nonnegative, got {value}")
+        if key not in known:
+            raise UsageError(f"tolerance {key!r} names no check of suite {suite}")
     return overrides
 
 
@@ -533,12 +536,8 @@ def _run_verify(s: Settings, out: dict) -> _Run:
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
     seed = s.get("seed", 0)
-    overrides = _parse_tolerance_overrides(s)
+    overrides = _parse_tolerance_overrides(s, suite, names)
     s.inputs.update(criteria=list(names), tolerance_overrides=overrides)
-    known = {f"{name}/{check}" for name in names for check in verify.CHECKS[name]}
-    for key in overrides:
-        if key not in known:
-            raise UsageError(f"tolerance {key!r} names no check of suite {suite}")
     results = verify.run_all(seed=seed, names=names)
     labels = [f"{r.criterion}/{r.check}" for r in results]
     rows = []

@@ -1,21 +1,21 @@
 """Unitary propagator family built from shear-factorized coordinate maps.
 
-The propagator U(theta) acts on phase-plane functions Psi(x, p) as a
-partial Fourier transform to the mixed plane (x, xi_p), a measure-
-preserving coordinate substitution along the closed-form flow, and the
-inverse partial transform.  The substitution is realized as up to three
-quarter turns followed by at most one three-shear, with coefficients in
-closed form in theta; every factor is exactly unitary on the grid (index
-permutations, FFTs, unit-modulus cross-chirps), so U preserves discrete
-norms to rounding.  A shear whose coefficient is exactly 0 is skipped: at
-+-THETA_WIGNER, the midpoint map [[1, -1/2], [1, 1/2]], the closed form
-gives one, so U costs 6 FFT passes there and 8 at a generic angle.
+The propagator U(theta) acts on phase-plane functions Psi(x, p) as a partial Fourier
+transform to the mixed plane (x, xi_p), a measure-preserving coordinate substitution along
+the closed-form flow, and the inverse partial transform.  The substitution is realized as
+up to three quarter turns followed by at most one three-shear, with coefficients in closed
+form in theta; every factor is exactly unitary on the grid (index permutations, FFTs,
+unit-modulus cross-chirps), so U preserves discrete norms to rounding.  A shear whose
+coefficient is exactly 0 is skipped: at +-THETA_WIGNER, the midpoint map
+[[1, -1/2], [1, 1/2]], the closed form gives one, so U costs 6 FFT passes there and 8 at a
+generic angle.  A plan holds one angle's factorization and chirp tables, and its inverse
+(at -theta) alone decides when mirrored factorizations share those tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -144,9 +144,10 @@ def _plain_shear(values: np.ndarray, axis: int, tables, keep: bool = False) -> n
 class _Plan:
     """U(theta) on one pair of centred grids: the factorization and each
     nonzero shear's (axis, chirp tables) in `shears`, built once; a caller
-    that repeats an angle holds its plan."""
+    that repeats an angle holds its plan, and asks it for U(-theta)."""
 
     def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float):
+        self.grids, self.theta = (grid_x, grid_p), theta
         grid_e = grid_p.dual()
         self.factorization = shear_factorization(theta, grid_x.matches(grid_e))
         along = {-2: (grid_x.dual(), grid_e), -1: (grid_x, grid_e.dual())}
@@ -170,6 +171,19 @@ class _Plan:
         for axis, tables in self.shears:
             out = shear(out, axis, tables)
         return out
+
+    def inverse(self) -> "_Plan":
+        """The plan at -theta on the same grids.  On dual grids, where the factorization at -theta
+        mirrors this one (the same even quarter count, shears (-d, -c, -b)), it takes these tables
+        conjugated in reverse order, a fresh build's values (cos is even, sin odd); else fresh."""
+        (grid_x, grid_p), (turns, shears) = self.grids, astuple(self.factorization)
+        mirror = ShearFactorization(turns, shears and (-shears[2], -shears[1], -shears[0]))
+        if turns % 2 or grid_p != grid_x.dual() or shear_factorization(-self.theta) != mirror:
+            return _Plan(grid_x, grid_p, -self.theta)
+        inverse = object.__new__(type(self))
+        vars(inverse).update(grids=self.grids, theta=-self.theta, factorization=mirror, shears=[
+            (axis, (hi.conj(), lo.conj())) for axis, (hi, lo) in self.shears[::-1]])
+        return inverse
 
 
 def _propagate_values(

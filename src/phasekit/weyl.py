@@ -49,8 +49,8 @@ from .grid import (
     _fft_pass,
     _spectral_step,
 )
-from .metaplectic import (ShearFactorization, _Plan, _checkerboard, _into_frame, _out_of_frame,
-                          _plain_shear, propagate, shear_factorization)
+from .metaplectic import (_Plan, _checkerboard, _into_frame, _out_of_frame, _plain_shear,
+                          propagate)
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle, wigner_fractional
 
@@ -483,18 +483,6 @@ def moyal_product(a: Symbol2D, b: Symbol2D, method: str | None = None) -> Symbol
     raise ConfigurationError(f"unknown star product method {method!r}")
 
 
-def _push_plan(pull: _Plan, grid_xi: Grid1D, grid: Grid1D, theta: float) -> _Plan:
-    """_Plan(grid, grid.dual(), theta), consuming the pull: where it mirrors the pull (same grids
-    and even turns, shears (-d, -c, -b)), the pull's tables conjugated in reverse, same bits."""
-    turns, shears = pull.factorization.quarters, pull.factorization.shears
-    mirror = shears and ShearFactorization(turns, (-shears[2], -shears[1], -shears[0]))
-    if turns % 2 or grid_xi != grid.dual() or shear_factorization(theta) != mirror:
-        return _Plan(grid, grid.dual(), theta)
-    pull.factorization = mirror
-    pull.shears = [(axis, (hi.conj(), lo.conj())) for axis, (hi, lo) in pull.shears[::-1]]
-    return pull
-
-
 def theta_product(
     a: Symbol2D, b: Symbol2D, theta: float, method: str | None = None
 ) -> Symbol2D:
@@ -502,8 +490,9 @@ def theta_product(
 
     Pulls both factors back to the standard angle, multiplies there, and
     pushes the result forward; the kernel route is one pipeline in the
-    checkerboard frame, one plan pulls both factors, and each centred pair
-    F_c F_c = n R where propagator and dictionary meet is the reversal R.
+    checkerboard frame, one plan on grid_x and its dual pulls both factors
+    and its inverse pushes the product, and each centred pair F_c F_c = n R
+    where propagator and dictionary meet is the reversal R.
     At the standard angle itself it is moyal_product, bit for bit.
     """
     _require_common_grids(a, b)
@@ -519,8 +508,8 @@ def theta_product(
         moyal_product(a, b, method=method)  # both factors are untagged here: it refuses
     if method not in (None, "kernel"):
         raise ConfigurationError(f"unknown star product method {method!r}")
-    grid, pull = a.grid_x, _Plan(a.grid_x, a.grid_xi, back)
-    n, dx = grid.n, grid.dx
+    grid = a.grid_x
+    pull, n, dx = _Plan(grid, grid.dual(), back), grid.n, grid.dx
     reverse, board = (-np.arange(n)) % n, _checkerboard(n, n)
     # F_c^-1 F_c^-1 = R/n; the sign (-1)^(n/2) of each factor cancels in the product
     values = pull.substitute(_into_frame(np.stack((a.values, b.values))),
@@ -529,8 +518,8 @@ def theta_product(
     # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign
     values = _gather(dx * np.matmul(*_scatter(values)))[..., reverse]
     values *= board * ((-1) ** (n // 2) * n * dx)
-    push = _push_plan(pull, a.grid_xi, grid, -back)  # consumes pull
-    return Symbol2D(grid, grid.dual(), _out_of_frame(push.substitute(values, _plain_shear)))
+    return Symbol2D(grid, grid.dual(),
+                    _out_of_frame(pull.inverse().substitute(values, _plain_shear)))
 
 
 # --------------------------------------------------------------------------

@@ -66,13 +66,14 @@ class Window:
     """Analysis window: a unit-norm state with its Fourier transform cached.
 
     A window whose norm strays from 1 by more than 1e-6 is renormalized with
-    a warning; a numerically zero window is rejected.
+    a warning; a numerically zero window or one with a non-finite norm is rejected.
     """
 
     def __init__(self, state: SampledFunction1D):
         norm = state.norm()
-        if norm < _WINDOW_NORM_MIN:
-            raise ConfigurationError("window norm is numerically zero")
+        if not _WINDOW_NORM_MIN <= norm < math.inf:
+            raise ConfigurationError(f"window norm must be finite and not numerically zero, "
+                                     f"got {norm}")
         if abs(norm - 1.0) > _WINDOW_NORM_WARN:
             warnings.warn(
                 f"window norm {norm:.3e} deviates from 1; renormalizing",
@@ -101,8 +102,9 @@ def windowed_adjoint(phase: PhaseFunction2D, window: Window, theta: float) -> Sa
     The window transform enters unconjugated; the conjugation that pairs with
     the forward map sits on the phase-space side of the inner product.
     """
-    if not phase.grid_x.matches(window.grid):
-        raise ConfigurationError("phase function and window live on different grids")
+    if not (phase.grid_x.matches(window.grid) and phase.grid_p.matches(window.grid.dual())):
+        raise ConfigurationError(f"phase function grids {phase.grid_x}, {phase.grid_p} are not "
+                                 f"window grid {window.grid} and its dual {window.grid.dual()}")
     back = propagate(phase, -theta)
     weights = window.transform.values
     values = back.values @ weights * phase.grid_p.dx

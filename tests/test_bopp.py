@@ -1,5 +1,6 @@
 """Phase-plane operator realizations: spectra, dynamics, intertwining."""
 
+import itertools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (count_calls, count_fft_passes, evolve_dense, krylov_evolve_per_step,
                      plane_action_oracle, random_phase_wave)
-from phasekit import bopp, states, weyl
+from phasekit import bopp, metaplectic, states, weyl
 from phasekit.bopp import (
     PhaseOperator,
     REPRESENTATIONS,
@@ -18,11 +19,9 @@ from phasekit.bopp import (
     _KRYLOV_MAX_DIM,
     _action,
     _cluster,
-    _frame_lifts,
+    _held_maps,
     _in_plane,
     _krylov_evolve,
-    _lift_angle,
-    _seed_row,
     bopp_intertwining_residual,
     bopp_spectrum,
     dense_matrix,
@@ -353,8 +352,7 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     # batched plain inverse pass along each axis and M bring the checkpoints
     # back to the plane
     M = _checkerboard(grid.n)
-    angle = _lift_angle(representation)
-    lift0 = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(psi0.values)
+    lift0 = _held_maps(op, grid, window)[2]()(psi0.values)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
     krylov = (scipy.fft.ifft(scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-2), axis=-1)
@@ -414,9 +412,7 @@ def _harness_start(n, half_width, representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     h = grid.dx * op.kernel().values
     action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
-    angle = _lift_angle(representation)
-    lift = _frame_lifts(grid, angle, _seed_row(_window(grid), grid, angle))
-    start = lift(states.coherent(grid, 0.8).values)
+    start = _held_maps(op, grid, _window(grid))[2]()(states.coherent(grid, 0.8).values)
     return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
 
@@ -528,26 +524,42 @@ def test_conjugated_action_with_held_plans_is_the_spectral_frame_route():
 
 
 def test_held_maps_expand_their_chirps_once(monkeypatch):
-    # the conjugated action's four chirps come from the two whole tables of
-    # the plan at THETA_WIGNER, and so do the lift's two, built with the map;
-    # applying either makes no hi/lo chirp
+    # the held flows expand the two chirps of the plan at THETA_WIGNER and
+    # the two of its inverse into whole tables once; the conjugated action
+    # and the lifts built on them, and applying either, make no hi/lo chirp
     grid = Grid1D.centered(32, 6.0)
     rng = np.random.default_rng(29)
     batch = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
-    row = _seed_row(_window(grid), grid, THETA_WIGNER)
     op = PhaseOperator(symbol_oscillator(grid))
     chirps = count_calls(monkeypatch, bopp, ("_chirp",))
-    action = _action(op, grid, grid.dual())
-    assert len(chirps) == 2
-    lift = _frame_lifts(grid, THETA_WIGNER, row)
+    _, flows, lifts = _held_maps(op, grid, _window(grid))
     assert len(chirps) == 4
     chirps.clear()
+    action, lift = _action(op, grid, grid.dual(), None, flows), lifts()
     for _ in range(3):
         action(batch)
         action(batch[0])
         lift(batch[0])
         lift(batch[0, 0])
     assert chirps == []
+
+
+@pytest.mark.parametrize("representation,plans", [
+    ("bopp_conjugated", 1), ("bopp_direct", 1), ("extended", 0)])
+def test_each_harness_call_builds_one_plan(monkeypatch, representation, plans):
+    # the plan at THETA_WIGNER is built once per call and its inverse takes
+    # its two tables mirrored, for the conjugated action and the lifts alike;
+    # the direct word's lifts need the plan too, extended ones none
+    grid = Grid1D.centered(16, 5.0)
+    window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
+    built = count_calls(monkeypatch, bopp, ("_Plan",))
+    tables = count_calls(monkeypatch, metaplectic, ("_Plan", "_chirp_tables"))
+    for run in (lambda: bopp_spectrum(symbol, 2, window, representation),
+                lambda: evolve_pair(symbol, psi0, window, 1.0, 4, representation)):
+        built.clear()
+        tables.clear()
+        run()
+        assert built == ["_Plan"] * plans and tables == ["_chirp_tables"] * 2 * plans
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
@@ -627,8 +639,9 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
         action(start)
         _krylov_evolve(lambda v: action(v.reshape(16, 16)).reshape(-1), start.reshape(-1),
                        np.array([0.0, 0.25]))
-    for angle in (0.0, THETA_WIGNER):
-        _frame_lifts(grid, angle, _seed_row(window, grid, angle))(start[:2])
+    for representation in REPRESENTATIONS:
+        op = PhaseOperator(symbol_oscillator(grid), representation)
+        _held_maps(op, grid, window)[2]()(start[:2])
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
@@ -640,18 +653,28 @@ def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
     # the harnesses' lifts skip both crossings: the seed (D psi) (x) F(D conj(FT w))
     # under the plan, its last x-shear a chirp, is the centred windowed lift
     # taken into the spectral frame, the x-transform of the checkerboard
-    # frame, for n/2 even and odd and for the lift angle of each realization;
-    # at THETA_WIGNER the row's two eta passes are n times the reversal,
-    # which only a window that is not even can tell from no reversal
+    # frame, for n/2 even and odd and for the lift angle of each realization
+    # (0 for extended, THETA_WIGNER for both Bopp ones); at THETA_WIGNER the
+    # caller's row's two eta passes are n times the reversal, which only a
+    # window that is not even can tell from no reversal; a further window's
+    # row F(D conj(FT w)) lifts in the same batch, ahead of the caller's
     grid = Grid1D.centered(n, 5.0)
     rng = np.random.default_rng(n)
     psi = SampledFunction1D(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     shifted = states.coherent(grid, 0.6 + 0.4j)
     shifted = Window(SampledFunction1D(grid, shifted.values / shifted.norm()))
-    for window in (_window(grid), shifted):
-        got = _frame_lifts(grid, angle, _seed_row(window, grid, angle))(psi.values)
-        want = scipy.fft.fft(_into_frame(windowed_transform(psi, window, angle).values), axis=-2)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    for representation, (window, other) in itertools.product(
+            ["extended"] if angle == 0.0 else ["bopp_conjugated", "bopp_direct"],
+            [(_window(grid), shifted), (shifted, _window(grid))]):
+        op = PhaseOperator(symbol_oscillator(grid), representation)
+        held_angle, _, lifts = _held_maps(op, grid, window)
+        assert held_angle == angle
+        rows = _fft_pass(other.transform.values.conj() * sign, -1, False)[None]
+        batch = lifts(rows)(psi.values)
+        for got, w in ((lifts()(psi.values), window), (batch[0], other), (batch[1], window)):
+            want = scipy.fft.fft(_into_frame(windowed_transform(psi, w, angle).values), axis=-2)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_evolution_makes_no_shift_call(monkeypatch):

@@ -107,6 +107,25 @@ def test_reconstruct_inverts_windowed_transform(tmp_path):
     assert np.max(np.abs(back.values - psi.values)) < 1e-6
 
 
+@pytest.mark.parametrize("p_points,p_half_width", [(32, 8.0), (64, 8.0)])
+def test_reconstruct_refuses_a_momentum_grid_off_the_dual(tmp_path, capsys, p_points,
+                                                          p_half_width):
+    # a phase2d file whose p grid has another size, or the same size but is
+    # not the dual of its x grid, is a usage error (exit 2) naming the grids
+    grid = Grid1D.centered(64, 8.0)
+    grid_p = Grid1D.centered(p_points, p_half_width)
+    rng = np.random.default_rng(p_points)
+    values = rng.standard_normal((64, p_points)) + 1j * rng.standard_normal((64, p_points))
+    src = str(tmp_path / "lift.bin")
+    gridfile.write(src, PhaseFunction2D(grid, grid_p, values), "binary")
+    rc = cli.main(["reconstruct", "--input", src, "--output", str(tmp_path / "back.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert re.search(r"^error: phase function grids Grid1D\(n=64.*, Grid1D\(n=%d.* are not "
+                     r"window grid Grid1D\(n=64.* and its dual Grid1D\(n=64" % p_points, err), err
+    assert not (tmp_path / "back.bin").exists()
+
+
 def test_weyl_symbol_of_rank_one_gaussian(tmp_path):
     # the projector onto the gaussian has the closed-form angle symbol
     # 2 exp(-x^2 - xi^2)
@@ -831,6 +850,31 @@ def test_unknown_tolerance_refused_before_the_suite_runs(tmp_path, capsys, monke
         assert not man.exists()
 
 
+def test_negative_tolerance_refused_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    # no error is below a negative tolerance, so its check could only fail;
+    # a flag or config override is refused before any check runs, and 0
+    # stays legal
+    def run_all(*args, **kwargs):
+        raise AssertionError("the suite ran before the override was checked")
+
+    monkeypatch.setattr(cli.verify, "run_all", run_all)
+    man, cfg = tmp_path / "m.json", tmp_path / "job.json"
+    cfg.write_text(json.dumps({"tolerances": {"flow-algebra/period": -1}}))
+    for argv, name in ((["--tolerance", "flow-algebra/period=-1"], "--tolerance"),
+                       (["--config", str(cfg)], "config tolerances.")):
+        rc = cli.main(["verify", "--suite", "flow", *argv, "--manifest", str(man)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {name}{'' if name.endswith('.') else ' '}flow-algebra/period must be " \
+            "nonnegative, got -1.0\n"
+        assert not man.exists()
+    monkeypatch.undo()
+    assert cli.main(["verify", "--suite", "flow", "--tolerance", "flow-algebra/period=0",
+                     "--manifest", str(man)]) in (0, 1)
+    assert _manifest(man)["inputs"]["tolerance_overrides"] == {"flow-algebra/period": 0.0}
+    capsys.readouterr()
+
+
 def test_state_spec_errors(tmp_path, capsys):
     for spec, message in (("hermite:x", "integer level"),
                           ("hermite:-1", "hermite order must be >= 0"),
@@ -863,6 +907,14 @@ def test_builtin_symbol_requires_valid_spec(tmp_path, capsys):
 
 
 _WORDS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10)
+
+
+def _tolerance_override(draw, root, key, value):
+    """verify arguments that override the tolerance of check key, by flag or config."""
+    if draw(st.booleans()):
+        return ["--tolerance", f"{key}={value!r}"]
+    config = json.dumps({"tolerances": {key: value}})
+    return ["--config", _write(os.path.join(root, "c.json"), config)]
 
 
 def _write(path, content):
@@ -940,6 +992,11 @@ _EXIT_CASES = {
         f"--theta={draw(st.floats(-3.0, 3.0).filter(lambda t: abs(t - THETA_WIGNER) > 1e-6))!r}"]),
     "tolerance naming no check": (2, "names no check of suite flow", lambda draw, root: [
         "verify", "--suite", "flow", "--tolerance", f"flow-algebra/{draw(_WORDS)}x=1e-30",
+        "--manifest", os.path.join(root, "v.json")]),
+    "negative tolerance": (2, "tolerance(s.| )flow-algebra/period must be nonnegative, got -",
+                           lambda draw, root: [
+        "verify", "--suite", "flow", *_tolerance_override(draw, root, "flow-algebra/period",
+                                                          draw(st.floats(-1e6, -5e-324))),
         "--manifest", os.path.join(root, "v.json")]),
     "unknown suite": (2, "unknown suite", lambda draw, root: [
         "verify", "--suite", "zz" + draw(_WORDS), "--manifest", os.path.join(root, "v.json")]),

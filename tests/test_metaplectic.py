@@ -1,8 +1,10 @@
 """Unitary propagator on the phase plane: group structure and generator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import count_fft_passes, factorization_matrix
 from phasekit import states
@@ -228,6 +230,61 @@ def test_group_law_property(n, box, theta1, theta2):
     edge = min(half_width, np.pi * n / (2.0 * half_width))
     tol = np.exp(-0.5 * (edge / 2.0) ** 2) + 1e-13
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(F.values)) <= tol
+
+
+def _inverse_and_builds(plan):
+    """plan.inverse() and the argument tuples of every _Plan it built."""
+    built, init = [], _Plan.__init__
+    with mock.patch.object(_Plan, "__init__",
+                           lambda self, *args: built.append(args) or init(self, *args)):
+        return plan.inverse(), built
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([8, 16, 18, 32, 128]), theta=st.floats(-PERIOD, PERIOD),
+       dual=st.booleans())
+@example(n=128, theta=THETA_WIGNER, dual=True)
+@example(n=128, theta=-THETA_WIGNER, dual=True)
+@example(n=128, theta=THETA_WIGNER - 0.4, dual=True)
+@example(n=128, theta=THETA_WIGNER - 1.0, dual=True)
+@example(n=128, theta=THETA_WIGNER + 1.7, dual=True)
+@example(n=32, theta=0.3, dual=False)
+@example(n=32, theta=0.0, dual=True)
+def test_inverse_plan_is_the_fresh_plan_bit_for_bit(n, theta, dual):
+    # where the grids are dual, the quarter count even and the factorization
+    # at -theta the mirror of this one, the inverse takes this plan's tables
+    # conjugated in reverse order and builds no plan; at odd quarter counts,
+    # where -theta picks another quarter count and on grids that are not
+    # dual it is a fresh plan; either way its factorization and every table
+    # are those of _Plan(grid_x, grid_p, -theta)
+    grid_x = Grid1D.centered(n, np.sqrt(np.pi * n / 2.0))
+    grid_p = grid_x.dual() if dual else Grid1D.centered(n, 7.0)
+    plan, fresh = _Plan(grid_x, grid_p, theta), _Plan(grid_x, grid_p, -theta)
+    inverse, built = _inverse_and_builds(plan)
+    assert inverse.grids == fresh.grids and inverse.theta == fresh.theta
+    assert inverse.factorization == fresh.factorization
+    assert [axis for axis, _ in inverse.shears] == [axis for axis, _ in fresh.shears]
+    for (_, got), (_, want) in zip(inverse.shears, fresh.shears):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    turns, shears = plan.factorization.quarters, plan.factorization.shears
+    mirror = ShearFactorization(turns, shears and (-shears[2], -shears[1], -shears[0]))
+    mirrors = dual and turns % 2 == 0 and fresh.factorization == mirror
+    assert built == ([] if mirrors else [(grid_x, grid_p, -theta)])
+
+
+@pytest.mark.parametrize("theta,turns,inverse_turns", [
+    (THETA_WIGNER, 0, 0), (-THETA_WIGNER, 0, 0),
+    # the angle star product's pull at 0.4: neither it nor its push turns
+    (THETA_WIGNER - 0.4, 0, 0),
+    # odd quarter turns (the star product's pull at 1.0), and an even
+    # factorization whose inverse takes an odd quarter count (the pull at -1.7)
+    (THETA_WIGNER - 1.0, 1, 0), (THETA_WIGNER + 1.7, 0, 1)])
+def test_inverse_plan_mirrors_at_even_turns_both_ways(theta, turns, inverse_turns):
+    grid = Grid1D.centered(128, 8.0)
+    plan = _Plan(grid, grid.dual(), theta)
+    assert plan.factorization.quarters % 2 == turns
+    assert shear_factorization(-theta).quarters % 2 == inverse_turns
+    assert (_inverse_and_builds(plan)[1] == []) == (turns == inverse_turns == 0)
 
 
 @pytest.mark.parametrize("n", [2, 6, 10, 32, 254, 256])

@@ -27,7 +27,6 @@ from phasekit.weyl import (
     _kernel_order,
     _moyal_poly,
     _poly_trim,
-    _push_plan,
     _symmetric_expand,
     expectation,
     fractional_symbol,
@@ -459,42 +458,19 @@ def test_fused_angle_product_makes_no_shift_call(monkeypatch):
     assert len(passes) == 1 + 6 + 2 + 2 + 6 + 1
 
 
-def test_push_plan_is_the_fresh_plan_bit_for_bit(monkeypatch):
-    # where the push mirrors the pull it takes the pull's tables conjugated
-    # in reverse order; elsewhere (odd quarter turns, or a push that picks
-    # another quarter count, as at -1.7) it builds its own: either way the
-    # factorization and every table are those of a fresh plan
-    grid = Grid1D.centered(128, 8.0)
-    built, reused = count_calls(monkeypatch, weyl, ("_Plan",)), set()
-    for theta in [*np.linspace(-2.4, 2.4, 241), 0.4, -1.7]:
-        back = THETA_WIGNER - theta
-        pull = _Plan(grid, grid.dual(), back)
-        built.clear()
-        push, fresh = _push_plan(pull, grid.dual(), grid, -back), _Plan(grid, grid.dual(), -back)
-        assert push.factorization == fresh.factorization
-        assert [axis for axis, _ in push.shears] == [axis for axis, _ in fresh.shears]
-        for (_, got), (_, want) in zip(push.shears, fresh.shears):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        if not built:
-            reused.add(round(float(theta), 6))
-    assert 0.4 in reused and -1.7 not in reused
-    assert shear_factorization(THETA_WIGNER + 1.7).quarters == 0
-    assert shear_factorization(-THETA_WIGNER - 1.7).quarters % 2
-
-
 @pytest.mark.parametrize("theta", [-2.4, -1.7, -0.7, 0.4, 1.0, 2.2])
 @pytest.mark.parametrize("nudge", [0.0, 1e-12])
 def test_angle_product_is_unchanged_by_the_reused_push(monkeypatch, theta, nudge):
-    # the same bits as a freshly built push, also for a frequency grid that
-    # only matches the dual (the pull's tables are then not the push's)
+    # the push is the pull plan's inverse: the same bits as a freshly built
+    # push, also for a frequency grid that only matches the dual (both plans
+    # are built on grid_x and its dual, the grids of the product)
     grid = Grid1D.centered(128, 8.0)
     dxi = grid.dual().dx * (1.0 + nudge)
     rng = np.random.default_rng(11)
     a, b = (Symbol2D(grid, Grid1D(128, -64 * dxi, dxi), _random_decaying_symbol(grid, rng).values)
             for _ in range(2))
     got = theta_product(a, b, theta).values
-    monkeypatch.setattr(weyl, "_push_plan",
-                        lambda pull, grid_xi, grid, angle: _Plan(grid, grid.dual(), angle))
+    monkeypatch.setattr(_Plan, "inverse", lambda pull: _Plan(*pull.grids, -pull.theta))
     assert np.array_equal(got, theta_product(a, b, theta).values)
 
 

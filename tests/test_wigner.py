@@ -1,12 +1,15 @@
 """Phase-space distributions and the windowed transform calculus."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_phase_wave
 from phasekit import states
-from phasekit.grid import TWO_PI, ConfigurationError, Grid1D, SampledFunction1D
+from phasekit.grid import (TWO_PI, ConfigurationError, Grid1D, PhaseFunction2D,
+                           SampledFunction1D)
 from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import symbol_oscillator, theta_product, theta_symbol
 from phasekit.wigner import (
@@ -176,6 +179,33 @@ def test_window_rejects_zero_and_renormalizes():
     with pytest.warns(UserWarning):
         w = Window(SampledFunction1D(GRID, 3.0 * states.gaussian(GRID).values))
     assert w.state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_window_refuses_a_non_finite_norm(bad):
+    # one non-finite sample: refused by name before any renormalizing
+    # warning, not an all-NaN or broken window
+    values = states.gaussian(GRID).values.astype(complex)
+    values[GRID.n // 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="window norm must be finite .*, got"):
+            Window(SampledFunction1D(GRID, values))
+
+
+@pytest.mark.parametrize("grid_p", [Grid1D.centered(GRID.n // 2, 8.0),
+                                    Grid1D.centered(GRID.n, 8.0)])
+def test_windowed_adjoint_refuses_a_momentum_grid_off_the_dual(grid_p):
+    # a p grid of another size would fail in the final matmul; one of the
+    # same size that is not grid_x.dual() would integrate against window
+    # samples from other frequencies: both are refused, naming the grids
+    window = Window(states.gaussian(GRID))
+    values = windowed_transform(states.hermite(GRID, 1), window, THETA_WIGNER).values
+    phase = PhaseFunction2D(GRID, grid_p, values[:, :grid_p.n])
+    with pytest.raises(ConfigurationError,
+                       match=r"phase function grids Grid1D\(n=256.*, Grid1D\(n=%d.* are not "
+                             r"window grid Grid1D\(n=256.* and its dual Grid1D\(n=256" % grid_p.n):
+        windowed_adjoint(phase, window, THETA_WIGNER)
 
 
 def test_grid_mismatch_rejected():
