@@ -253,5 +253,5 @@ def read(path: str) -> GridObject:
     poly = (_poly_from_header(header),) if cls is Symbol2D else ()
     try:
         return cls(*grids.values(), values, *poly)
-    except ConfigurationError as exc:  # a symbol's grids that are not a dual pair
+    except ConfigurationError as exc:  # a symbol's grids off a dual pair, or a poly tag's NaN
         raise FileFormatError(f"inconsistent header: {exc}") from exc

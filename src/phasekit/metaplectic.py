@@ -136,9 +136,11 @@ def _out_of_frame(values: np.ndarray) -> np.ndarray:
     return _fft_pass(values, -1, True) * _checkerboard(*values.shape[-2:])
 
 
-def _plain_shear(values: np.ndarray, axis: int, tables, keep: bool = False) -> np.ndarray:
-    """_shear in the frame: the same chirp between plain passes."""
-    return _fft_pass(_chirp(_fft_pass(values, axis, False, keep), tables), axis, True)
+def _plain_shear(values: np.ndarray, axis: int, tables, enter=False, leave=False) -> np.ndarray:
+    """_shear in the frame: the same chirp between plain passes; `enter` takes `values`
+    transformed along `axis` and `leave` returns them so, without that pass."""
+    spec = _chirp(values if enter else _fft_pass(values, axis, False), tables)
+    return spec if leave else _fft_pass(spec, axis, True)
 
 
 class _Plan:
@@ -156,21 +158,26 @@ class _Plan:
                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
                        if coeff != 0.0]
 
-    def substitute(self, values: np.ndarray, shear=_shear) -> np.ndarray:
+    def substitute(self, values: np.ndarray, shear=_shear, spectral=(False, False)) -> np.ndarray:
         """Substitute the flow at -theta into mixed (x, eta) values (batched).
 
         Quarter turns are index permutations.  Each shear translates along
         one axis by a multiple of the other coordinate (`shear`, centred
         unless the caller works in another frame).  The identity returns
-        `values`.
+        `values`.  In the frame, spectral = (enter, leave) takes `values` and
+        returns the result transformed along x, leaving out the pass an x-shear
+        first (after no quarter turn) or last meets there; else it is made.
         """
-        out = values
+        (enter, leave), axes, out = spectral, [axis for axis, _ in self.shears], values
+        if enter and (self.factorization.quarters or axes[:1] != [-2]):
+            out, enter = _fft_pass(out, -2, True), False
         neg = (-np.arange(values.shape[-1])) % values.shape[-1]
         for _ in range(self.factorization.quarters):
             out = np.swapaxes(out, -1, -2)[..., neg, :]
-        for axis, tables in self.shears:
-            out = shear(out, axis, tables)
-        return out
+        for i, (axis, tables) in enumerate(self.shears):
+            ends = (enter and i == 0, leave and i == len(axes) - 1 and axis == -2)
+            out = shear(out, axis, tables, *ends) if any(ends) else shear(out, axis, tables)
+        return _fft_pass(out, -2, False) if leave and axes[-1:] != [-2] else out
 
     def inverse(self) -> "_Plan":
         """The plan at -theta on the same grids.  On dual grids, where the factorization at -theta

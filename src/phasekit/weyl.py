@@ -4,11 +4,11 @@ An operator on a periodic position grid is stored as its integral kernel:
 (A psi)(x_j) = dx * sum_k K[j, k] psi(x_k), so a discrete delta spike of
 height 1/dx plays the role the identity's kernel plays off the grid.  The
 symbol of a kernel lives on the grid crossed with its Fourier dual and is
-computed separation by separation: each diagonal of the kernel is recentred
-onto integer grid points with a half-sample spectral shift and then
-transformed in the separation variable.  Every step is a permutation, an
-FFT, or a unit-modulus multiply, so kernel_to_symbol and symbol_to_kernel
-invert each other to machine precision on arbitrary data.
+computed separation by separation: even diagonals are read by index at their
+midpoints, which are grid points, odd ones moved back from half a sample off
+by one spectral pass, and all transformed in the separation variable.  Every
+step is a permutation, an FFT, or a unit-modulus multiply, so kernel_to_symbol
+and symbol_to_kernel invert each other to machine precision on arbitrary data.
 
 The star product composes kernels: a * b = kernel_to_symbol of the composed
 operator.  At another angle theta the angle-theta symbol of a kernel is its
@@ -144,8 +144,8 @@ class Symbol2D:
         object.__setattr__(self, "values", vals)
         if self.poly is not None:
             coeffs = np.ascontiguousarray(self.poly, dtype=np.complex128)
-            if coeffs.ndim != 2:
-                raise ConfigurationError("polynomial coefficients must be a 2D matrix")
+            if coeffs.ndim != 2 or not np.isfinite(coeffs).all():
+                raise ConfigurationError("polynomial coefficients must be a finite 2D matrix")
             object.__setattr__(self, "poly", coeffs)
 
     @property
@@ -171,8 +171,8 @@ class ExpectationResult:
 # kernel <-> symbol, exact on the discrete torus
 
 
-#: Grid tables kept per process: the kernel<->symbol layout per (n, sign)
-#: and the derivative matrix per grid.  They depend on the grid alone.
+#: Grid tables kept per process: the midpoint layout per n and the
+#: derivative matrix per grid.  They depend on the grid alone.
 _GRID_TABLES = 8
 
 
@@ -183,58 +183,43 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
-def _diagonal_layout(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of an n x n kernel's diagonals as columns, and their
-    half-sample shift.
-
-    Column s + n/2 holds the separation-s diagonal K[(v + s) % n, v] down
-    axis 0, at flat offset ((v + s) % n) * n + v; the multiplier on its
-    spectrum shifts it by sign * s/2 samples.
-    """
-    v = np.arange(n)[:, None]
-    s = np.arange(n)[None, :] - n // 2
-    modes = np.fft.fftfreq(n)[:, None] * n
-    return (_frozen(((v + s) % n) * n + v),
-            _frozen(np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)))
-
-
-@functools.lru_cache(maxsize=_GRID_TABLES)
-def _kernel_order(n: int) -> np.ndarray:
-    """The inverse of the layout's flat index, so that a scatter is a gather."""
-    return _frozen(np.argsort(_diagonal_layout(n, +1)[0].reshape(-1)))
-
-
-def _gather(kernels: np.ndarray) -> np.ndarray:
-    """(..., n, n) kernels -> their diagonals as columns, recentred."""
-    flat, shift = _diagonal_layout(kernels.shape[-1], -1)
-    diagonals = np.take(kernels.reshape(kernels.shape[:-2] + (-1,)), flat, axis=-1)
-    return _fft_pass(_fft_pass(diagonals, -2, False) * shift, -2, True)
-
-
-def _scatter(columns: np.ndarray) -> np.ndarray:
-    """The inverse of _gather; consumes `columns`."""
-    n = columns.shape[-1]
-    spread = _fft_pass(_fft_pass(columns, -2, False) * _diagonal_layout(n, +1)[1], -2, True)
-    return np.take(spread.reshape(columns.shape[:-2] + (-1,)), _kernel_order(n),
-                   axis=-1).reshape(columns.shape)
+def _midpoint_layout(n: int) -> tuple[np.ndarray, np.ndarray, slice]:
+    """Flat index of an n x n kernel's midpoint samples, the half-sample vector
+    and the rows of odd separation.  Row r reads K[(v + ceil(s/2)) % n,
+    (v - floor(s/2)) % n] along v at separation s = (-r) % n - n/2, the centred
+    order reversed (a pass over it is an inverse DFT): midpoint x_v + s/2 for
+    even s, exactly, and x_v + 1/2 for odd s; exp(i pi k / n), k from fftfreq,
+    on a spectrum reads it half a sample on, and its conjugate half back."""
+    s, v = (-np.arange(n)[:, None]) % n - n // 2, np.arange(n)
+    return (_frozen((v - (-s) // 2) % n * n + (v - s // 2) % n),
+            _frozen(np.exp(1j * np.pi * np.fft.fftfreq(n))), slice(1 - n // 2 % 2, None, 2))
 
 
 def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     """Symbol a(x, xi) of a kernel; exact inverse of symbol_to_kernel.
 
-    Gathers the kernel's diagonals: the separation-s diagonal holds
-    samples at midpoints x_v + s*dx/2, which a half-sample spectral shift
-    recentres onto x_v; the transform over separations then lands on the
-    dual grid with the dx quadrature weight.
+    Reads the midpoint layout: even separations sit on x_v, odd ones half a
+    sample off, recentred by one pass pair along positions.  One plain pass
+    over separations lands on the dual grid between the centred transform's
+    signs (-1)^s (in the odd rows' multiplier) and (-1)^m n dx.
     """
-    grid = kernel.grid
-    return Symbol2D(grid, grid.dual(), grid.dx * _centered_fft(_gather(kernel.values), axis=1))
+    grid, (flat, half, odd) = kernel.grid, _midpoint_layout(kernel.grid.n)
+    rows = np.take(kernel.values, flat)
+    rows[odd] = _fft_pass(_fft_pass(rows[odd], -1, False) * -half.conj(), -1, True)
+    spec = _fft_pass(rows, -2, True)
+    spec *= grid.n * grid.dx * _checkerboard(grid.n, 1)
+    return Symbol2D(grid, grid.dual(), spec.T)
 
 
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
-    """Kernel of a symbol; runs kernel_to_symbol backwards step by step."""
-    grid = symbol.grid_x
-    return OperatorKernel(grid, _scatter(_centered_ifft(symbol.values, axis=1) / grid.dx))
+    """Kernel of a symbol; runs kernel_to_symbol backwards step by step and
+    places the midpoint samples by assignment through the same index."""
+    grid, (flat, half, odd) = symbol.grid_x, _midpoint_layout(symbol.grid_x.n)
+    rows = _fft_pass(symbol.values.T * (_checkerboard(grid.n, 1) / (grid.n * grid.dx)), -2, False)
+    rows[odd] = _fft_pass(_fft_pass(rows[odd], -1, False) * -half, -1, True)
+    values = np.empty(flat.size, dtype=np.complex128)
+    values[flat] = rows
+    return OperatorKernel(grid, values.reshape(grid.n, grid.n))
 
 
 def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
@@ -491,8 +476,8 @@ def theta_product(
     Pulls both factors back to the standard angle, multiplies there, and
     pushes the result forward; the kernel route is one pipeline in the
     checkerboard frame, one plan on grid_x and its dual pulls both factors
-    and its inverse pushes the product, and each centred pair F_c F_c = n R
-    where propagator and dictionary meet is the reversal R.
+    and its inverse pushes the product.  Where propagator and dictionary
+    meet, F_c F_c = n R is the layout's order R and each x pass pair folds.
     At the standard angle itself it is moyal_product, bit for bit.
     """
     _require_common_grids(a, b)
@@ -510,16 +495,24 @@ def theta_product(
         raise ConfigurationError(f"unknown star product method {method!r}")
     grid = a.grid_x
     pull, n, dx = _Plan(grid, grid.dual(), back), grid.n, grid.dx
-    reverse, board = (-np.arange(n)) % n, _checkerboard(n, n)
-    # F_c^-1 F_c^-1 = R/n; the sign (-1)^(n/2) of each factor cancels in the product
-    values = pull.substitute(_into_frame(np.stack((a.values, b.values))),
-                             _plain_shear)[..., reverse]
+    (flat, half, odd), board = _midpoint_layout(n), _checkerboard(n, n)
+    # F_c^-1 F_c^-1 = R/n; the sign (-1)^(n/2) of each factor cancels in the product.  On
+    # the x spectrum, F_x D F_x^-1 = roll by n/2: odd separations take the rolled half shift
+    rolled = np.roll(half, n // 2)[:, None]
+    spec = pull.substitute(_into_frame(np.stack((a.values, b.values))), _plain_shear, (False, True))
+    spec[..., odd] *= rolled
+    values = _fft_pass(spec, -2, True)
     values *= board / (n * dx)
-    # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign
-    values = _gather(dx * np.matmul(*_scatter(values)))[..., reverse]
+    kernels, order = np.empty((2, flat.size), dtype=np.complex128), flat.T.ravel()
+    for kernel, samples in zip(kernels, values):
+        kernel[order] = samples.ravel()
+    # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign; the same roll
+    values = np.take(dx * np.matmul(*kernels.reshape(2, n, n)), order).reshape(n, n)
     values *= board * ((-1) ** (n // 2) * n * dx)
-    return Symbol2D(grid, grid.dual(),
-                    _out_of_frame(pull.inverse().substitute(values, _plain_shear)))
+    spec = _fft_pass(values, -2, False)
+    spec[..., odd] *= rolled.conj()
+    return Symbol2D(grid, grid.dual(), _out_of_frame(
+        pull.inverse().substitute(spec, _plain_shear, (True, False))))
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,7 @@ propagate --input in/phase.csv --theta 0.9 --payload binary --output prop2.bin
 reconstruct --input prop.csv --theta 0.1 --window gaussian --output recon.bin --payload binary
 reconstruct --input in/phase.bin --window hermite:1 --output recon2.csv
 weyl-symbol --kernel in/kernel.bin --output ws.csv
+star --a ws.csv --b ws.csv --theta 0.4 --output starws.csv
 weyl-symbol --kernel in/kernel.csv --theta 0.3 --payload binary --output ws2.bin
 star --a x --b xi --n 32 --half-width 6 --output star.csv
 star --a in/sym1.csv --b in/sym2.bin --theta 0.4 --method kernel --payload binary --output star2.bin
@@ -71,6 +72,7 @@ star --a x --b oscillator --n 32 --half-width 6 --output starxo.csv
 reconstruct --input in/phase.bin --theta -1.7 --output recon3.csv
 fracwigner --state hermite:2 --theta 5.0 --n 32 --half-width 6 --output frac5.csv
 weyl-symbol --kernel in/kernel.bin --theta -0.3 --output ws3.csv
+weyl-symbol --kernel in/kernel30.csv --output ws30.csv
 star --a in/sym1.csv --b in/sym2.bin --theta 3.1 --output star4.csv
 expect --op in/kernel.bin --state hermite:1 --theta -2.0 --output e4.json
 bopp-spectrum --config in/spec.json --output speccfg
@@ -89,8 +91,9 @@ verify --suite flow --tolerance flow-algebra/nonexistent=1e-30 --manifest vnone.
 
 
 def make_inputs(root: str) -> None:
-    """The input files: all on the n=32, half-width-6 grid, but for two
-    whose headers are edited to an off-centre grid and a non-dual pair."""
+    """The input files: all on the n=32, half-width-6 grid, but for a kernel
+    on n=30 (n/2 odd) and two whose headers are edited to an off-centre grid
+    and a non-dual pair."""
     os.makedirs(os.path.join(root, "in"))
     grid = Grid1D.centered(32, 6.0)
     x = grid.nodes()[:, None]
@@ -108,6 +111,8 @@ def make_inputs(root: str) -> None:
         "kernel.csv": kernel,
         "sym1.csv": Symbol2D(grid, grid.dual(), np.exp(-x**2 - xi**2)),
         "sym2.bin": Symbol2D(grid, grid.dual(), np.exp(-(x - 0.5)**2 / 2 - xi**2)),
+        "kernel30.csv": OperatorKernel(Grid1D.centered(30, 6.0), np.outer(
+            *(states.coherent(Grid1D.centered(30, 6.0), z).values for z in (0.5j, 0.2)))),
     }
     for name, obj in files.items():
         gridfile.write(os.path.join(root, "in", name), obj,

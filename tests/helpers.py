@@ -11,7 +11,7 @@ import numpy as np
 
 from phasekit import states
 from phasekit.bopp import _KRYLOV_MAX_DIM, _KRYLOV_TOL, PhaseOperator
-from phasekit.grid import Grid1D, PhaseFunction2D, _spectral_step
+from phasekit.grid import Grid1D, PhaseFunction2D, _centered_fft, _centered_ifft, _spectral_step
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
 from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
@@ -223,6 +223,53 @@ def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
     back = THETA_WIGNER - theta
     base = moyal_product(_transport(a, back), _transport(b, back), method="kernel")
     return _transport(base, -back)
+
+
+def diagonal_dictionary(values: np.ndarray, dx: float, inverse: bool = False) -> np.ndarray:
+    """The kernel<->symbol rule that the midpoint layout replaced, one diagonal
+    at a time: the separation-s diagonal K[(v + s) % n, v], s = -n/2 .. n/2 - 1,
+    moved s/2 samples back by a spectral shift, then a centred transform over
+    s; with inverse, a symbol's values back to a kernel by the same steps."""
+    n = values.shape[0]
+    v = np.arange(n)
+    modes = np.fft.fftfreq(n) * n
+    if inverse:
+        values = _centered_ifft(values, axis=1) / dx
+    out = np.empty((n, n), dtype=np.complex128)
+    for col, s in enumerate(v - n // 2):
+        shift = np.exp((1 if inverse else -1) * 2j * np.pi * modes * (s / 2.0) / n)
+        if inverse:
+            out[(v + s) % n, v] = np.fft.ifft(np.fft.fft(values[:, col]) * shift)
+        else:
+            out[:, col] = np.fft.ifft(np.fft.fft(values[(v + s) % n, v]) * shift)
+    return out if inverse else dx * _centered_fft(out, axis=1)
+
+
+def midpoint_dictionary(values: np.ndarray, dx: float, inverse: bool = False) -> np.ndarray:
+    """The midpoint rule one separation at a time.  Row r holds separation
+    s = (-r) % n - n/2 and reads the pair K[(v + ceil(s/2)) % n, (v - floor(s/2)) % n]:
+    even s sit on x_v, odd s at x_v + 1/2, moved half a sample back; the sign
+    (-1)^s of the centred transform rides in that multiplier, (-1)^m and n dx
+    on the plain inverse pass over separations.  With inverse, a symbol's
+    values back to a kernel."""
+    n = values.shape[0]
+    v = np.arange(n)
+    half = np.exp(1j * np.pi * np.fft.fftfreq(n))
+    sign = 1.0 - 2.0 * (v % 2)
+    if inverse:
+        rows = np.fft.fft(values.T * (sign[:, None] / (n * dx)), axis=0)
+        out = np.empty((n, n), dtype=np.complex128)
+    else:
+        rows = np.empty((n, n), dtype=np.complex128)
+    for row, s in enumerate((-v) % n - n // 2):
+        pair = ((v - (-s) // 2) % n, (v - s // 2) % n)
+        if inverse:
+            out[pair] = np.fft.ifft(np.fft.fft(rows[row]) * -half) if s % 2 else rows[row]
+        elif s % 2:
+            rows[row] = np.fft.ifft(np.fft.fft(values[pair]) * -half.conj())
+        else:
+            rows[row] = values[pair]
+    return out if inverse else (np.fft.ifft(rows, axis=0) * (n * dx * sign[:, None])).T
 
 
 def krylov_evolve_per_step(

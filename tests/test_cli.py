@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasekit import cli, gridfile, states
+from phasekit import cli, gridfile, states, weyl
 from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D
 from phasekit.symplectic import PERIOD, THETA_WIGNER, flow_matrix
 from phasekit.weyl import OperatorKernel, Symbol2D
@@ -164,6 +164,31 @@ def test_star_rejects_polynomials_off_angle(tmp_path, capsys):
                    *SMALL, "--output", str(tmp_path / "s.bin")])
     assert rc == 2
     assert "polynomial" in capsys.readouterr().err
+
+
+def _non_finite_tag_file(path, bad, payload="csv"):
+    """A symbol file of x on n = 16, half-width 4, its poly tag holding `bad`."""
+    gridfile.write(path, weyl.symbol_x(Grid1D.centered(16, 4.0)), payload)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    newline = raw.index(b"\n")
+    header = {**json.loads(raw[:newline]), "poly_re": [[0.0], [bad]]}
+    return _write(path, json.dumps(header).encode("utf-8") + raw[newline:])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_poly_tag_is_usage_error(tmp_path, capsys, bad):
+    # at the parent, expect printed "expectation value nan+nanj" with exit 0
+    # and star wrote a symbol file whose header carried the NaN
+    path = _non_finite_tag_file(str(tmp_path / "bad.csv"), bad)
+    for argv in (["expect", "--op", path], ["star", "--a", path, "--b", "x"]):
+        rc = cli.main([*argv, "--n", "16", "--half-width", "4", "--output",
+                       str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: inconsistent header: polynomial coefficients must be a "
+                       "finite 2D matrix\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_expect_oscillator_in_hermite_state(tmp_path):
@@ -998,6 +1023,13 @@ _EXIT_CASES = {
         "verify", "--suite", "flow", *_tolerance_override(draw, root, "flow-algebra/period",
                                                           draw(st.floats(-1e6, -5e-324))),
         "--manifest", os.path.join(root, "v.json")]),
+    "non-finite poly tag": (2, "inconsistent header: polynomial coefficients must be a finite",
+                            lambda draw, root: [
+        *draw(st.sampled_from([["expect", "--op"], ["star", "--b", "x", "--a"]])),
+        _non_finite_tag_file(os.path.join(root, "bad"),
+                             draw(st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+                             draw(st.sampled_from(["csv", "binary"]))),
+        "--n", "16", "--half-width", "4", "--output", os.path.join(root, "o")]),
     "unknown suite": (2, "unknown suite", lambda draw, root: [
         "verify", "--suite", "zz" + draw(_WORDS), "--manifest", os.path.join(root, "v.json")]),
     # these checks are 2.2e-16 to 3.7e-16 off at every seed

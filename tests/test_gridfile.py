@@ -353,6 +353,19 @@ def test_malformed_poly_tag(tmp_path):
         gridfile.read(str(path))
 
 
+@pytest.mark.parametrize("payload", ["csv", "binary"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_poly_tag_is_an_inconsistent_header(tmp_path, payload, bad):
+    # JSON's NaN and Infinity literals parse; Symbol2D refuses the tag
+    obj = _objects()["symbol"]
+    path = tmp_path / "sym"
+    gridfile.write(str(path), obj, payload)
+    path.write_bytes(_patched_header(path.read_bytes(), poly_re=[[0.5, bad], [1.0, -0.25]]))
+    with pytest.raises(FileFormatError, match="inconsistent header: polynomial coefficients "
+                                              "must be a finite 2D matrix"):
+        gridfile.read(str(path))
+
+
 def test_read_reports_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         gridfile.read(str(tmp_path / "absent.bin"))

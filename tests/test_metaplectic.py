@@ -13,11 +13,13 @@ from phasekit.grid import (
     Grid1D,
     PhaseFunction2D,
     _centered_fft,
+    _fft_pass,
 )
 from phasekit.metaplectic import (
     ShearFactorization,
     _Plan,
     _chirp_tables,
+    _plain_shear,
     _propagate_values,
     generator_apply,
     propagate,
@@ -285,6 +287,32 @@ def test_inverse_plan_mirrors_at_even_turns_both_ways(theta, turns, inverse_turn
     assert plan.factorization.quarters % 2 == turns
     assert shear_factorization(-theta).quarters % 2 == inverse_turns
     assert (_inverse_and_builds(plan)[1] == []) == (turns == inverse_turns == 0)
+
+
+@pytest.mark.parametrize("theta", [
+    # three shears from x to x; quarter turns first; a first and a last
+    # eta-shear (at +-THETA_WIGNER one shear is exactly 0); no shear at all
+    THETA_WIGNER - 0.4, THETA_WIGNER - 1.0, 0.3, THETA_WIGNER, -THETA_WIGNER, 0.0, PERIOD / 2])
+@pytest.mark.parametrize("spectral", [(True, False), (False, True), (True, True)])
+def test_spectral_ends_leave_out_or_make_the_x_pass(monkeypatch, theta, spectral):
+    # on F_x-transformed values it is the frame substitute between an inverse
+    # and a forward x pass; an x-shear at that end (the first after no quarter
+    # turn) leaves its pass out, any other end makes it
+    grid = Grid1D.centered(18, 4.0)
+    plan = _Plan(grid, grid.dual(), theta)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2, 18, 18)) + 1j * rng.standard_normal((2, 18, 18))
+    enter, leave = spectral
+    want = _fft_pass(values, -2, True, keep=True) if enter else values.copy()
+    want = plan.substitute(want, _plain_shear)
+    want = _fft_pass(want, -2, False) if leave else want
+    axes = [axis for axis, _ in plan.shears]
+    folds = ((enter and plan.factorization.quarters == 0 and axes[:1] == [-2])
+             + (leave and axes[-1:] == [-2]))
+    passes = count_fft_passes(monkeypatch)
+    got = plan.substitute(values.copy(), _plain_shear, spectral)
+    assert len(passes) == 2 * len(axes) + enter + leave - 2 * folds
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 6, 10, 32, 254, 256])

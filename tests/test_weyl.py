@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import count_calls, count_fft_passes, identity_kernel, theta_product_oracle
+from helpers import (count_calls, count_fft_passes, diagonal_dictionary, identity_kernel,
+                     midpoint_dictionary, theta_product_oracle)
 from phasekit import metaplectic, states, weyl
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
     SampledFunction1D,
-    _centered_fft,
-    _centered_ifft,
 )
 from phasekit.metaplectic import _Plan, shear_factorization
 from phasekit.symplectic import PERIOD, THETA_WIGNER
@@ -23,8 +22,7 @@ from phasekit.weyl import (
     Symbol2D,
     _derivative_matrix,
     _derivative_power,
-    _diagonal_layout,
-    _kernel_order,
+    _midpoint_layout,
     _moyal_poly,
     _poly_trim,
     _symmetric_expand,
@@ -68,64 +66,108 @@ def test_round_trip_kernel_symbol():
     assert np.max(np.abs(back.values - K.values)) < 1e-8 * np.max(np.abs(K.values))
 
 
-def _loop_dictionary(values, sign):
-    # reference: one column (one kernel diagonal) at a time, as the batched
-    # gather/scatter in weyl must reproduce bit for bit
-    n = values.shape[0]
-    v = np.arange(n)
-    modes = np.fft.fftfreq(n) * n
-    out = np.empty((n, n), dtype=np.complex128)
-    for col, s in enumerate(v - n // 2):
-        shift = np.exp(sign * 2j * np.pi * modes * (s / 2.0) / n)
-        if sign < 0:
-            out[:, col] = np.fft.ifft(np.fft.fft(values[(v + s) % n, v]) * shift)
-        else:
-            out[(v + s) % n, v] = np.fft.ifft(np.fft.fft(values[:, col]) * shift)
-    return out
+def _random_kernel(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-@pytest.mark.parametrize("n", [16, 32, 128])
+@pytest.mark.parametrize("n", [2, 6, 16, 18, 32, 128, 130])
 def test_dictionary_matches_the_per_diagonal_loop(n):
+    # reference: the midpoint rule one separation at a time, which the
+    # batched layout must reproduce bit for bit, n = 2 (mod 4) included
     grid = Grid1D.centered(n, 6.0)
-    rng = np.random.default_rng(n)
-    K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    K = _random_kernel(n, n)
     symbol = kernel_to_symbol(OperatorKernel(grid, K))
-    gmat = _loop_dictionary(K, -1)
-    assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
-    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
-    assert np.array_equal(symbol_to_kernel(symbol).values, _loop_dictionary(gmat, +1))
+    assert np.array_equal(symbol.values, midpoint_dictionary(K, grid.dx))
+    assert np.array_equal(symbol_to_kernel(symbol).values,
+                          midpoint_dictionary(symbol.values, grid.dx, inverse=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(half_n=st.integers(1, 65), seed=st.integers(0, 2**32 - 1))
+@example(half_n=1, seed=0)
+@example(half_n=3, seed=1)
+@example(half_n=64, seed=2)
+@example(half_n=65, seed=3)
+def test_midpoint_rule_matches_the_diagonal_rule(half_n, seed):
+    # the same map as the per-diagonal spectral shift by s/2 up to rounding:
+    # an even s is a whole-sample shift, an odd one a whole-sample shift and
+    # the same half-sample multiplier (worst seen 9e-15 relative at n <= 256)
+    n = 2 * half_n
+    grid = Grid1D.centered(n, 6.0)
+    K = _random_kernel(n, seed)
+    got = kernel_to_symbol(OperatorKernel(grid, K)).values
+    want = diagonal_dictionary(K, grid.dx)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    got = symbol_to_kernel(Symbol2D(grid, grid.dual(), want)).values
+    assert np.abs(got - K).max() <= 1e-13 * np.abs(K).max()
+    want = diagonal_dictionary(want, grid.dx, inverse=True)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 6, 16, 130])
+def test_even_separations_read_the_kernel_exactly(n):
+    # the layout's row at even separation s is K[(v + s/2) % n, (v - s/2) % n],
+    # no interpolation; at odd s the pair whose midpoint is x_v + 1/2.  Row r
+    # holds s = (-r) % n - n/2, every s from -n/2 to n/2 - 1 once
+    K = _random_kernel(n, n + 2)
+    flat, _, odd = _midpoint_layout(n)
+    rows = np.take(K, flat)
+    v = np.arange(n)
+    separations = (-v) % n - n // 2
+    assert sorted(separations) == list(v - n // 2)
+    for row, s in enumerate(separations):
+        if s % 2 == 0:
+            assert np.array_equal(rows[row], K[(v + s // 2) % n, (v - s // 2) % n])
+        else:
+            assert np.array_equal(rows[row], K[(v + (s + 1) // 2) % n, (v - (s - 1) // 2) % n])
+    assert [s % 2 for s in separations[odd]] == [1] * (n // 2)
 
 
 def test_grid_tables_are_built_once_and_read_only():
     grid = Grid1D.centered(16, 6.0)
-    tables = (*_diagonal_layout(16, -1), *_diagonal_layout(16, +1),
-              _derivative_matrix(grid))
-    again = (*_diagonal_layout(16, -1), *_diagonal_layout(16, +1),
-             _derivative_matrix(Grid1D.centered(16, 6.0)))
+    flat, half, _ = _midpoint_layout(16)
+    tables = (flat, half, _derivative_matrix(grid))
+    again = (*_midpoint_layout(16)[:2], _derivative_matrix(Grid1D.centered(16, 6.0)))
+    assert _midpoint_layout(16) is _midpoint_layout(16)
     for table, repeat in zip(tables, again):
         assert table is repeat
         with pytest.raises(ValueError):
-            table[0, 0] = 0
+            table[0] = 0
         with pytest.raises(ValueError):
             table += 0
 
 
-@pytest.mark.parametrize("n", [2, 4, 16, 128])
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 18, 128])
 def test_dictionary_matches_uncached_pair_index_gather(n):
     # reference: a fresh layout, unpacked into the (row, column) pair index
-    # the flat gather and scatter must reproduce bit for bit
+    # the flat take and assignment must reproduce bit for bit
     grid = Grid1D.centered(n, 6.0)
-    rng = np.random.default_rng(n + 1)
-    K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    flat, shift = _diagonal_layout.__wrapped__(n, -1)
-    gmat = np.fft.ifft(np.fft.fft(K[np.divmod(flat, n)], axis=0) * shift, axis=0)
+    K = _random_kernel(n, n + 1)
+    flat, half, odd = _midpoint_layout.__wrapped__(n)
+    pairs = np.divmod(flat, n)
+    rows = K[pairs]
+    rows[odd] = np.fft.ifft(np.fft.fft(rows[odd], axis=1) * -half.conj(), axis=1)
+    sign = (1.0 - 2.0 * (np.arange(n) % 2))[:, None]
     symbol = kernel_to_symbol(OperatorKernel(grid, K))
-    assert np.array_equal(symbol.values, grid.dx * _centered_fft(gmat, axis=1))
-    flat, shift = _diagonal_layout.__wrapped__(n, +1)
-    gmat = _centered_ifft(symbol.values, axis=1) / grid.dx
+    assert np.array_equal(symbol.values, (np.fft.ifft(rows, axis=0) * (n * grid.dx * sign)).T)
+    rows = np.fft.fft(symbol.values.T * (sign / (n * grid.dx)), axis=0)
+    rows[odd] = np.fft.ifft(np.fft.fft(rows[odd], axis=1) * -half, axis=1)
     want = np.empty((n, n), dtype=np.complex128)
-    want[np.divmod(flat, n)] = np.fft.ifft(np.fft.fft(gmat, axis=0) * shift, axis=0)
+    want[pairs] = rows
     assert np.array_equal(symbol_to_kernel(symbol).values, want)
+
+
+def test_dictionary_makes_three_passes_and_no_shift_call(monkeypatch):
+    # one pass pair over the odd separations, one plain pass over separations
+    K = OperatorKernel(GRID, _random_kernel(GRID.n, 7))
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    symbol = kernel_to_symbol(K)
+    assert len(passes) == 3
+    symbol_to_kernel(symbol)
+    assert len(passes) == 6
+    assert shifts == []
 
 
 def test_mccoy_kernel_same_with_uncached_derivative_matrix(monkeypatch):
@@ -139,12 +181,12 @@ def test_mccoy_kernel_same_with_uncached_derivative_matrix(monkeypatch):
 
 
 def test_scatter_order_and_derivative_powers_are_cached_and_read_only():
+    # the layout's flat index is also the order symbol_to_kernel places by
     grid = Grid1D.centered(16, 6.0)
-    flat, _ = _diagonal_layout(16, +1)
-    order = _kernel_order(16)
-    assert np.array_equal(flat.reshape(-1)[order], np.arange(16 * 16))
+    flat, _, _ = _midpoint_layout(16)
+    assert np.array_equal(np.sort(flat, axis=None), np.arange(16 * 16))
     assert _derivative_power(grid, 1) is _derivative_matrix(grid)
-    for table, repeat in ((order, _kernel_order(16)),
+    for table, repeat in ((flat, _midpoint_layout(16)[0]),
                           (_derivative_power(grid, 2), _derivative_power(grid, 2))):
         assert table is repeat
         with pytest.raises(ValueError):
@@ -446,8 +488,9 @@ def test_fused_angle_product_matches_the_composed_route(n, stretch, theta, seed)
 
 
 def test_fused_angle_product_makes_no_shift_call(monkeypatch):
-    # one crossing into the frame, six passes per three-shear plan, the two
-    # half-sample steps and one crossing back; no fftshift anywhere
+    # one crossing into the frame, six passes per three-shear plan less the
+    # x pass that meets the dictionary's half-sample step (F_x D F_x^-1 is a
+    # roll), one x pass each way for those steps and one crossing back
     grid = Grid1D.centered(32, 6.0)
     rng = np.random.default_rng(5)
     a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
@@ -455,7 +498,7 @@ def test_fused_angle_product_makes_no_shift_call(monkeypatch):
     passes = count_fft_passes(monkeypatch)
     theta_product(a, b, 0.4)
     assert shifts == []
-    assert len(passes) == 1 + 6 + 2 + 2 + 6 + 1
+    assert len(passes) == 1 + 5 + 1 + 1 + 5 + 1
 
 
 @pytest.mark.parametrize("theta", [-2.4, -1.7, -0.7, 0.4, 1.0, 2.2])
@@ -589,6 +632,18 @@ def test_expectation_oscillator_modes():
         h = states.hermite(GRID, m)
         r = expectation(symbol_oscillator(GRID), h)
         assert r.value == pytest.approx(m + 0.5, abs=1e-7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_symbol_refuses_a_non_finite_polynomial_tag(bad):
+    # refused where it is made: a NaN tag would otherwise render, multiply
+    # and quantize to NaN values with no error
+    coeffs = np.array([[0.5, 0.0], [1.0, bad]], dtype=complex)
+    for make in (lambda: Symbol2D(GRID, GRID.dual(), np.ones((GRID.n, GRID.n)), coeffs),
+                 lambda: polynomial_symbol(coeffs, GRID)):
+        with (pytest.raises(ConfigurationError, match="coefficients must be a finite 2D matrix"),
+              np.errstate(invalid="ignore")):
+            make()
 
 
 def test_symbol_requires_dual_pair():
