@@ -3,10 +3,9 @@
 An operator on states extends to phase-space functions by letting its kernel
 act along the position axis only, with the momentum coordinate riding along
 as a spectator.  Conjugating that extension by the angle-THETA_WIGNER
-propagator produces the phase-plane operators generated by x + (i/2) d/dp
-and p - (i/2) d/dx; for polynomial symbols that conjugated operator can
-also be built directly as a symmetric-ordered word in the two generators,
-which gives an independent second route.
+propagator produces the Bopp operators, generated by x + (i/2) d/dp and
+p - (i/2) d/dx; the left star product Phi -> a * Phi of deformation
+quantization is the same operator by a second route, for every symbol.
 
 The zero-angle analysis transform psi -> psi (x) conj(FT window) carries the
 state picture into the extended picture, so the angle-THETA_WIGNER windowed
@@ -47,9 +46,10 @@ from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
     Symbol2D,
+    _frame_kernels,
+    _frame_symbols,
     _operator_kernel,
     _self_adjoint,
-    _symmetric_expand,
 )
 from .wigner import Window
 
@@ -76,8 +76,7 @@ class PhaseOperator:
 
     extended         kernel along x, momentum as spectator
     bopp_conjugated  extended action conjugated by the angle-THETA_WIGNER flow
-    bopp_direct      symmetric-ordered word in x + (i/2) d/dp and
-                     p - (i/2) d/dx (polynomial-tagged symbols only)
+    bopp_direct      left star product by the symbol, through the kernel dictionary
     """
 
     symbol: Symbol2D
@@ -87,8 +86,6 @@ class PhaseOperator:
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(f"representation must be one of {REPRESENTATIONS}, "
                                      f"got {self.representation!r}")
-        if self.representation == "bopp_direct" and self.symbol.poly is None:
-            raise ConfigurationError("bopp_direct requires a polynomial-tagged symbol")
 
     def kernel(self) -> OperatorKernel:
         return _operator_kernel(self.symbol)
@@ -97,6 +94,8 @@ class PhaseOperator:
         if not phase.grid_x.matches(self.symbol.grid_x):
             raise ConfigurationError(
                 "phase function's position grid does not match the operator grid")
+        if self.representation == "bopp_direct" and not phase.grid_p.matches(self.symbol.grid_xi):
+            raise ConfigurationError("bopp_direct acts on functions over the symbol's own grids")
         values = _in_plane(_action(self, phase.grid_x, phase.grid_p), phase.values)
         return PhaseFunction2D(phase.grid_x, phase.grid_p, values)
 
@@ -172,29 +171,15 @@ def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
     kernel_values: np.ndarray | None = None, flows: tuple | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x
-    of the mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its
-    argument.  In M the kernel K (kernel_values, default dx times the kernel) is D K D;
-    extended applies F D K D F^-1.  bopp_conjugated applies D K D between the plans at
-    -+THETA_WIGNER, which end and start with an eta-shear, 2 FFT passes each (flows, else
-    built: _wigner_flows).  bopp_direct is the 1D quantization word for word in the mixed
-    plane, between an inverse and a forward x pass, in X = x + (i/2) d/dp, there x - eta/2,
-    and P = p - (i/2) d/dx, there F_eta [p + F_x^-1 (xi/2) F_x] F_eta^-1 (4 passes)."""
-    if op.representation == "bopp_direct":
-        position = grid_x.nodes()[:, None] - 0.5 * grid_p.dual().nodes()
-        half_xi = 0.5 * grid_x.dual().nodes()[:, None]
-
-        def momentum(values: np.ndarray, power: int) -> np.ndarray:
-            for _ in range(power):
-                plane = _fft_pass(values, -1, True, keep=True)
-                step = _fft_pass(half_xi * _fft_pass(plane, -2, False, keep=True), -2, True)
-                values = _fft_pass(grid_p.nodes() * plane + step, -1, False)
-            return values
-
-        return lambda values: _fft_pass(_symmetric_expand(op.symbol.poly, _fft_pass(
-            values, -2, True, keep=True), lambda v: position * v, momentum), -2, False)
+    """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x of the
+    mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its argument.  With
+    K = kernel_values (default dx times the kernel), bopp_direct composes K with the values'
+    kernel (weyl's frame dictionary, 2 passes); extended applies F D K D F^-1 and bopp_conjugated
+    D K D between the plans at -+THETA_WIGNER, 2 passes each (flows, else built: _wigner_flows)."""
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
+    if op.representation == "bopp_direct":
+        return lambda v: _frame_symbols(kernel_values @ _frame_kernels(v.copy(), grid_x), grid_x)
     kernel_values = kernel_values * _checkerboard(grid_x.n, grid_x.n)
     if op.representation == "extended":
         spectral = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
@@ -205,12 +190,12 @@ def _action(
 
 
 def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
-    """The one place that tells the lift angles apart: 0 for extended, else THETA_WIGNER; the
-    flows of bopp_conjugated's action (_wigner_flows), shared by its lifts (bopp_direct's lifts
-    build their own); lifts(rows) lifts states psi (last axis) against windows w of rows
-    F(D conj(FT w)), if any, then the caller's, to U(angle)(psi (x) conj(FT w)) in the spectral
-    frame: at 0 (F D psi) (x) row; at THETA_WIGNER (D psi) (x) row takes the flow, each row an
-    eta pass (the caller's two: F F = n R, R the index reversal)."""
+    """The one place that tells the lift angles apart: 0 for extended, else THETA_WIGNER and
+    its flows (_wigner_flows), shared by the lifts and bopp_conjugated's action.  lifts(rows)
+    lifts states psi (last axis) against windows w of rows F(D conj(FT w)), if any, then the
+    caller's, to U(angle)(psi (x) conj(FT w)) in the spectral frame: at 0 (F D psi) (x) row;
+    at THETA_WIGNER (D psi) (x) row takes the flow, each row an eta pass (the caller's two:
+    F F = n R, R the index reversal)."""
     if not grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
     sign = _checkerboard(1, grid.n)[0]
@@ -222,10 +207,10 @@ def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
             return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
 
         return 0.0, None, lifts
-    flows = _wigner_flows(grid, grid.dual()) if op.representation == "bopp_conjugated" else None
+    flows = _wigner_flows(grid, grid.dual())
 
     def lifts(rows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-        up, seed = (flows or _wigner_flows(grid, grid.dual()))[1], grid.n * row[-np.arange(grid.n)]
+        up, seed = flows[1], grid.n * row[-np.arange(grid.n)]
         rows = seed if rows is None else np.concatenate((_fft_pass(rows, -1, False), seed[None]))
         return lambda psi: up((psi * sign)[..., :, None] * rows[..., None, :])
 

@@ -222,6 +222,30 @@ def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     return OperatorKernel(grid, values.reshape(grid.n, grid.n))
 
 
+def _frame_kernels(spec: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Kernels (..., n, n) of symbols on grid and its dual held in the spectral frame (xi, eta),
+    up to its sign (-1)^(n/2); consumes `spec`.  eta is the layout's separation (F_c F_c = n R),
+    F_x D F_x^-1 rolls by n/2: odd rows take the rolled half shift, one inverse x pass, scatter."""
+    n, (flat, half, odd) = grid.n, _midpoint_layout(grid.n)
+    spec[..., odd] *= np.roll(half, n // 2)[:, None]
+    values = _fft_pass(spec, -2, True)
+    values *= _checkerboard(n, n) / (n * grid.dx)
+    kernels, order = np.empty_like(values), flat.T.ravel()
+    for kernel, samples in zip(kernels.reshape(-1, n * n), values.reshape(-1, n * n)):
+        kernel[order] = samples
+    return kernels
+
+
+def _frame_symbols(kernels: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The exact inverse of _frame_kernels: a gather, one forward x pass, the conjugate shift."""
+    n, (flat, half, odd) = grid.n, _midpoint_layout(grid.n)
+    values = np.take(kernels.reshape(-1, n * n), flat.T.ravel(), axis=-1).reshape(kernels.shape)
+    values *= _checkerboard(n, n) * (n * grid.dx)
+    spec = _fft_pass(values, -2, False)
+    spec[..., odd] *= np.roll(half, n // 2)[:, None].conj()
+    return spec
+
+
 def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
     """Angle-theta symbol straight from the kernel.
 
@@ -315,7 +339,9 @@ def polynomial_symbol(coeffs: np.ndarray, grid_x: Grid1D) -> Symbol2D:
             f"polynomial symbol degree exceeds {POLY_MAX_DEGREE} per variable"
         )
     grid_xi = grid_x.dual()
-    values = npoly.polygrid2d(grid_x.nodes(), grid_xi.nodes(), coeffs)
+    # a non-finite coefficient renders to inf or nan; Symbol2D's one check refuses it
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = npoly.polygrid2d(grid_x.nodes(), grid_xi.nodes(), coeffs)
     return Symbol2D(grid_x, grid_xi, values.astype(np.complex128), coeffs)
 
 
@@ -352,7 +378,7 @@ def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np
 
     Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r P^j X^{i-r},
     applied right to left by the callables x_act(term) and p_act(term, j) for
-    P^j, j >= 1.  Kernels start from the identity, phase-plane actions the data.
+    P^j, j >= 1.
     """
     total = np.zeros_like(start, dtype=np.complex128)
     for i in range(coeffs.shape[0]):
@@ -494,23 +520,11 @@ def theta_product(
     if method not in (None, "kernel"):
         raise ConfigurationError(f"unknown star product method {method!r}")
     grid = a.grid_x
-    pull, n, dx = _Plan(grid, grid.dual(), back), grid.n, grid.dx
-    (flat, half, odd), board = _midpoint_layout(n), _checkerboard(n, n)
-    # F_c^-1 F_c^-1 = R/n; the sign (-1)^(n/2) of each factor cancels in the product.  On
-    # the x spectrum, F_x D F_x^-1 = roll by n/2: odd separations take the rolled half shift
-    rolled = np.roll(half, n // 2)[:, None]
+    pull = _Plan(grid, grid.dual(), back)
     spec = pull.substitute(_into_frame(np.stack((a.values, b.values))), _plain_shear, (False, True))
-    spec[..., odd] *= rolled
-    values = _fft_pass(spec, -2, True)
-    values *= board / (n * dx)
-    kernels, order = np.empty((2, flat.size), dtype=np.complex128), flat.T.ravel()
-    for kernel, samples in zip(kernels, values):
-        kernel[order] = samples.ravel()
-    # composed as OperatorKernel.compose does; F_c F_c = n R; one frame sign; the same roll
-    values = np.take(dx * np.matmul(*kernels.reshape(2, n, n)), order).reshape(n, n)
-    values *= board * ((-1) ** (n // 2) * n * dx)
-    spec = _fft_pass(values, -2, False)
-    spec[..., odd] *= rolled.conj()
+    # each factor's sign (-1)^(n/2) cancels in the product, composed as OperatorKernel.compose
+    kernels = _frame_kernels(spec, grid)
+    spec = _frame_symbols((-1) ** (grid.n // 2) * grid.dx * np.matmul(*kernels), grid)
     return Symbol2D(grid, grid.dual(), _out_of_frame(
         pull.inverse().substitute(spec, _plain_shear, (True, False))))
 

@@ -87,6 +87,8 @@ star --a in/nondual.csv --b x --output nondual.csv
 wigner --gaussian --n 32 --x-min -4 --output xmin.csv
 wigner --config in/xmin.json --output xmincfg.csv
 verify --suite flow --tolerance flow-algebra/nonexistent=1e-30 --manifest vnone.json
+bopp-spectrum --symbol ws.csv --count 2 --representation bopp_direct --output specws
+evolve --symbol ws.csv --t 0.5 --steps 2 --representation bopp_direct --output evws
 """
 
 

@@ -20,7 +20,9 @@ from phasekit.weyl import (
     Symbol2D,
     _symmetric_expand,
     _transport,
+    kernel_to_symbol,
     moyal_product,
+    symbol_to_kernel,
 )
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
@@ -179,27 +181,43 @@ def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.n
     return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
 
 
+def generator_word_oracle(symbol: Symbol2D, grid_x: Grid1D, grid_p: Grid1D):
+    """The map on (x, p) values of the symmetric-ordered word in x + (i/2) d/dp,
+    the spectral step along p, and p - (i/2) d/dx, for a polynomial-tagged
+    symbol: the second route to the Bopp operator that the left star product
+    replaced, wrapping at the box edge where the generators do."""
+    eta = grid_p.dual().nodes()
+
+    def position(v):
+        return grid_x.nodes()[:, None] * v + _spectral_step(v, -0.5 * eta, axis=-1)
+
+    def momentum(v, power):
+        for _ in range(power):
+            v = _momentum_action(v, grid_x, grid_p)
+        return v
+
+    return lambda values: _symmetric_expand(symbol.poly, values, position, momentum)
+
+
 def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
                         kernel_values: np.ndarray | None = None):
     """The operator's map on (x, p) values as each realization reads in
     the plane itself: K @ v for extended, the propagator sandwich
     U(THETA_WIGNER) (K @ U(-THETA_WIGNER) v) for bopp_conjugated, and for
-    bopp_direct the symmetric word in x + (i/2) d/dp, the spectral step
-    along p, and p - (i/2) d/dx."""
-    if op.representation == "bopp_direct":
-        eta = grid_p.dual().nodes()
-
-        def position(v):
-            return grid_x.nodes()[:, None] * v + _spectral_step(v, -0.5 * eta, axis=-1)
-
-        def momentum(v, power):
-            for _ in range(power):
-                v = _momentum_action(v, grid_x, grid_p)
-            return v
-
-        return lambda values: _symmetric_expand(op.symbol.poly, values, position, momentum)
+    bopp_direct the dictionary sandwich kernel_to_symbol(K o symbol_to_kernel(v)),
+    one batch member at a time, v read as a symbol on grid_x and its dual."""
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
+    if op.representation == "bopp_direct":
+        def left_product(v):
+            kernel = symbol_to_kernel(Symbol2D(grid_x, grid_p, v))
+            return kernel_to_symbol(OperatorKernel(grid_x, kernel_values @ kernel.values)).values
+
+        def sandwich(values):
+            members = values.reshape(-1, *values.shape[-2:])
+            return np.stack([left_product(v) for v in members]).reshape(values.shape)
+
+        return sandwich
     if op.representation == "extended":
         return lambda values: kernel_values @ values
     return lambda values: _propagate_values(

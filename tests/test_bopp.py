@@ -9,8 +9,8 @@ import pytest
 import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (count_calls, count_fft_passes, evolve_dense, krylov_evolve_per_step,
-                     plane_action_oracle, random_phase_wave)
+from helpers import (count_calls, count_fft_passes, evolve_dense, generator_word_oracle,
+                     krylov_evolve_per_step, plane_action_oracle, random_phase_wave)
 from phasekit import bopp, metaplectic, states, weyl
 from phasekit.bopp import (
     PhaseOperator,
@@ -65,20 +65,22 @@ def test_representation_validation():
         PhaseOperator(sym, rep)
     with pytest.raises(ConfigurationError):
         PhaseOperator(sym, "sideways")
-    # the direct word needs a polynomial tag
+    # the left star product needs no polynomial tag: every realization
+    # takes an untagged symbol
     x = grid.nodes()[:, None]
     xi = grid.dual().nodes()[None, :]
     plain = Symbol2D(grid, grid.dual(),
                      np.exp(-(x**2) - xi**2).astype(complex))
-    with pytest.raises(ConfigurationError):
-        PhaseOperator(plain, "bopp_direct")
+    F = random_phase_wave(grid, grid.dual(), np.random.default_rng(2))
+    for rep in REPRESENTATIONS:
+        assert np.all(np.isfinite(PhaseOperator(plain, rep).apply(F).values))
 
 
 def test_conjugated_and_direct_agree_on_smooth_data():
-    # the conjugation route and the generator-word route realize the same
-    # operator; compare them on a smooth decaying lift, where the flow's
-    # wraparound stays below tolerance (the dense matrices themselves
-    # differ off that subspace, because basis deltas wrap)
+    # the conjugation route, the left star product and the generator word
+    # realize the same operator; compare them on a smooth decaying lift,
+    # where the flow's wraparound stays below tolerance (the dense matrices
+    # themselves differ off that subspace, because basis deltas wrap)
     grid = Grid1D.centered(64, 10.0)
     lifted = windowed_transform(states.hermite(grid, 2), _window(grid), THETA_WIGNER)
     # the mixed words x*xi^2, x^2*xi^2 and x^3*xi exercise every ordering
@@ -88,16 +90,23 @@ def test_conjugated_and_direct_agree_on_smooth_data():
         coeffs = np.zeros((4, 4))
         coeffs[word] = 1.0
         mixed.append(polynomial_symbol(coeffs, grid))
-    for sym in (symbol_x(grid), symbol_xi(grid), symbol_oscillator(grid), *mixed):
+    # and an untagged decaying symbol, which keeps psi_2 (exp(-x^2 - xi^2)
+    # quantizes to a multiple of the ground-state projector, which kills it)
+    x, xi = grid.nodes()[:, None], grid.dual().nodes()[None, :]
+    decaying = Symbol2D(grid, grid.dual(), np.exp(-0.5 * x**2 - 0.5 * xi**2).astype(complex))
+    for sym in (symbol_x(grid), symbol_xi(grid), symbol_oscillator(grid), *mixed, decaying):
         conj = PhaseOperator(sym, "bopp_conjugated").apply(lifted)
         direct = PhaseOperator(sym, "bopp_direct").apply(lifted)
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(conj.values - direct.values)) < 1e-6 * scale
+        if sym.poly is not None:
+            word = generator_word_oracle(sym, grid, grid.dual())(lifted.values)
+            assert np.max(np.abs(word - direct.values)) < 1e-6 * scale
 
 
 def test_dense_assemblies_are_self_adjoint():
     # unitary conjugation preserves the hermitian kernel exactly, and the
-    # symmetric word in self-adjoint generators is self-adjoint by shape
+    # dictionary behind the left star product is unitary up to one scale
     grid = Grid1D.centered(32, 6.0)
     sym = symbol_oscillator(grid)
     for rep in ("extended", "bopp_conjugated", "bopp_direct"):
@@ -227,7 +236,8 @@ def test_plane_spectrum_is_the_1d_spectrum_n_times(half_n, half_width, seed,
 
 
 def test_direct_spectrum_reports_the_wrap_defect():
-    # the generator word on a small box is perturbed by wraparound; the
+    # on a small box the windowed lifts wrap, so they are no eigenvectors
+    # of the left star product, whose spectrum is the 1D one exactly; the
     # report keeps the 1D levels and shows the defect in the residuals
     # instead of returning unpaired wrap clusters
     grid = Grid1D.centered(16, 5.0)
@@ -322,11 +332,8 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     # it draws no random numbers and repeats bit for bit
     grid = Grid1D.centered(2 * half_n, half_width)
     rng = np.random.default_rng(seed)
-    if representation == "bopp_direct":
-        sym = symbol_oscillator(grid)
-    else:
-        a = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-        sym = kernel_to_symbol(OperatorKernel(grid, (a + a.conj().T) / 2.0))
+    a = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    sym = kernel_to_symbol(OperatorKernel(grid, (a + a.conj().T) / 2.0))
     raw = SampledFunction1D(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     psi0 = SampledFunction1D(grid, raw.values / raw.norm())
     g = states.gaussian(grid)
@@ -416,22 +423,42 @@ def _harness_start(n, half_width, representation):
     return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
 
-@pytest.mark.parametrize("n,half_width,representation", [
-    (32, 6.0, "bopp_conjugated"), (32, 6.0, "extended"), (16, 5.0, "bopp_direct"),
-    (24, 6.0, "bopp_direct")])
-def test_strided_check_keeps_the_per_vector_bases(monkeypatch, n, half_width, representation):
-    # checking every _KRYLOV_CHECK-th vector, then the skipped ones in
-    # ascending order, picks the per-vector rule's dimension bit for bit (one
-    # segment of 40, 40 and 121 vectors, and a restart at n=24), with at most
-    # ceil(dim / 4) + 3 eigensolves per segment (_KRYLOV_CHECK is 4)
-    action, start = _harness_start(n, half_width, representation)
+def _strided_dims(monkeypatch, action, start):
+    """The strided check's segment dimensions over 16 steps to 2 pi, asserted to be
+    the per-vector rule's bases bit for bit (the skipped vectors re-checked in
+    ascending order) with at most ceil(dim / 4) + 3 eigensolves per segment
+    (_KRYLOV_CHECK is 4)."""
     times = np.linspace(0.0, 2.0 * np.pi, 17)
     want, want_dims = krylov_evolve_per_step(action, start, times)
     eighs = count_calls(monkeypatch, np.linalg, ("eigh",))
     got, dims = _krylov_evolve(action, start, times)
-    assert dims == want_dims and len(dims) == (2 if n == 24 else 1)
+    assert dims == want_dims
     assert np.array_equal(got, want)
     assert len(eighs) <= sum(math.ceil(d / _KRYLOV_CHECK) + _KRYLOV_CHECK - 1 for d in dims)
+    return dims
+
+
+@pytest.mark.parametrize("n,half_width,representation", [
+    (32, 6.0, "bopp_conjugated"), (32, 6.0, "extended"), (16, 5.0, "bopp_direct")])
+def test_strided_check_keeps_the_per_vector_bases(monkeypatch, n, half_width, representation):
+    # one segment each: each realization's spectrum is the 1D one, n levels
+    # repeated, so these runs certify well below _KRYLOV_MAX_DIM
+    dims = _strided_dims(monkeypatch, *_harness_start(n, half_width, representation))
+    assert len(dims) == 1 and dims[0] < _KRYLOV_MAX_DIM
+
+
+def test_strided_check_keeps_the_per_vector_bases_across_restarts(monkeypatch):
+    # a fixed hermitian matrix of spectral width 60 over twice _KRYLOV_MAX_DIM
+    # dimensions: no one basis reaches 2 pi, so the run restarts at least once
+    rng = np.random.default_rng(9)
+    size = 2 * _KRYLOV_MAX_DIM
+    basis, _ = np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))
+    hermitian = (basis * np.linspace(-30.0, 30.0, size)) @ basis.conj().T
+    hermitian = (hermitian + hermitian.conj().T) / 2.0
+    start = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    dims = _strided_dims(monkeypatch, lambda v: hermitian @ v, start / np.linalg.norm(start))
+    assert len(dims) > 1 and dims[0] == _KRYLOV_MAX_DIM
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
@@ -446,6 +473,11 @@ def test_evolution_at_the_dense_cap(representation):
         assert result.divergence < 1e-10
         assert result.state_norm_drift < 1e-12
         assert result.phase_norm_drift < 1e-12
+    else:
+        # the left star product's spectrum is the 1D one exactly: one Lanczos
+        # segment; the lifts it is compared with wrap at 4.7e-6
+        assert len(result.krylov_dims) == 1
+        assert result.divergence < 1e-5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -485,6 +517,15 @@ def test_apply_rejects_a_mismatched_position_grid(representation):
     F = random_phase_wave(other, other.dual(), np.random.default_rng(5))
     with pytest.raises(ConfigurationError, match="position grid"):
         op.apply(F)
+
+
+def test_direct_apply_refuses_a_momentum_grid_off_the_dual():
+    # the left star product reads the values as a symbol on the operator's
+    # grids, so a phase function over another momentum grid is refused
+    grid = Grid1D.centered(32, 6.0)
+    F = random_phase_wave(grid, Grid1D.centered(32, 7.0), np.random.default_rng(5))
+    with pytest.raises(ConfigurationError, match="symbol.s own grids"):
+        PhaseOperator(symbol_oscillator(grid), "bopp_direct").apply(F)
 
 
 def _conjugated_action_and_batch():
@@ -549,7 +590,7 @@ def test_held_maps_expand_their_chirps_once(monkeypatch):
 def test_each_harness_call_builds_one_plan(monkeypatch, representation, plans):
     # the plan at THETA_WIGNER is built once per call and its inverse takes
     # its two tables mirrored, for the conjugated action and the lifts alike;
-    # the direct word's lifts need the plan too, extended ones none
+    # the direct route's lifts need the plan too, extended ones none
     grid = Grid1D.centered(16, 5.0)
     window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
     built = count_calls(monkeypatch, bopp, ("_Plan",))
@@ -730,19 +771,23 @@ def test_spectrum_makes_no_shift_call(monkeypatch):
     assert len(passes) == 1 + 2 * (2 + 4)
 
 
-def test_direct_position_makes_no_pass(monkeypatch):
-    # X = x + (i/2) d/dp is the multiplication by x - eta/2 in the mixed
-    # plane and each P is a 4-pass step; the word runs there between an
-    # inverse and a forward x pass, so the x word takes 2 and the
-    # oscillator word 10
+def test_direct_action_makes_two_passes_and_no_shift_call(monkeypatch):
+    # the left star product reads the spectral frame's eta as the dictionary's
+    # separation: one inverse x pass to the kernels, one forward x pass back,
+    # for any symbol, tagged or not, and no fftshift or ifftshift
     grid = Grid1D.centered(32, 6.0)
     batch = np.random.default_rng(3).standard_normal((2, 32, 32)).astype(complex)
+    x, xi = grid.nodes()[:, None], grid.dual().nodes()[None, :]
+    decaying = Symbol2D(grid, grid.dual(), np.exp(-(x**2) - xi**2).astype(complex))
+    actions = [_action(PhaseOperator(symbol, "bopp_direct"), grid, grid.dual())
+               for symbol in (symbol_x(grid), symbol_oscillator(grid), decaying)]
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     passes = count_fft_passes(monkeypatch)
-    _action(PhaseOperator(symbol_x(grid), "bopp_direct"), grid, grid.dual())(batch)
-    assert len(passes) == 2
-    passes.clear()
-    _action(PhaseOperator(symbol_oscillator(grid), "bopp_direct"), grid, grid.dual())(batch)
-    assert len(passes) == 10
+    for action in actions:
+        passes.clear()
+        action(batch)
+        assert len(passes) == 2
+    assert shifts == []
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2", 0])

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -637,12 +638,14 @@ def test_expectation_oscillator_modes():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_symbol_refuses_a_non_finite_polynomial_tag(bad):
     # refused where it is made: a NaN tag would otherwise render, multiply
-    # and quantize to NaN values with no error
+    # and quantize to NaN values with no error; rendering an infinite one
+    # raises no numpy warning ahead of the refusal
     coeffs = np.array([[0.5, 0.0], [1.0, bad]], dtype=complex)
     for make in (lambda: Symbol2D(GRID, GRID.dual(), np.ones((GRID.n, GRID.n)), coeffs),
                  lambda: polynomial_symbol(coeffs, GRID)):
         with (pytest.raises(ConfigurationError, match="coefficients must be a finite 2D matrix"),
-              np.errstate(invalid="ignore")):
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             make()
 
 
