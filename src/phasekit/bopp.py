@@ -17,9 +17,10 @@ lifts; the paired evolution runs the same initial data in both pictures,
 the phase side by a Lanczos exponential.  One batched map per realization
 (_action) serves apply, the residuals, the evolution and dense_matrix in the
 x-transform of metaplectic's checkerboard frame, where both harnesses lift,
-measure and evolve.  Their one preamble (_harness) refuses grids above
-DENSE_MAX_N points per axis, holds one plan at THETA_WIGNER for the action and
-the lifts (_held_maps) and runs the one 1D eigensolve.
+measure and evolve.  The extension is the conjugation with the identity for
+U(THETA_WIGNER), so its map and lifts and the Bopp ones run one held plan's
+frame flow (_held_plan).  The harnesses' one preamble (_harness) refuses grids
+above DENSE_MAX_N points per axis, holds that plan and runs the 1D eigensolve.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .grid import (
     SQRT_TWO_PI,
     _fft_pass,
 )
-from .metaplectic import (_Plan, _checkerboard, _chirp, _into_frame, _out_of_frame,
-                          _propagate_values)
+from .metaplectic import _Plan, _checkerboard, _into_frame, _out_of_frame, _propagate_values
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -145,21 +145,11 @@ class EvolutionResult:
 # applying the three realizations
 
 
-def _wigner_flows(grid_x: Grid1D, grid_p: Grid1D) -> tuple[Callable[..., np.ndarray], ...]:
-    """The plans at -THETA_WIGNER (keeps its argument) and THETA_WIGNER (in place) in the spectral
-    frame: first chirp, inverse pass along its axis, forward pass along the other, second chirp,
-    each chirp one multiply by its whole table.  One plan serves both, the first as its inverse."""
-    plan = _Plan(grid_x, grid_p, THETA_WIGNER)
-    down, up = ([(axis, _chirp(np.ones((grid_x.n, grid_p.n), complex), tables))
-                 for axis, tables in held.shears] for held in (plan.inverse(), plan))
-
-    def flow(shears: list, values: np.ndarray, keep: bool) -> np.ndarray:
-        (first, head), (second, tail) = shears
-        values = np.multiply(values, head, out=None if keep else values)
-        values = _fft_pass(_fft_pass(values, first, True), second, False)
-        return np.multiply(values, tail, out=values)
-
-    return (lambda values: flow(down, values, True)), (lambda values: flow(up, values, False))
+def _held_plan(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D) -> tuple[_Plan, int]:
+    """The held plan at op's lift angle and the axis its flows meet the kernel along: at
+    THETA_WIGNER eta, the plan's first shear's; for extended the identity at 0, so x, no pass."""
+    plan = _Plan(grid_x, grid_p, 0.0 if op.representation == "extended" else THETA_WIGNER).held()
+    return plan, next((axis for axis, _ in plan.shears), -2)
 
 
 def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -169,52 +159,45 @@ def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) ->
 
 def _action(
     op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
-    kernel_values: np.ndarray | None = None, flows: tuple | None = None,
+    kernel_values: np.ndarray | None = None, held: tuple | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x of the
     mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its argument.  With
     K = kernel_values (default dx times the kernel), bopp_direct composes K with the values'
-    kernel (weyl's frame dictionary, 2 passes); extended applies F D K D F^-1 and bopp_conjugated
-    D K D between the plans at -+THETA_WIGNER, 2 passes each (flows, else built: _wigner_flows)."""
+    kernel (weyl's frame dictionary, 2 passes); the others apply D K D (conjugated by F_x along
+    x) between the flows of the held plan's inverse and the plan (held, else _held_plan)."""
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
     if op.representation == "bopp_direct":
         return lambda v: _frame_symbols(kernel_values @ _frame_kernels(v.copy(), grid_x), grid_x)
+    plan, middle = held or _held_plan(op, grid_x, grid_p)
     kernel_values = kernel_values * _checkerboard(grid_x.n, grid_x.n)
-    if op.representation == "extended":
-        spectral = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
-        return lambda values: np.matmul(spectral, values)
-
-    down, up = flows or _wigner_flows(grid_x, grid_p)
-    return lambda values: up(np.matmul(kernel_values, down(values)))
+    if middle == -2:
+        kernel_values = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
+    inverse = plan.inverse()
+    return lambda values: plan.flow(
+        np.matmul(kernel_values, inverse.flow(values, -2, middle, keep=True)), middle, -2)
 
 
 def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
-    """The one place that tells the lift angles apart: 0 for extended, else THETA_WIGNER and
-    its flows (_wigner_flows), shared by the lifts and bopp_conjugated's action.  lifts(rows)
-    lifts states psi (last axis) against windows w of rows F(D conj(FT w)), if any, then the
-    caller's, to U(angle)(psi (x) conj(FT w)) in the spectral frame: at 0 (F D psi) (x) row;
-    at THETA_WIGNER (D psi) (x) row takes the flow, each row an eta pass (the caller's two:
-    F F = n R, R the index reversal)."""
+    """The lift angle, op's held plan (_held_plan) for the lifts and the action, and lifts(rows),
+    which lifts states psi (last axis) against windows w of rows F(D conj(FT w)), if any, then the
+    caller's, to U(angle)(psi (x) conj(FT w)) in the spectral frame: (D psi) (x) row, passed along
+    the kernel axis, x or eta (the caller's row twice: F F = n R, R the reversal), then flowed."""
     if not grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
-    sign = _checkerboard(1, grid.n)[0]
+    held = plan, middle = _held_plan(op, grid, grid.dual())
+    along_x, sign = middle == -2, _checkerboard(1, grid.n)[0]
     row = window.transform.values.conj() * sign
-    if op.representation == "extended":
-        def lifts(rows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-            seed = _fft_pass(row, -1, False, keep=True)
-            rows = seed if rows is None else np.concatenate((rows, seed[None]))
-            return lambda psi: _fft_pass(psi * sign, -1, False)[..., :, None] * rows[..., None, :]
-
-        return 0.0, None, lifts
-    flows = _wigner_flows(grid, grid.dual())
 
     def lifts(rows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-        up, seed = flows[1], grid.n * row[-np.arange(grid.n)]
-        rows = seed if rows is None else np.concatenate((_fft_pass(rows, -1, False), seed[None]))
-        return lambda psi: up((psi * sign)[..., :, None] * rows[..., None, :])
+        seed = _fft_pass(row, -1, False, keep=True) if along_x else grid.n * row[-np.arange(grid.n)]
+        rows = seed if rows is None else np.concatenate(
+            (rows if along_x else _fft_pass(rows, -1, False), seed[None]))
+        return lambda psi: plan.flow((_fft_pass(psi * sign, -1, False) if along_x else psi * sign)
+                                     [..., :, None] * rows[..., None, :], middle, -2)
 
-    return THETA_WIGNER, flows, lifts
+    return plan.theta, held, lifts
 
 
 def bopp_intertwining_residual(
@@ -236,10 +219,10 @@ def bopp_intertwining_residual(
     if not psi.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match the operator grid")
     # centred lifts of psi and K psi, checked against the action in the frame
-    plane, (angle, flows, _) = (psi.grid, psi.grid.dual()), _held_maps(op, psi.grid, window)
+    plane, (angle, held, _) = (psi.grid, psi.grid.dual()), _held_maps(op, psi.grid, window)
     seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
     lift, lifted = _propagate_values(seeds * window.transform.values.conj(), *plane, angle)
-    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values, flows), lift)
+    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values, held), lift)
     defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
         warnings.warn("lifted reference is numerically zero; returning the absolute "
@@ -289,7 +272,7 @@ def _require_count(name: str, value: int) -> None:
 def _harness(symbol: Symbol2D, representation: str, window: Window, given: Grid1D, what: str,
              mismatch: str):
     """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint, on the
-    caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points; the flows and lifts
+    caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points; the plan and lifts
     of _held_maps; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
@@ -300,10 +283,10 @@ def _harness(symbol: Symbol2D, representation: str, window: Window, given: Grid1
     if not given.matches(kernel.grid):
         raise ConfigurationError(mismatch)
     grid = _plane_grid(op)  # refused above the cap
-    _, flows, lifts = _held_maps(op, grid, window)
+    _, held, lifts = _held_maps(op, grid, window)
     h = grid.dx * kernel.values
     h = (h + h.conj().T) / 2.0
-    return op, kernel, flows, lifts, h, *np.linalg.eigh(h)
+    return op, kernel, held, lifts, h, *np.linalg.eigh(h)
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
@@ -334,7 +317,7 @@ def bopp_spectrum(
     _require_count("count", count)
     if not (math.isfinite(gap) and gap >= 0):
         raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
-    op, kernel, flows, lifts, _, ref_vals, ref_vecs = _harness(
+    op, kernel, held, lifts, _, ref_vals, ref_vecs = _harness(
         symbol, representation, window, window.grid, "the spectral harness",
         "window grid does not match the operator grid")
     grid, ref_vecs = kernel.grid, ref_vecs / math.sqrt(kernel.grid.dx)
@@ -344,7 +327,7 @@ def bopp_spectrum(
                                  f"only {len(clusters)} at gap {gap:.1e}")
     clusters = clusters[:count]
 
-    action = _action(op, grid, grid.dual(), grid.dx * kernel.values, flows)
+    action = _action(op, grid, grid.dual(), grid.dx * kernel.values, held)
     # the n eigenstate windows, then the caller's, in one batch per member;
     # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
     # spares the pass: its row F(D conj(FT w_j)) is that factor times conj(D psi_j)
@@ -455,7 +438,7 @@ def evolve_pair(
     _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
-    op, kernel, flows, lifts, h, vals, vecs = _harness(
+    op, kernel, held, lifts, h, vals, vecs = _harness(
         symbol, representation, window, psi0.grid, "paired evolution",
         "initial state grid does not match the operator")
     grid, n = kernel.grid, kernel.grid.n
@@ -464,7 +447,7 @@ def evolve_pair(
     states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
     lifts = lifts()(np.concatenate((psi0.values[None], states)))
-    action = _action(op, grid, grid.dual(), h, flows)
+    action = _action(op, grid, grid.dual(), h, held)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
     mixed, dims = _krylov_evolve(lambda v: action(v.reshape(n, n)).reshape(-1),
                                  lifts[0].reshape(-1), times)

@@ -15,8 +15,7 @@ config file (--config) with flags winning over config values; a config key
 that is not a setting of the invoked command, or a string setting given as
 another JSON type, is refused.  The grid is the centred box [-H, H) of n
 points (--n, --half-width; defaults 256 and 8).  Runs are deterministic for
-a fixed config and seed; nothing here consults the clock.  Thread count for
-the FFT layer comes from the PHASEKIT_THREADS environment variable.
+a fixed config and seed; nothing here consults the clock.
 
 Each subcommand is one entry in a command table: the flags it takes (from
 one shared flag table), the flags it requires, its compute step, and its

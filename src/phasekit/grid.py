@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +26,6 @@ GRID_TOL = 1e-9
 
 class ConfigurationError(ValueError):
     """A grid or parameter violates a structural precondition."""
-
-
-def fft_workers() -> int:
-    """Worker count for scipy.fft, from PHASEKIT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("PHASEKIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -174,8 +165,7 @@ class PhaseFunction2D:
 
 def _fft_pass(values: np.ndarray, axis: int, inverse: bool, keep: bool = False) -> np.ndarray:
     transform = _sfft.ifft if inverse else _sfft.fft
-    return transform(values, axis=axis, overwrite_x=not keep and values.flags.c_contiguous,
-                     workers=fft_workers())
+    return transform(values, axis=axis, overwrite_x=not keep and values.flags.c_contiguous)
 
 
 def _centered_fft(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -9,11 +9,17 @@ unit-modulus cross-chirps), so U preserves discrete norms to rounding.  A shear 
 coefficient is exactly 0 is skipped: at +-THETA_WIGNER, the midpoint map
 [[1, -1/2], [1, 1/2]], the closed form gives one, so U costs 6 FFT passes there and 8 at a
 generic angle.  A plan holds one angle's factorization and chirp tables, and its inverse
-(at -theta) alone decides when mirrored factorizations share those tables.
+(at -theta) alone decides when mirrored factorizations share those tables.  It applies them
+by one frame flow, in the checkerboard frame where plain passes stand for centred ones, on
+values transformed along either axis or neither; held() expands each chirp once into a whole
+table.  The centred substitute is kept for _propagate_values alone, because the benchmark's
+propagate workload counts its passes and shifts.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -35,6 +41,15 @@ QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Smallest usable pivot of an odd quarter-turn count.
 _TOL = 1e-12
+
+#: Tables kept per process for each shape or grid they depend on alone.
+_GRID_TABLES = 8
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A cached table, read-only so that no caller can alter a later call's."""
+    array.flags.writeable = False
+    return array
 
 
 def substitution_matrix(theta: float) -> np.ndarray:
@@ -106,24 +121,36 @@ def _chirp_tables(coeff: float, rows: Grid1D, cols: Grid1D) -> tuple[np.ndarray,
             np.exp(phase * np.outer(np.arange(block), j)))
 
 
-def _chirp(spec: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A shear's cross-chirp, multiplied in place through an (..., n/B, B, n) view."""
-    hi, lo = tables
+def _chirp(spec: np.ndarray, tables: tuple, keep: bool = False) -> np.ndarray:
+    """A shear's cross-chirp as one multiply: by a held whole table, else in place through an
+    (..., n/B, B, n) view by hi then lo; `keep` leaves `spec` as it was."""
+    if len(tables) == 1:
+        return np.multiply(spec, tables[0], out=None if keep else spec)
+    (hi, lo), spec = tables, spec.copy() if keep else spec
     view = spec.reshape(spec.shape[:-2] + hi.shape[:1] + lo.shape)
     view *= hi[:, None, :]
     view *= lo
     return view.reshape(spec.shape)
 
 
-def _shear(values: np.ndarray, axis: int, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _shear(values: np.ndarray, axis: int, tables: tuple) -> np.ndarray:
     """One shear: a centred FFT along `axis`, the chirp, the inverse FFT."""
     return _centered_ifft(_chirp(_centered_fft(values, axis=axis), tables), axis=axis)
 
 
+def _quarter_turns(values: np.ndarray, turns: int) -> np.ndarray:
+    """Quarter turns (x, eta) -> (eta, -x) as index maps (batched), each C-contiguous."""
+    neg = (-np.arange(values.shape[-1])) % values.shape[-1]
+    for _ in range(turns):
+        values = np.ascontiguousarray(np.swapaxes(values, -1, -2)[..., neg, :])
+    return values
+
+
+@functools.lru_cache(maxsize=_GRID_TABLES)
 def _checkerboard(rows: int, cols: int) -> np.ndarray:
-    """The frame M = D (x) D of the mixed plane as a table of (-1)^(i+j): by grid's
-    D F D identity, in M quarter turns stay and a shear is _plain_shear."""
-    return np.outer(1.0 - 2.0 * (np.arange(rows) % 2), 1.0 - 2.0 * (np.arange(cols) % 2))
+    """The frame M = D (x) D of the mixed plane as a read-only table of (-1)^(i+j): by grid's
+    D F D identity, in M quarter turns stay and a shear is the chirp between plain passes."""
+    return _frozen(np.outer(1.0 - 2.0 * (np.arange(rows) % 2), 1.0 - 2.0 * (np.arange(cols) % 2)))
 
 
 def _into_frame(values: np.ndarray) -> np.ndarray:
@@ -136,11 +163,11 @@ def _out_of_frame(values: np.ndarray) -> np.ndarray:
     return _fft_pass(values, -1, True) * _checkerboard(*values.shape[-2:])
 
 
-def _plain_shear(values: np.ndarray, axis: int, tables, enter=False, leave=False) -> np.ndarray:
-    """_shear in the frame: the same chirp between plain passes; `enter` takes `values`
-    transformed along `axis` and `leave` returns them so, without that pass."""
-    spec = _chirp(values if enter else _fft_pass(values, axis, False), tables)
-    return spec if leave else _fft_pass(spec, axis, True)
+def _move(values: np.ndarray, at: int | None, to: int | None, keep: bool) -> np.ndarray:
+    """Values transformed along axis `at` (or None) -> along another axis `to` (or None)."""
+    if at is not None:
+        values, keep = _fft_pass(values, at, True, keep), False
+    return values if to is None else _fft_pass(values, to, False, keep)
 
 
 class _Plan:
@@ -158,38 +185,47 @@ class _Plan:
                        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
                        if coeff != 0.0]
 
-    def substitute(self, values: np.ndarray, shear=_shear, spectral=(False, False)) -> np.ndarray:
-        """Substitute the flow at -theta into mixed (x, eta) values (batched).
+    def held(self) -> "_Plan":
+        """This plan with each chirp expanded once into one whole table; its inverse is held too."""
+        held, shape = copy.copy(self), tuple(grid.n for grid in self.grids)
+        held.shears = [(axis, (_chirp(np.ones(shape, complex), tables),))
+                       for axis, tables in self.shears]
+        return held
 
-        Quarter turns are index permutations.  Each shear translates along
-        one axis by a multiple of the other coordinate (`shear`, centred
-        unless the caller works in another frame).  The identity returns
-        `values`.  In the frame, spectral = (enter, leave) takes `values` and
-        returns the result transformed along x, leaving out the pass an x-shear
-        first (after no quarter turn) or last meets there; else it is made.
-        """
-        (enter, leave), axes, out = spectral, [axis for axis, _ in self.shears], values
-        if enter and (self.factorization.quarters or axes[:1] != [-2]):
-            out, enter = _fft_pass(out, -2, True), False
-        neg = (-np.arange(values.shape[-1])) % values.shape[-1]
-        for _ in range(self.factorization.quarters):
-            out = np.swapaxes(out, -1, -2)[..., neg, :]
-        for i, (axis, tables) in enumerate(self.shears):
-            ends = (enter and i == 0, leave and i == len(axes) - 1 and axis == -2)
-            out = shear(out, axis, tables, *ends) if any(ends) else shear(out, axis, tables)
-        return _fft_pass(out, -2, False) if leave and axes[-1:] != [-2] else out
+    def flow(self, values: np.ndarray, enter: int | None, leave: int | None,
+             keep: bool = False) -> np.ndarray:
+        """Substitute the flow at -theta into mixed values (batched) in the frame, given along axis
+        `enter` (-2, -1 or None) and returned along `leave`: each shear chirps along its axis, so
+        passes are made only where neighbouring shears' axes, or an end and `enter` or `leave`,
+        differ; turns take untransformed values.  `keep` leaves `values` as they were."""
+        out, at, turns = values, enter, self.factorization.quarters
+        if turns:
+            out, at = _quarter_turns(_move(out, at, None, keep), turns), None
+        for axis, tables in self.shears:
+            if at != axis:
+                out, at = _move(out, at, axis, keep and out is values), axis
+            out = _chirp(out, tables, keep and out is values)
+        return out if at == leave else _move(out, at, leave, keep and out is values)
+
+    def substitute(self, values: np.ndarray) -> np.ndarray:
+        """flow's substitution on untransformed values with centred shears (_propagate_values)."""
+        out = _quarter_turns(values, self.factorization.quarters)
+        for axis, tables in self.shears:
+            out = _shear(out, axis, tables)
+        return out
 
     def inverse(self) -> "_Plan":
-        """The plan at -theta on the same grids.  On dual grids, where the factorization at -theta
-        mirrors this one (the same even quarter count, shears (-d, -c, -b)), it takes these tables
-        conjugated in reverse order, a fresh build's values (cos is even, sin odd); else fresh."""
+        """The plan at -theta, held if this one is.  Where the factorization at -theta mirrors
+        this one on dual grids (the same even quarter count, shears (-d, -c, -b)), it takes these
+        tables conjugated in reverse order, a fresh build's values (cos even, sin odd); else new."""
         (grid_x, grid_p), (turns, shears) = self.grids, astuple(self.factorization)
         mirror = ShearFactorization(turns, shears and (-shears[2], -shears[1], -shears[0]))
         if turns % 2 or grid_p != grid_x.dual() or shear_factorization(-self.theta) != mirror:
-            return _Plan(grid_x, grid_p, -self.theta)
-        inverse = object.__new__(type(self))
-        vars(inverse).update(grids=self.grids, theta=-self.theta, factorization=mirror, shears=[
-            (axis, (hi.conj(), lo.conj())) for axis, (hi, lo) in self.shears[::-1]])
+            fresh = _Plan(grid_x, grid_p, -self.theta)
+            return fresh.held() if any(len(tables) == 1 for _, tables in self.shears) else fresh
+        inverse = copy.copy(self)
+        inverse.theta, inverse.factorization, inverse.shears = -self.theta, mirror, [
+            (axis, tuple(table.conj() for table in tables)) for axis, tables in self.shears[::-1]]
         return inverse
 
 

@@ -49,8 +49,8 @@ from .grid import (
     _fft_pass,
     _spectral_step,
 )
-from .metaplectic import (_Plan, _checkerboard, _into_frame, _out_of_frame, _plain_shear,
-                          propagate)
+from .metaplectic import (_GRID_TABLES, _Plan, _checkerboard, _frozen, _into_frame,
+                          _out_of_frame, propagate)
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle, wigner_fractional
 
@@ -171,28 +171,19 @@ class ExpectationResult:
 # kernel <-> symbol, exact on the discrete torus
 
 
-#: Grid tables kept per process: the midpoint layout per n and the
-#: derivative matrix per grid.  They depend on the grid alone.
-_GRID_TABLES = 8
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A cached table, read-only so that no caller can alter a later call's."""
-    array.flags.writeable = False
-    return array
-
-
 @functools.lru_cache(maxsize=_GRID_TABLES)
-def _midpoint_layout(n: int) -> tuple[np.ndarray, np.ndarray, slice]:
-    """Flat index of an n x n kernel's midpoint samples, the half-sample vector
-    and the rows of odd separation.  Row r reads K[(v + ceil(s/2)) % n,
-    (v - floor(s/2)) % n] along v at separation s = (-r) % n - n/2, the centred
-    order reversed (a pass over it is an inverse DFT): midpoint x_v + s/2 for
-    even s, exactly, and x_v + 1/2 for odd s; exp(i pi k / n), k from fftfreq,
-    on a spectrum reads it half a sample on, and its conjugate half back."""
+def _midpoint_layout(n: int) -> tuple[np.ndarray, np.ndarray, slice, np.ndarray]:
+    """Flat index of an n x n kernel's midpoint samples, the half-sample vector,
+    the rows of odd separation and the index transposed, the frame dictionary's
+    order.  Row r reads K[(v + ceil(s/2)) % n, (v - floor(s/2)) % n] along v at
+    separation s = (-r) % n - n/2, the centred order reversed (a pass over it is
+    an inverse DFT): midpoint x_v + s/2 for even s, exactly, and x_v + 1/2 for
+    odd s; exp(i pi k / n), k from fftfreq, on a spectrum reads it half a sample
+    on, and its conjugate half back."""
     s, v = (-np.arange(n)[:, None]) % n - n // 2, np.arange(n)
-    return (_frozen((v - (-s) // 2) % n * n + (v - s // 2) % n),
-            _frozen(np.exp(1j * np.pi * np.fft.fftfreq(n))), slice(1 - n // 2 % 2, None, 2))
+    flat = _frozen((v - (-s) // 2) % n * n + (v - s // 2) % n)
+    return (flat, _frozen(np.exp(1j * np.pi * np.fft.fftfreq(n))), slice(1 - n // 2 % 2, None, 2),
+            _frozen(flat.T.ravel()))
 
 
 def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
@@ -203,7 +194,7 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
     over separations lands on the dual grid between the centred transform's
     signs (-1)^s (in the odd rows' multiplier) and (-1)^m n dx.
     """
-    grid, (flat, half, odd) = kernel.grid, _midpoint_layout(kernel.grid.n)
+    grid, (flat, half, odd, _) = kernel.grid, _midpoint_layout(kernel.grid.n)
     rows = np.take(kernel.values, flat)
     rows[odd] = _fft_pass(_fft_pass(rows[odd], -1, False) * -half.conj(), -1, True)
     spec = _fft_pass(rows, -2, True)
@@ -214,7 +205,7 @@ def kernel_to_symbol(kernel: OperatorKernel) -> Symbol2D:
 def symbol_to_kernel(symbol: Symbol2D) -> OperatorKernel:
     """Kernel of a symbol; runs kernel_to_symbol backwards step by step and
     places the midpoint samples by assignment through the same index."""
-    grid, (flat, half, odd) = symbol.grid_x, _midpoint_layout(symbol.grid_x.n)
+    grid, (flat, half, odd, _) = symbol.grid_x, _midpoint_layout(symbol.grid_x.n)
     rows = _fft_pass(symbol.values.T * (_checkerboard(grid.n, 1) / (grid.n * grid.dx)), -2, False)
     rows[odd] = _fft_pass(_fft_pass(rows[odd], -1, False) * -half, -1, True)
     values = np.empty(flat.size, dtype=np.complex128)
@@ -226,11 +217,11 @@ def _frame_kernels(spec: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Kernels (..., n, n) of symbols on grid and its dual held in the spectral frame (xi, eta),
     up to its sign (-1)^(n/2); consumes `spec`.  eta is the layout's separation (F_c F_c = n R),
     F_x D F_x^-1 rolls by n/2: odd rows take the rolled half shift, one inverse x pass, scatter."""
-    n, (flat, half, odd) = grid.n, _midpoint_layout(grid.n)
+    n, (_, half, odd, order) = grid.n, _midpoint_layout(grid.n)
     spec[..., odd] *= np.roll(half, n // 2)[:, None]
     values = _fft_pass(spec, -2, True)
     values *= _checkerboard(n, n) / (n * grid.dx)
-    kernels, order = np.empty_like(values), flat.T.ravel()
+    kernels = np.empty_like(values)
     for kernel, samples in zip(kernels.reshape(-1, n * n), values.reshape(-1, n * n)):
         kernel[order] = samples
     return kernels
@@ -238,8 +229,8 @@ def _frame_kernels(spec: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 def _frame_symbols(kernels: np.ndarray, grid: Grid1D) -> np.ndarray:
     """The exact inverse of _frame_kernels: a gather, one forward x pass, the conjugate shift."""
-    n, (flat, half, odd) = grid.n, _midpoint_layout(grid.n)
-    values = np.take(kernels.reshape(-1, n * n), flat.T.ravel(), axis=-1).reshape(kernels.shape)
+    n, (_, half, odd, order) = grid.n, _midpoint_layout(grid.n)
+    values = np.take(kernels.reshape(-1, n * n), order, axis=-1).reshape(kernels.shape)
     values *= _checkerboard(n, n) * (n * grid.dx)
     spec = _fft_pass(values, -2, False)
     spec[..., odd] *= np.roll(half, n // 2)[:, None].conj()
@@ -521,12 +512,11 @@ def theta_product(
         raise ConfigurationError(f"unknown star product method {method!r}")
     grid = a.grid_x
     pull = _Plan(grid, grid.dual(), back)
-    spec = pull.substitute(_into_frame(np.stack((a.values, b.values))), _plain_shear, (False, True))
+    spec = pull.flow(_into_frame(np.stack((a.values, b.values))), None, -2)
     # each factor's sign (-1)^(n/2) cancels in the product, composed as OperatorKernel.compose
     kernels = _frame_kernels(spec, grid)
     spec = _frame_symbols((-1) ** (grid.n // 2) * grid.dx * np.matmul(*kernels), grid)
-    return Symbol2D(grid, grid.dual(), _out_of_frame(
-        pull.inverse().substitute(spec, _plain_shear, (True, False))))
+    return Symbol2D(grid, grid.dual(), _out_of_frame(pull.inverse().flow(spec, -2, None)))
 
 
 # --------------------------------------------------------------------------

@@ -34,12 +34,14 @@ from phasekit.grid import (
     SampledFunction1D,
     _centered_fft,
     _fft_pass,
+    fourier_1d,
 )
-from phasekit.metaplectic import _Plan, _chirp, _into_frame
+from phasekit.metaplectic import _Plan, _chirp, _into_frame, _propagate_values
 from phasekit.symplectic import THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
+    expectation,
     kernel_to_symbol,
     polynomial_symbol,
     symbol_oscillator,
@@ -248,6 +250,45 @@ def test_direct_spectrum_reports_the_wrap_defect():
     assert report.pairing == {0: 0, 1: 1}
     assert np.array_equal(report.eigenvalues, report.reference_eigenvalues[:2])
     assert np.all(report.residuals > 1e-2)
+
+
+def test_cluster_residual_is_the_worst_over_every_eigenstate_window():
+    # the ground cluster's residual is the worst over the lifts against all
+    # n eigenstate windows, each lift taken here by the centred propagator
+    # and the action applied on the plane; the worst is the last window's
+    # (12.10), so leaving out a window shows (8.84 without it)
+    grid = Grid1D.centered(32, 6.0)
+    symbol = symbol_oscillator(grid)
+    report = bopp_spectrum(symbol, 1, _window(grid), "bopp_direct")
+    op = PhaseOperator(symbol, "bopp_direct")
+    h = grid.dx * op.kernel().values
+    levels, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    vectors = vectors / math.sqrt(grid.dx)
+    residuals = []
+    for j in range(grid.n):
+        row = fourier_1d(SampledFunction1D(grid, vectors[:, j])).values.conj()
+        lift = _propagate_values(np.outer(vectors[:, 0], row), grid, grid.dual(), THETA_WIGNER)
+        defect = op.apply(PhaseFunction2D(grid, grid.dual(), lift)).values - levels[0] * lift
+        residuals.append(np.linalg.norm(defect) / np.linalg.norm(lift))
+    assert report.residuals[0] == pytest.approx(max(residuals), rel=1e-9)
+    assert int(np.argmax(residuals)) == grid.n - 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_relative_self_adjoint_defect_of_2e_5_is_refused_and_warned():
+    # the oscillator's kernel plus 1e-5 max|K| i I deviates from
+    # conj-symmetry by 2e-5 relative, far above SELF_ADJOINT_TOL: both
+    # harnesses refuse its symbol and expectation warns
+    grid = Grid1D.centered(16, 5.0)
+    K = PhaseOperator(symbol_oscillator(grid)).kernel().values
+    symbol = kernel_to_symbol(OperatorKernel(grid, K + 1e-5 * np.abs(K).max() * 1j * np.eye(16)))
+    window, psi0 = _window(grid), states.coherent(grid, 0.8)
+    with pytest.raises(ConfigurationError, match="requires a self-adjoint operator"):
+        bopp_spectrum(symbol, 1, window)
+    with pytest.raises(ConfigurationError, match="requires a self-adjoint operator"):
+        evolve_pair(symbol, psi0, window, 1.0, 2)
+    with pytest.warns(UserWarning, match="deviates from self-adjointness"):
+        assert not expectation(symbol, psi0).self_adjoint
 
 
 def test_spectrum_refuses_grids_above_the_dense_cap():
@@ -565,16 +606,23 @@ def test_conjugated_action_with_held_plans_is_the_spectral_frame_route():
 
 
 def test_held_maps_expand_their_chirps_once(monkeypatch):
-    # the held flows expand the two chirps of the plan at THETA_WIGNER and
-    # the two of its inverse into whole tables once; the conjugated action
-    # and the lifts built on them, and applying either, make no hi/lo chirp
+    # the held plan expands the two hi/lo chirps of the plan at THETA_WIGNER
+    # into whole tables once and its inverse takes them mirrored; the
+    # conjugated action and the lifts built on them, and applying either,
+    # chirp by whole tables alone: 4 per action, 2 per lift
     grid = Grid1D.centered(32, 6.0)
     rng = np.random.default_rng(29)
     batch = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
     op = PhaseOperator(symbol_oscillator(grid))
-    chirps = count_calls(monkeypatch, bopp, ("_chirp",))
+    chirps, chirp = [], metaplectic._chirp
+
+    def recorded(spec, tables, *args):
+        chirps.append("whole" if len(tables) == 1 else "hi/lo")
+        return chirp(spec, tables, *args)
+
+    monkeypatch.setattr(metaplectic, "_chirp", recorded)
     _, flows, lifts = _held_maps(op, grid, _window(grid))
-    assert len(chirps) == 4
+    assert chirps == ["hi/lo"] * 2
     chirps.clear()
     action, lift = _action(op, grid, grid.dual(), None, flows), lifts()
     for _ in range(3):
@@ -582,15 +630,16 @@ def test_held_maps_expand_their_chirps_once(monkeypatch):
         action(batch[0])
         lift(batch[0])
         lift(batch[0, 0])
-    assert chirps == []
+    assert chirps == ["whole"] * 3 * (4 + 4 + 2 + 2)
 
 
-@pytest.mark.parametrize("representation,plans", [
+@pytest.mark.parametrize("representation,sheared", [
     ("bopp_conjugated", 1), ("bopp_direct", 1), ("extended", 0)])
-def test_each_harness_call_builds_one_plan(monkeypatch, representation, plans):
-    # the plan at THETA_WIGNER is built once per call and its inverse takes
-    # its two tables mirrored, for the conjugated action and the lifts alike;
-    # the direct route's lifts need the plan too, extended ones none
+def test_each_harness_call_builds_one_plan(monkeypatch, representation, sheared):
+    # each call builds one plan: at THETA_WIGNER its two tables, which its
+    # inverse takes mirrored, for the conjugated action and the lifts alike
+    # (the direct route's lifts need the plan too); for extended the
+    # identity plan, with no table
     grid = Grid1D.centered(16, 5.0)
     window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
     built = count_calls(monkeypatch, bopp, ("_Plan",))
@@ -600,7 +649,7 @@ def test_each_harness_call_builds_one_plan(monkeypatch, representation, plans):
         built.clear()
         tables.clear()
         run()
-        assert built == ["_Plan"] * plans and tables == ["_chirp_tables"] * 2 * plans
+        assert built == ["_Plan"] and tables == ["_chirp_tables"] * 2 * sheared
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():

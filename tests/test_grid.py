@@ -16,7 +16,6 @@ from phasekit.grid import (
     _centered_ifft,
     _fft_pass,
     conjugate,
-    fft_workers,
     fourier_1d,
     tensor_outer,
 )
@@ -178,15 +177,6 @@ def test_tensor_outer_and_conjugate():
     F = tensor_outer(f, h)
     assert F.values[3, 7] == pytest.approx(f.values[3] * h.values[7])
     assert np.array_equal(conjugate(f).values, np.conj(f.values))
-
-
-def test_fft_workers_env(monkeypatch):
-    monkeypatch.delenv("PHASEKIT_THREADS", raising=False)
-    assert fft_workers() == 1
-    monkeypatch.setenv("PHASEKIT_THREADS", "4")
-    assert fft_workers() == 4
-    monkeypatch.setenv("PHASEKIT_THREADS", "not-a-number")
-    assert fft_workers() == 1
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (3, 8, 16), (6,)])

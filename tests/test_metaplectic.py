@@ -19,7 +19,8 @@ from phasekit.metaplectic import (
     ShearFactorization,
     _Plan,
     _chirp_tables,
-    _plain_shear,
+    _into_frame,
+    _out_of_frame,
     _propagate_values,
     generator_apply,
     propagate,
@@ -295,24 +296,64 @@ def test_inverse_plan_mirrors_at_even_turns_both_ways(theta, turns, inverse_turn
     THETA_WIGNER - 0.4, THETA_WIGNER - 1.0, 0.3, THETA_WIGNER, -THETA_WIGNER, 0.0, PERIOD / 2])
 @pytest.mark.parametrize("spectral", [(True, False), (False, True), (True, True)])
 def test_spectral_ends_leave_out_or_make_the_x_pass(monkeypatch, theta, spectral):
-    # on F_x-transformed values it is the frame substitute between an inverse
-    # and a forward x pass; an x-shear at that end (the first after no quarter
-    # turn) leaves its pass out, any other end makes it
+    # on F_x-transformed values it is the frame flow between an inverse and a
+    # forward x pass; an x-shear at that end (the first after no quarter
+    # turn) leaves its pass out, as does the other x end where the plan has
+    # no factor at all, and any other end makes it
     grid = Grid1D.centered(18, 4.0)
     plan = _Plan(grid, grid.dual(), theta)
     rng = np.random.default_rng(3)
     values = rng.standard_normal((2, 18, 18)) + 1j * rng.standard_normal((2, 18, 18))
     enter, leave = spectral
     want = _fft_pass(values, -2, True, keep=True) if enter else values.copy()
-    want = plan.substitute(want, _plain_shear)
+    want = plan.flow(want, None, None)
     want = _fft_pass(want, -2, False) if leave else want
-    axes = [axis for axis, _ in plan.shears]
-    folds = ((enter and plan.factorization.quarters == 0 and axes[:1] == [-2])
-             + (leave and axes[-1:] == [-2]))
+    axes, turns = [axis for axis, _ in plan.shears], plan.factorization.quarters
+    folds = ((enter and turns == 0 and axes[:1] == [-2]) + (leave and axes[-1:] == [-2])
+             + (enter and leave and turns == 0 and axes == []))
     passes = count_fft_passes(monkeypatch)
-    got = plan.substitute(values.copy(), _plain_shear, spectral)
+    got = plan.flow(values.copy(), -2 if enter else None, -2 if leave else None)
     assert len(passes) == 2 * len(axes) + enter + leave - 2 * folds
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("theta", [THETA_WIGNER - 1.0, THETA_WIGNER - 2.2, PERIOD / 2])
+def test_quarter_turns_return_c_contiguous_batches(theta):
+    # the star product's pulls at 1.0 and 2.2 turn once and three times
+    # before their shears, the half period turns twice and has no shear; a
+    # batch comes back C-contiguous and bit for bit its slices' results, from
+    # the frame flow at either end and from the centred substitute
+    grid = Grid1D.centered(128, 8.0)
+    plan = _Plan(grid, grid.dual(), theta)
+    assert plan.factorization.quarters
+    rng = np.random.default_rng(13)
+    batch = rng.standard_normal((3, 128, 128)) + 1j * rng.standard_normal((3, 128, 128))
+    for run in (lambda v: plan.flow(v, None, None), lambda v: plan.flow(v, None, -2),
+                plan.substitute):
+        got = run(batch.copy())
+        assert got.flags.c_contiguous
+        for k in range(3):
+            assert np.array_equal(got[k], run(batch[k].copy()))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 30, 126])
+def test_frame_flow_between_the_crossings_is_the_propagator(n):
+    # _propagate_values keeps the centred substitute; in the frame, between
+    # the crossings, the flow gives its values bit for bit at n divisible by
+    # 4 at every nonzero angle (at 0 the propagator is an exact copy), and
+    # to rounding at n = 2 mod 4, where each crossing signs by (-1)^(n/2)
+    grid = Grid1D.centered(n, 7.0)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    angles = [theta for theta in np.linspace(-2.5, 2.5, 23) if theta != 0.0]
+    assert len(angles) == 22
+    for theta in angles:
+        got = _out_of_frame(_Plan(grid, grid.dual(), theta).flow(_into_frame(values), None, None))
+        want = _propagate_values(values, grid, grid.dual(), theta)
+        if n % 4 == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n", [2, 6, 10, 32, 254, 256])

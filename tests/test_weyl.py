@@ -16,7 +16,7 @@ from phasekit.grid import (
     Grid1D,
     SampledFunction1D,
 )
-from phasekit.metaplectic import _Plan, shear_factorization
+from phasekit.metaplectic import _Plan, _checkerboard, shear_factorization
 from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import (
     OperatorKernel,
@@ -112,7 +112,7 @@ def test_even_separations_read_the_kernel_exactly(n):
     # no interpolation; at odd s the pair whose midpoint is x_v + 1/2.  Row r
     # holds s = (-r) % n - n/2, every s from -n/2 to n/2 - 1 once
     K = _random_kernel(n, n + 2)
-    flat, _, odd = _midpoint_layout(n)
+    flat, _, odd, _ = _midpoint_layout(n)
     rows = np.take(K, flat)
     v = np.arange(n)
     separations = (-v) % n - n // 2
@@ -126,10 +126,16 @@ def test_even_separations_read_the_kernel_exactly(n):
 
 
 def test_grid_tables_are_built_once_and_read_only():
+    # the layout with its transposed order (the frame dictionary's), the
+    # derivative matrix and the checkerboard of each shape
     grid = Grid1D.centered(16, 6.0)
-    flat, half, _ = _midpoint_layout(16)
-    tables = (flat, half, _derivative_matrix(grid))
-    again = (*_midpoint_layout(16)[:2], _derivative_matrix(Grid1D.centered(16, 6.0)))
+    flat, half, _, order = _midpoint_layout(16)
+    assert np.array_equal(order, flat.T.ravel())
+    tables = (flat, half, order, _derivative_matrix(grid), _checkerboard(16, 16),
+              _checkerboard(1, 16))
+    again = (*_midpoint_layout(16)[:2], _midpoint_layout(16)[3],
+             _derivative_matrix(Grid1D.centered(16, 6.0)), _checkerboard(16, 16),
+             _checkerboard(1, 16))
     assert _midpoint_layout(16) is _midpoint_layout(16)
     for table, repeat in zip(tables, again):
         assert table is repeat
@@ -145,7 +151,7 @@ def test_dictionary_matches_uncached_pair_index_gather(n):
     # the flat take and assignment must reproduce bit for bit
     grid = Grid1D.centered(n, 6.0)
     K = _random_kernel(n, n + 1)
-    flat, half, odd = _midpoint_layout.__wrapped__(n)
+    flat, half, odd, _ = _midpoint_layout.__wrapped__(n)
     pairs = np.divmod(flat, n)
     rows = K[pairs]
     rows[odd] = np.fft.ifft(np.fft.fft(rows[odd], axis=1) * -half.conj(), axis=1)
@@ -184,7 +190,7 @@ def test_mccoy_kernel_same_with_uncached_derivative_matrix(monkeypatch):
 def test_scatter_order_and_derivative_powers_are_cached_and_read_only():
     # the layout's flat index is also the order symbol_to_kernel places by
     grid = Grid1D.centered(16, 6.0)
-    flat, _, _ = _midpoint_layout(16)
+    flat, _, _, _ = _midpoint_layout(16)
     assert np.array_equal(np.sort(flat, axis=None), np.arange(16 * 16))
     assert _derivative_power(grid, 1) is _derivative_matrix(grid)
     for table, repeat in ((flat, _midpoint_layout(16)[0]),
