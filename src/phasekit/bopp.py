@@ -19,8 +19,9 @@ the phase side by a Lanczos exponential.  One batched map per realization
 x-transform of metaplectic's checkerboard frame, where both harnesses lift,
 measure and evolve.  The extension is the conjugation with the identity for
 U(THETA_WIGNER), so its map and lifts and the Bopp ones run one held plan's
-frame flow (_held_plan).  The harnesses' one preamble (_harness) refuses grids
-above DENSE_MAX_N points per axis, holds that plan and runs the 1D eigensolve.
+frame flow (_held_plan), built once per process by metaplectic's plan cache.
+The harnesses' one preamble (_harness) refuses grids above DENSE_MAX_N points
+per axis, builds the lifts and runs the 1D eigensolve.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .grid import (
     SQRT_TWO_PI,
     _fft_pass,
 )
-from .metaplectic import _Plan, _checkerboard, _into_frame, _out_of_frame, _propagate_values
+from .metaplectic import (_Plan, _checkerboard, _into_frame, _out_of_frame, _plan,
+                          _propagate_values)
 from .symplectic import THETA_WIGNER
 from .weyl import (
     OperatorKernel,
@@ -148,7 +150,7 @@ class EvolutionResult:
 def _held_plan(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D) -> tuple[_Plan, int]:
     """The held plan at op's lift angle and the axis its flows meet the kernel along: at
     THETA_WIGNER eta, the plan's first shear's; for extended the identity at 0, so x, no pass."""
-    plan = _Plan(grid_x, grid_p, 0.0 if op.representation == "extended" else THETA_WIGNER).held()
+    plan = _plan(grid_x, grid_p, 0.0 if op.representation == "extended" else THETA_WIGNER, True)
     return plan, next((axis for axis, _ in plan.shears), -2)
 
 
@@ -157,20 +159,18 @@ def _in_plane(action: Callable[[np.ndarray], np.ndarray], values: np.ndarray) ->
     return _out_of_frame(_fft_pass(action(_fft_pass(_into_frame(values), -2, False)), -2, True))
 
 
-def _action(
-    op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
-    kernel_values: np.ndarray | None = None, held: tuple | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+def _action(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
+            kernel_values: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The operator's map on raw (..., n, n) values in the spectral frame (xi, eta), F_x of the
     mixed plane (x, eta), eta p's dual, in the checkerboard frame M; it keeps its argument.  With
     K = kernel_values (default dx times the kernel), bopp_direct composes K with the values'
     kernel (weyl's frame dictionary, 2 passes); the others apply D K D (conjugated by F_x along
-    x) between the flows of the held plan's inverse and the plan (held, else _held_plan)."""
+    x) between the flows of the held plan's inverse and the plan (_held_plan)."""
     if kernel_values is None:
         kernel_values = grid_x.dx * op.kernel().values
     if op.representation == "bopp_direct":
         return lambda v: _frame_symbols(kernel_values @ _frame_kernels(v.copy(), grid_x), grid_x)
-    plan, middle = held or _held_plan(op, grid_x, grid_p)
+    plan, middle = _held_plan(op, grid_x, grid_p)
     kernel_values = kernel_values * _checkerboard(grid_x.n, grid_x.n)
     if middle == -2:
         kernel_values = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
@@ -180,13 +180,13 @@ def _action(
 
 
 def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
-    """The lift angle, op's held plan (_held_plan) for the lifts and the action, and lifts(rows),
-    which lifts states psi (last axis) against windows w of rows F(D conj(FT w)), if any, then the
-    caller's, to U(angle)(psi (x) conj(FT w)) in the spectral frame: (D psi) (x) row, passed along
-    the kernel axis, x or eta (the caller's row twice: F F = n R, R the reversal), then flowed."""
+    """The lift angle of op's held plan (_held_plan) and lifts(rows), which lifts states psi
+    (last axis) against windows w of rows F(D conj(FT w)), if any, then the caller's, to
+    U(angle)(psi (x) conj(FT w)) in the spectral frame: (D psi) (x) row, passed along the kernel
+    axis, x or eta (the caller's row twice: F F = n R, R the reversal), then flowed."""
     if not grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
-    held = plan, middle = _held_plan(op, grid, grid.dual())
+    plan, middle = _held_plan(op, grid, grid.dual())
     along_x, sign = middle == -2, _checkerboard(1, grid.n)[0]
     row = window.transform.values.conj() * sign
 
@@ -197,7 +197,7 @@ def _held_maps(op: PhaseOperator, grid: Grid1D, window: Window) -> tuple:
         return lambda psi: plan.flow((_fft_pass(psi * sign, -1, False) if along_x else psi * sign)
                                      [..., :, None] * rows[..., None, :], middle, -2)
 
-    return plan.theta, held, lifts
+    return plan.theta, lifts
 
 
 def bopp_intertwining_residual(
@@ -219,10 +219,10 @@ def bopp_intertwining_residual(
     if not psi.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match the operator grid")
     # centred lifts of psi and K psi, checked against the action in the frame
-    plane, (angle, held, _) = (psi.grid, psi.grid.dual()), _held_maps(op, psi.grid, window)
+    plane, (angle, _) = (psi.grid, psi.grid.dual()), _held_maps(op, psi.grid, window)
     seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
     lift, lifted = _propagate_values(seeds * window.transform.values.conj(), *plane, angle)
-    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values, held), lift)
+    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values), lift)
     defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
     if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()):
         warnings.warn("lifted reference is numerically zero; returning the absolute "
@@ -272,8 +272,8 @@ def _require_count(name: str, value: int) -> None:
 def _harness(symbol: Symbol2D, representation: str, window: Window, given: Grid1D, what: str,
              mismatch: str):
     """Both harnesses' preamble: the operator and kernel, refused unless self-adjoint, on the
-    caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points; the plan and lifts
-    of _held_maps; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
+    caller's `given` grid (else `mismatch`) and within DENSE_MAX_N points; the lifts of
+    _held_maps; then the symmetrized 1D operator h = dx (K + K^H)/2 and its eigh."""
     op = PhaseOperator(symbol, representation)
     kernel = op.kernel()
     self_adjoint, defect = _self_adjoint(kernel)
@@ -283,10 +283,10 @@ def _harness(symbol: Symbol2D, representation: str, window: Window, given: Grid1
     if not given.matches(kernel.grid):
         raise ConfigurationError(mismatch)
     grid = _plane_grid(op)  # refused above the cap
-    _, held, lifts = _held_maps(op, grid, window)
+    _, lifts = _held_maps(op, grid, window)
     h = grid.dx * kernel.values
     h = (h + h.conj().T) / 2.0
-    return op, kernel, held, lifts, h, *np.linalg.eigh(h)
+    return op, kernel, lifts, h, *np.linalg.eigh(h)
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[slice]:
@@ -317,7 +317,7 @@ def bopp_spectrum(
     _require_count("count", count)
     if not (math.isfinite(gap) and gap >= 0):
         raise ConfigurationError(f"gap must be finite and nonnegative, got {gap}")
-    op, kernel, held, lifts, _, ref_vals, ref_vecs = _harness(
+    op, kernel, lifts, _, ref_vals, ref_vecs = _harness(
         symbol, representation, window, window.grid, "the spectral harness",
         "window grid does not match the operator grid")
     grid, ref_vecs = kernel.grid, ref_vecs / math.sqrt(kernel.grid.dx)
@@ -327,7 +327,7 @@ def bopp_spectrum(
                                  f"only {len(clusters)} at gap {gap:.1e}")
     clusters = clusters[:count]
 
-    action = _action(op, grid, grid.dual(), grid.dx * kernel.values, held)
+    action = _action(op, grid, grid.dual(), grid.dx * kernel.values)
     # the n eigenstate windows, then the caller's, in one batch per member;
     # for w_j the eigenstate's (dx/sqrt(2 pi)) F_c psi_j, F conj F = n conj
     # spares the pass: its row F(D conj(FT w_j)) is that factor times conj(D psi_j)
@@ -438,7 +438,7 @@ def evolve_pair(
     _require_count("steps", steps)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ConfigurationError(f"t_final must be finite and nonnegative, got {t_final}")
-    op, kernel, held, lifts, h, vals, vecs = _harness(
+    op, kernel, lifts, h, vals, vecs = _harness(
         symbol, representation, window, psi0.grid, "paired evolution",
         "initial state grid does not match the operator")
     grid, n = kernel.grid, kernel.grid.n
@@ -447,7 +447,7 @@ def evolve_pair(
     states = (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None])).T
 
     lifts = lifts()(np.concatenate((psi0.values[None], states)))
-    action = _action(op, grid, grid.dual(), h, held)
+    action = _action(op, grid, grid.dual(), h)
     # a unitary change of basis leaves Lanczos unchanged: run it in the frame
     mixed, dims = _krylov_evolve(lambda v: action(v.reshape(n, n)).reshape(-1),
                                  lifts[0].reshape(-1), times)

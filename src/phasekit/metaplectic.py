@@ -8,20 +8,19 @@ form in theta; every factor is exactly unitary on the grid (index permutations, 
 unit-modulus cross-chirps), so U preserves discrete norms to rounding.  A shear whose
 coefficient is exactly 0 is skipped: at +-THETA_WIGNER, the midpoint map
 [[1, -1/2], [1, 1/2]], the closed form gives one, so U costs 6 FFT passes there and 8 at a
-generic angle.  A plan holds one angle's factorization and chirp tables, and its inverse
-(at -theta) alone decides when mirrored factorizations share those tables.  It applies them
-by one frame flow, in the checkerboard frame where plain passes stand for centred ones, on
-values transformed along either axis or neither; held() expands each chirp once into a whole
-table.  The centred substitute is kept for _propagate_values alone, because the benchmark's
-propagate workload counts its passes and shifts.
+generic angle.  A plan holds one angle's factorization and read-only chirp tables (one
+whole table per chirp if held) and applies them by one frame flow, in the checkerboard frame
+where plain passes stand for centred ones, on values transformed along either axis or
+neither.  Callers that repeat an angle take plans from _plan, built once per process;
+_propagate_values, whose callers bring arbitrary angles, builds its own and alone keeps the
+centred substitute, because the benchmark's propagate workload counts its passes and shifts.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .grid import (
     _fft_pass,
     _spectral_step,
 )
-from .symplectic import FREQUENCY, flow_matrix, plane_block
+from .symplectic import FREQUENCY, _flow_phase, flow_matrix, plane_block
 
 #: Substitution matrix of the quarter turn (x, eta) -> (eta, -x).
 QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -42,7 +41,7 @@ QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: Smallest usable pivot of an odd quarter-turn count.
 _TOL = 1e-12
 
-#: Tables kept per process for each shape or grid they depend on alone.
+#: Tables or plans kept per process for each shape, grid or (grids, angle) they depend on.
 _GRID_TABLES = 8
 
 
@@ -84,9 +83,7 @@ def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactor
     that choice keeps off 0; even m on +-4S, with outer shears (+-1 - r)/4,
     r = sqrt(7)*tan(phi/2) (m = 0) or -sqrt(7)*cot(phi/2) (m = 2), free of 1/c.
     """
-    phi = FREQUENCY * theta
-    if not math.isfinite(phi):
-        raise ConfigurationError(f"flow phase sqrt(7)*theta is not finite at theta={theta}")
+    phi = _flow_phase(theta)
     half_turns = round(phi / math.pi)
     if abs(phi - half_turns * math.pi) <= 2.0 * np.finfo(float).eps * abs(phi):
         if half_turns % 2 and not allow_quarter:
@@ -171,26 +168,22 @@ def _move(values: np.ndarray, at: int | None, to: int | None, keep: bool) -> np.
 
 
 class _Plan:
-    """U(theta) on one pair of centred grids: the factorization and each
-    nonzero shear's (axis, chirp tables) in `shears`, built once; a caller
-    that repeats an angle holds its plan, and asks it for U(-theta)."""
+    """U(theta) on one pair of centred grids: the factorization and each nonzero shear's
+    (axis, read-only chirp tables) in `shears`, built once; if `held`, each chirp is expanded
+    into one whole table.  A caller that repeats an angle takes its plan from _plan."""
 
-    def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float):
-        self.grids, self.theta = (grid_x, grid_p), theta
+    def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float, held: bool = False):
+        self.grids, self.theta, self.held = (grid_x, grid_p), theta, held
         grid_e = grid_p.dual()
         self.factorization = shear_factorization(theta, grid_x.matches(grid_e))
         along = {-2: (grid_x.dual(), grid_e), -1: (grid_x, grid_e.dual())}
-        # exp(0) = 1: an exactly zero shear is a transform round trip and no more
-        self.shears = [(axis, _chirp_tables(coeff, *along[axis]))
-                       for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ())
-                       if coeff != 0.0]
-
-    def held(self) -> "_Plan":
-        """This plan with each chirp expanded once into one whole table; its inverse is held too."""
-        held, shape = copy.copy(self), tuple(grid.n for grid in self.grids)
-        held.shears = [(axis, (_chirp(np.ones(shape, complex), tables),))
-                       for axis, tables in self.shears]
-        return held
+        self.shears = []
+        for axis, coeff in zip((-2, -1, -2), self.factorization.shears or ()):
+            if coeff != 0.0:  # exp(0) = 1: a zero shear is a transform round trip and no more
+                tables = _chirp_tables(coeff, *along[axis])
+                if held:
+                    tables = (_chirp(np.ones((grid_x.n, grid_p.n), complex), tables),)
+                self.shears.append((axis, tuple(map(_frozen, tables))))
 
     def flow(self, values: np.ndarray, enter: int | None, leave: int | None,
              keep: bool = False) -> np.ndarray:
@@ -215,18 +208,14 @@ class _Plan:
         return out
 
     def inverse(self) -> "_Plan":
-        """The plan at -theta, held if this one is.  Where the factorization at -theta mirrors
-        this one on dual grids (the same even quarter count, shears (-d, -c, -b)), it takes these
-        tables conjugated in reverse order, a fresh build's values (cos even, sin odd); else new."""
-        (grid_x, grid_p), (turns, shears) = self.grids, astuple(self.factorization)
-        mirror = ShearFactorization(turns, shears and (-shears[2], -shears[1], -shears[0]))
-        if turns % 2 or grid_p != grid_x.dual() or shear_factorization(-self.theta) != mirror:
-            fresh = _Plan(grid_x, grid_p, -self.theta)
-            return fresh.held() if any(len(tables) == 1 for _, tables in self.shears) else fresh
-        inverse = copy.copy(self)
-        inverse.theta, inverse.factorization, inverse.shears = -self.theta, mirror, [
-            (axis, tuple(table.conj() for table in tables)) for axis, tables in self.shears[::-1]]
-        return inverse
+        """The plan at -theta, held if this one is, from _plan."""
+        return _plan(*self.grids, -self.theta, self.held)
+
+
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _plan(grid_x: Grid1D, grid_p: Grid1D, theta: float, held: bool) -> _Plan:
+    """_Plan(grid_x, grid_p, theta, held), built once per process for callers repeating an angle."""
+    return _Plan(grid_x, grid_p, theta, held)
 
 
 def _propagate_values(

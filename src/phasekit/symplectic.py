@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import ConfigurationError
+
 #: Natural frequency of the closed-form flow.
 FREQUENCY = float(np.sqrt(7.0))
 
@@ -32,16 +34,23 @@ SYMPLECTIC_J = np.array(
     ]
 )
 
+def _flow_phase(theta: float) -> float:
+    """sqrt(7)*theta, the flow's trigonometric argument, refused where it is not finite."""
+    if not np.isfinite(phase := FREQUENCY * theta):
+        raise ConfigurationError(f"flow phase sqrt(7)*theta is not finite at theta={theta}")
+    return phase
+
+
 def flow_matrix(theta: float) -> np.ndarray:
     """The 4x4 flow at parameter theta, acting on (x, p, xi_x, xi_p).
 
     Each mixed plane evolves by the same 2x2 rotation-shear:
     coordinate' = coordinate*(cos - sin/k) + dual*(2 sin/k),
     dual' = dual*(cos + sin/k) - coordinate*(4 sin/k), with k = sqrt(7)
-    and trigonometric argument k*theta.
+    and trigonometric argument k*theta (_flow_phase).
     """
-    c = np.cos(FREQUENCY * theta)
-    s = np.sin(FREQUENCY * theta) / FREQUENCY
+    phase = _flow_phase(theta)
+    c, s = np.cos(phase), np.sin(phase) / FREQUENCY
     cm = c - s
     cp = c + s
     g = 2.0 * s

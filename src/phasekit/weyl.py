@@ -49,8 +49,8 @@ from .grid import (
     _fft_pass,
     _spectral_step,
 )
-from .metaplectic import (_GRID_TABLES, _Plan, _checkerboard, _frozen, _into_frame,
-                          _out_of_frame, propagate)
+from .metaplectic import (_GRID_TABLES, _checkerboard, _frozen, _into_frame, _out_of_frame,
+                          _plan, propagate)
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle, wigner_fractional
 
@@ -493,7 +493,8 @@ def theta_product(
     Pulls both factors back to the standard angle, multiplies there, and
     pushes the result forward; the kernel route is one pipeline in the
     checkerboard frame, one plan on grid_x and its dual pulls both factors
-    and its inverse pushes the product.  Where propagator and dictionary
+    and its inverse pushes the product; both come from the plan cache, so a
+    repeated angle builds neither again.  Where propagator and dictionary
     meet, F_c F_c = n R is the layout's order R and each x pass pair folds.
     At the standard angle itself it is moyal_product, bit for bit.
     """
@@ -511,7 +512,7 @@ def theta_product(
     if method not in (None, "kernel"):
         raise ConfigurationError(f"unknown star product method {method!r}")
     grid = a.grid_x
-    pull = _Plan(grid, grid.dual(), back)
+    pull = _plan(grid, grid.dual(), back, False)
     spec = pull.flow(_into_frame(np.stack((a.values, b.values))), None, -2)
     # each factor's sign (-1)^(n/2) cancels in the product, composed as OperatorKernel.compose
     kernels = _frame_kernels(spec, grid)

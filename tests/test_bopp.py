@@ -400,7 +400,7 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     # batched plain inverse pass along each axis and M bring the checkpoints
     # back to the plane
     M = _checkerboard(grid.n)
-    lift0 = _held_maps(op, grid, window)[2]()(psi0.values)
+    lift0 = _held_maps(op, grid, window)[1]()(psi0.values)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
     krylov = (scipy.fft.ifft(scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-2), axis=-1)
@@ -460,7 +460,7 @@ def _harness_start(n, half_width, representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     h = grid.dx * op.kernel().values
     action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
-    start = _held_maps(op, grid, _window(grid))[2]()(states.coherent(grid, 0.8).values)
+    start = _held_maps(op, grid, _window(grid))[1]()(states.coherent(grid, 0.8).values)
     return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
 
@@ -606,10 +606,12 @@ def test_conjugated_action_with_held_plans_is_the_spectral_frame_route():
 
 
 def test_held_maps_expand_their_chirps_once(monkeypatch):
-    # the held plan expands the two hi/lo chirps of the plan at THETA_WIGNER
-    # into whole tables once and its inverse takes them mirrored; the
-    # conjugated action and the lifts built on them, and applying either,
-    # chirp by whole tables alone: 4 per action, 2 per lift
+    # the held plans at THETA_WIGNER (for the lifts) and at -THETA_WIGNER
+    # (the conjugated action's inverse) each expand their two hi/lo chirps
+    # into whole tables once per process; building the action and the lifts
+    # again, and applying either, chirps by whole tables alone: 4 per
+    # action, 2 per lift
+    metaplectic._plan.cache_clear()
     grid = Grid1D.centered(32, 6.0)
     rng = np.random.default_rng(29)
     batch = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
@@ -621,11 +623,14 @@ def test_held_maps_expand_their_chirps_once(monkeypatch):
         return chirp(spec, tables, *args)
 
     monkeypatch.setattr(metaplectic, "_chirp", recorded)
-    _, flows, lifts = _held_maps(op, grid, _window(grid))
+    _, lifts = _held_maps(op, grid, _window(grid))
     assert chirps == ["hi/lo"] * 2
     chirps.clear()
-    action, lift = _action(op, grid, grid.dual(), None, flows), lifts()
+    _action(op, grid, grid.dual())
+    assert chirps == ["hi/lo"] * 2
+    chirps.clear()
     for _ in range(3):
+        action, lift = _action(op, grid, grid.dual()), _held_maps(op, grid, _window(grid))[1]()
         action(batch)
         action(batch[0])
         lift(batch[0])
@@ -633,23 +638,28 @@ def test_held_maps_expand_their_chirps_once(monkeypatch):
     assert chirps == ["whole"] * 3 * (4 + 4 + 2 + 2)
 
 
-@pytest.mark.parametrize("representation,sheared", [
-    ("bopp_conjugated", 1), ("bopp_direct", 1), ("extended", 0)])
-def test_each_harness_call_builds_one_plan(monkeypatch, representation, sheared):
-    # each call builds one plan: at THETA_WIGNER its two tables, which its
-    # inverse takes mirrored, for the conjugated action and the lifts alike
-    # (the direct route's lifts need the plan too); for extended the
-    # identity plan, with no table
+@pytest.mark.parametrize("representation,plans,sheared", [
+    ("bopp_conjugated", 2, 1), ("bopp_direct", 1, 1), ("extended", 1, 0)])
+def test_harness_builds_its_plans_once_per_process(monkeypatch, representation, plans,
+                                                     sheared):
+    # whichever harness runs first on a grid builds the held plans: at
+    # THETA_WIGNER with its two tables, for the lifts (the direct route's
+    # lifts need it too), and for the conjugated action the plan at
+    # -THETA_WIGNER with two more; for extended the identity plan, with no
+    # table, which is its own inverse.  Every later bopp_spectrum or
+    # evolve_pair call on the grid builds no plan and no table
     grid = Grid1D.centered(16, 5.0)
     window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
-    built = count_calls(monkeypatch, bopp, ("_Plan",))
-    tables = count_calls(monkeypatch, metaplectic, ("_Plan", "_chirp_tables"))
-    for run in (lambda: bopp_spectrum(symbol, 2, window, representation),
-                lambda: evolve_pair(symbol, psi0, window, 1.0, 4, representation)):
-        built.clear()
-        tables.clear()
-        run()
-        assert built == ["_Plan"] and tables == ["_chirp_tables"] * 2 * sheared
+    built = count_calls(monkeypatch, metaplectic, ("_Plan", "_chirp_tables"))
+    runs = (lambda: bopp_spectrum(symbol, 2, window, representation),
+            lambda: evolve_pair(symbol, psi0, window, 1.0, 4, representation))
+    first = (["_Plan"] + ["_chirp_tables"] * 2 * sheared) * plans
+    for order in (runs, runs[::-1]):
+        metaplectic._plan.cache_clear()
+        for k, run in enumerate(order + order):
+            built.clear()
+            run()
+            assert built == (first if k == 0 else [])
 
 
 def test_conjugated_action_with_held_plans_is_the_propagator_sandwich():
@@ -708,7 +718,7 @@ def test_wigner_plans_end_and_start_with_an_eta_shear():
     assert [axis for axis, _ in down.shears] == [-2, -1]
     assert [axis for axis, _ in up.shears] == [-1, -2]
     # and the plan at -THETA_WIGNER mirrors the other: its tables are the
-    # other's conjugated in reverse order, bit for bit, so one plan serves
+    # other's conjugated in reverse order, bit for bit
     for (_, tables), (_, mirrored) in zip(down.shears, up.shears[::-1]):
         assert all(np.array_equal(t, m.conj()) for t, m in zip(tables, mirrored))
 
@@ -731,7 +741,7 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
                        np.array([0.0, 0.25]))
     for representation in REPRESENTATIONS:
         op = PhaseOperator(symbol_oscillator(grid), representation)
-        _held_maps(op, grid, window)[2]()(start[:2])
+        _held_maps(op, grid, window)[1]()(start[:2])
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
@@ -758,7 +768,7 @@ def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
             ["extended"] if angle == 0.0 else ["bopp_conjugated", "bopp_direct"],
             [(_window(grid), shifted), (shifted, _window(grid))]):
         op = PhaseOperator(symbol_oscillator(grid), representation)
-        held_angle, _, lifts = _held_maps(op, grid, window)
+        held_angle, lifts = _held_maps(op, grid, window)
         assert held_angle == angle
         rows = _fft_pass(other.transform.values.conj() * sign, -1, False)[None]
         batch = lifts(rows)(psi.values)

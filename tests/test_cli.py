@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ def test_flow_matrix_csv_round_trips_exactly(tmp_path):
             open(out, encoding="utf-8").read().strip().splitlines()]
     M = np.array([[float(v) for v in row] for row in rows])
     assert np.array_equal(M, flow_matrix(0.4) + 0.0)
+
+
+def test_flow_refuses_an_angle_whose_phase_overflows(tmp_path, capsys):
+    # 1e308 is a finite angle, but sqrt(7)*1e308 is not: at the parent the
+    # command wrote a matrix of nan and 0.0 with exit 0
+    out = tmp_path / "flow.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["flow", "--theta", "1e308", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "flow phase sqrt(7)*theta is not finite at theta=1e+308" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wigner_gaussian_closed_form(tmp_path):

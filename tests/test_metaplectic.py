@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import count_fft_passes, factorization_matrix
-from phasekit import states
+from phasekit import metaplectic, states
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
@@ -245,34 +245,33 @@ def _inverse_and_builds(plan):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.sampled_from([8, 16, 18, 32, 128]), theta=st.floats(-PERIOD, PERIOD),
-       dual=st.booleans())
-@example(n=128, theta=THETA_WIGNER, dual=True)
-@example(n=128, theta=-THETA_WIGNER, dual=True)
-@example(n=128, theta=THETA_WIGNER - 0.4, dual=True)
-@example(n=128, theta=THETA_WIGNER - 1.0, dual=True)
-@example(n=128, theta=THETA_WIGNER + 1.7, dual=True)
-@example(n=32, theta=0.3, dual=False)
-@example(n=32, theta=0.0, dual=True)
-def test_inverse_plan_is_the_fresh_plan_bit_for_bit(n, theta, dual):
-    # where the grids are dual, the quarter count even and the factorization
-    # at -theta the mirror of this one, the inverse takes this plan's tables
-    # conjugated in reverse order and builds no plan; at odd quarter counts,
-    # where -theta picks another quarter count and on grids that are not
-    # dual it is a fresh plan; either way its factorization and every table
-    # are those of _Plan(grid_x, grid_p, -theta)
+       dual=st.booleans(), held=st.booleans())
+@example(n=128, theta=THETA_WIGNER, dual=True, held=True)
+@example(n=128, theta=-THETA_WIGNER, dual=True, held=True)
+@example(n=128, theta=THETA_WIGNER - 0.4, dual=True, held=False)
+@example(n=128, theta=THETA_WIGNER - 1.0, dual=True, held=False)
+@example(n=128, theta=THETA_WIGNER + 1.7, dual=True, held=False)
+@example(n=32, theta=0.3, dual=False, held=False)
+@example(n=32, theta=0.0, dual=True, held=True)
+def test_inverse_plan_is_the_fresh_plan_bit_for_bit(n, theta, dual, held):
+    # the inverse comes from the plan cache, held if this plan is: built
+    # once, at -theta on the same grids, then fetched; its factorization and
+    # every table are those of _Plan(grid_x, grid_p, -theta, held), on dual
+    # grids or not and at every quarter count
+    metaplectic._plan.cache_clear()
     grid_x = Grid1D.centered(n, np.sqrt(np.pi * n / 2.0))
     grid_p = grid_x.dual() if dual else Grid1D.centered(n, 7.0)
-    plan, fresh = _Plan(grid_x, grid_p, theta), _Plan(grid_x, grid_p, -theta)
+    plan, fresh = _Plan(grid_x, grid_p, theta, held), _Plan(grid_x, grid_p, -theta, held)
     inverse, built = _inverse_and_builds(plan)
     assert inverse.grids == fresh.grids and inverse.theta == fresh.theta
-    assert inverse.factorization == fresh.factorization
+    assert inverse.factorization == fresh.factorization and inverse.held == held
     assert [axis for axis, _ in inverse.shears] == [axis for axis, _ in fresh.shears]
     for (_, got), (_, want) in zip(inverse.shears, fresh.shears):
+        assert len(got) == len(want) == (1 if held else 2)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    turns, shears = plan.factorization.quarters, plan.factorization.shears
-    mirror = ShearFactorization(turns, shears and (-shears[2], -shears[1], -shears[0]))
-    mirrors = dual and turns % 2 == 0 and fresh.factorization == mirror
-    assert built == ([] if mirrors else [(grid_x, grid_p, -theta)])
+    assert built == [(grid_x, grid_p, -theta, held)]
+    again, rebuilt = _inverse_and_builds(plan)
+    assert again is inverse and rebuilt == []
 
 
 @pytest.mark.parametrize("theta,turns,inverse_turns", [
@@ -283,11 +282,37 @@ def test_inverse_plan_is_the_fresh_plan_bit_for_bit(n, theta, dual):
     # factorization whose inverse takes an odd quarter count (the pull at -1.7)
     (THETA_WIGNER - 1.0, 1, 0), (THETA_WIGNER + 1.7, 0, 1)])
 def test_inverse_plan_mirrors_at_even_turns_both_ways(theta, turns, inverse_turns):
+    # where neither the plan nor its inverse turns an odd number of
+    # quarters, the fresh inverse is this plan's mirror: shears (-d, -c, -b)
+    # with this plan's tables conjugated in reverse order, bit for bit
+    # (cos even, sin odd); at the odd counts it is not
     grid = Grid1D.centered(128, 8.0)
     plan = _Plan(grid, grid.dual(), theta)
     assert plan.factorization.quarters % 2 == turns
     assert shear_factorization(-theta).quarters % 2 == inverse_turns
-    assert (_inverse_and_builds(plan)[1] == []) == (turns == inverse_turns == 0)
+    inverse, shears = plan.inverse(), plan.factorization.shears
+    mirror = ShearFactorization(plan.factorization.quarters,
+                                shears and (-shears[2], -shears[1], -shears[0]))
+    mirrors = inverse.factorization == mirror and all(
+        axis == back and all(np.array_equal(t, m.conj()) for t, m in zip(tables, mirrored))
+        for (axis, tables), (back, mirrored) in zip(inverse.shears, plan.shears[::-1]))
+    assert mirrors == (turns == inverse_turns == 0)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_cached_plans_are_read_only_and_their_own_inverses_twice(held):
+    # the cache hands every caller the same plan, so no table can be written;
+    # the inverse of its inverse is the plan itself, at any quarter count
+    grid = Grid1D.centered(32, 6.0)
+    for theta in (THETA_WIGNER, THETA_WIGNER - 0.4, THETA_WIGNER - 1.0, THETA_WIGNER + 1.7):
+        plan = metaplectic._plan(grid, grid.dual(), theta, held)
+        assert plan.held == held and plan.shears
+        for _, tables in plan.shears:
+            for table in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.0
+        assert plan.inverse().inverse() is plan
+        assert metaplectic._plan(grid, grid.dual(), theta, held) is plan
 
 
 @pytest.mark.parametrize("theta", [

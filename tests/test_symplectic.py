@@ -1,9 +1,13 @@
 """Closed-form flow matrix and the quadratic Hamiltonian behind it."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import GENERATOR, apply_flow, hamiltonian_value, level_invariants, symplectic_form
+from phasekit.grid import ConfigurationError
+from phasekit.metaplectic import shear_factorization, substitution_matrix
 from phasekit.symplectic import (
     FREQUENCY,
     PERIOD,
@@ -12,6 +16,19 @@ from phasekit.symplectic import (
     flow_matrix,
     plane_block,
 )
+
+
+@pytest.mark.parametrize("matrix,theta", [
+    (flow_matrix, 1e308), (substitution_matrix, -1e308), (shear_factorization, 1e308),
+    (flow_matrix, np.inf), (flow_matrix, np.nan)])
+def test_flow_refuses_a_phase_that_is_not_finite(matrix, theta):
+    # sqrt(7)*theta overflows for a finite theta near the float limit; the
+    # flow refuses it, without a RuntimeWarning, rather than return nan, and
+    # the shear factorization meets the same refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=r"flow phase sqrt\(7\)\*theta is not finite"):
+            matrix(theta)
 
 
 def test_identity_at_zero():

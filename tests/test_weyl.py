@@ -524,14 +524,34 @@ def test_angle_product_is_unchanged_by_the_reused_push(monkeypatch, theta, nudge
     assert np.array_equal(got, theta_product(a, b, theta).values)
 
 
-def test_angle_product_at_a_mirrored_angle_builds_three_tables(monkeypatch):
-    # at 0.4 the push mirrors the pull: one plan's three tables serve both
+def test_angle_product_at_a_mirrored_angle_builds_six_tables_once(monkeypatch):
+    # at 0.4 the pull and the push each make three shears; both plans come
+    # from the plan cache, so the first product builds their six tables and
+    # a product at the same angle builds none
+    metaplectic._plan.cache_clear()
     grid = Grid1D.centered(128, 8.0)
     rng = np.random.default_rng(12)
     a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
     tables = count_calls(monkeypatch, metaplectic, ("_chirp_tables",))
     theta_product(a, b, 0.4)
-    assert len(tables) == 3
+    assert len(tables) == 6
+    tables.clear()
+    theta_product(b, a, 0.4)
+    assert tables == []
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.0, 2.2, -1.7])
+def test_angle_product_is_the_same_with_a_warm_or_cleared_plan_cache(theta):
+    # a cached plan's read-only tables serve every later product: bit for
+    # bit what a product after clearing the cache builds afresh, at angles
+    # with and without quarter turns
+    grid = Grid1D.centered(128, 8.0)
+    rng = np.random.default_rng(13)
+    a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
+    theta_product(a, b, theta)
+    warm = theta_product(a, b, theta).values
+    metaplectic._plan.cache_clear()
+    assert np.array_equal(warm, theta_product(a, b, theta).values)
 
 
 def test_angle_product_refuses_before_any_work(monkeypatch):
