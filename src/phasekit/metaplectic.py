@@ -54,6 +54,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def substitution_matrix(theta: float) -> np.ndarray:
     """Coordinate map used at parameter theta: the (x, xi_p) block of the
     flow at -theta (substitution acts by composition with the inverse flow)."""
+    _flow_phase(theta)  # an overflowing phase is refused at the caller's theta
     return plane_block(flow_matrix(-theta))
 
 

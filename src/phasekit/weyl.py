@@ -22,9 +22,10 @@ around the box edge when rendered on the grid, so they carry their
 polynomial coefficients alongside the rendered values.  Products of two
 tagged symbols are computed on the coefficients by the finite derivative
 series, which keeps identities like the canonical commutator exact instead
-of polluted by the edge wrap.  Tagged symbols quantize through the
-symmetric-ordering expansion of x^i into operator words, matching the
-kernel route wherever both are valid.
+of polluted by the edge wrap.  Tagged symbols quantize by McCoy's
+symmetric-ordering expansion of x^i xi^j into operator words, matching the
+kernel route wherever both are valid; the position operator is diagonal, so
+the expansion runs on vectors and on the cached derivative powers alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .grid import (
     _centered_fft,
     _centered_ifft,
     _fft_pass,
-    _spectral_step,
 )
 from .metaplectic import (_GRID_TABLES, _checkerboard, _frozen, _into_frame, _out_of_frame,
                           _plan, propagate)
@@ -353,8 +353,12 @@ def symbol_oscillator(grid: Grid1D) -> Symbol2D:
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
 def _derivative_matrix(grid: Grid1D) -> np.ndarray:
-    eye = np.eye(grid.n, dtype=np.complex128)
-    return _frozen(_spectral_step(eye, grid.dual().nodes()[:, None], axis=0))
+    """P = D F^-1 (xi F D) by plain passes, D = diag((-1)^j): the centred pair's
+    signs (-1)^(n/2) D meet and cancel around the diagonal xi."""
+    sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
+    spec = _fft_pass(np.diag(sign).astype(np.complex128), 0, False)
+    spec *= grid.dual().nodes()[:, None]
+    return _frozen(sign[:, None] * _fft_pass(spec, 0, True))
 
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
@@ -364,45 +368,39 @@ def _derivative_power(grid: Grid1D, j: int) -> np.ndarray:
     return dmat if j == 1 else _frozen(dmat @ _derivative_power(grid, j - 1))
 
 
-def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:
-    """Symmetric-ordered polynomial in two operators, applied to `start`.
-
-    Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r P^j X^{i-r},
-    applied right to left by the callables x_act(term) and p_act(term, j) for
-    P^j, j >= 1.
-    """
-    total = np.zeros_like(start, dtype=np.complex128)
-    for i in range(coeffs.shape[0]):
-        for j in range(coeffs.shape[1]):
-            c = coeffs[i, j]
-            if c == 0:
-                continue
-            word = np.zeros_like(total)
-            for r in range(i + 1):
-                term = np.asarray(start, dtype=np.complex128)
-                for _ in range(i - r):
-                    term = x_act(term)
-                if j:
-                    term = p_act(term, j)
-                for _ in range(r):
-                    term = x_act(term)
-                word += math.comb(i, r) * term
-            total += c * 0.5**i * word
-    return total
-
-
 def mccoy_kernel(symbol: Symbol2D) -> OperatorKernel:
-    """Quantize a polynomial-tagged symbol by symmetric-ordering expansion,
-    with X the position multiplier and P the spectral derivative matrix: the
-    cached P^j I scales the diagonal X^(i-r) I (j products' bits if j <= 1 or i = r)."""
+    """Quantize a polynomial-tagged symbol: x^i xi^j is 2^-i sum_r C(i, r)
+    X^r P^j X^(i-r) on the identity, X the position multiplier, P the spectral
+    derivative.  X is diagonal, so X^(i-r) I is the vector x (x ... (x 1)),
+    summed on the diagonal for j = 0 and else scaling the columns of the cached
+    P^j, whose rows X then scales r times: the expansion's products and sums on
+    every entry they can change, in its order, so the same bits."""
     if symbol.poly is None:
         raise ConfigurationError("mccoy_kernel requires a polynomial-tagged symbol")
     grid = symbol.grid_x
-    nodes = grid.nodes()[:, None]
-    total = _symmetric_expand(
-        symbol.poly, np.eye(grid.n, dtype=np.complex128),
-        lambda m: nodes * m, lambda m, j: _derivative_power(grid, j) * m.diagonal(),
-    )
+    x = grid.nodes()
+    powers = [np.ones(grid.n, dtype=np.complex128)]
+    for _ in range(symbol.poly.shape[0] - 1):
+        powers.append(x * powers[-1])
+    total = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    for (i, j), c in np.ndenumerate(symbol.poly):
+        if c == 0:
+            continue
+        if j == 0:
+            word = np.zeros(grid.n, dtype=np.complex128)
+            for r in range(i + 1):
+                word += math.comb(i, r) * powers[i]
+            total.reshape(-1)[:: grid.n + 1] += c * 0.5**i * word
+        elif i == 0:
+            total += c * _derivative_power(grid, j)
+        else:
+            word = np.zeros_like(total)
+            for r in range(i + 1):
+                term = _derivative_power(grid, j) * powers[i - r]
+                for _ in range(r):
+                    term = x[:, None] * term
+                word += math.comb(i, r) * term
+            total += c * 0.5**i * word
     return OperatorKernel(grid, total / grid.dx)
 
 

@@ -18,7 +18,6 @@ from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
 from phasekit.weyl import (
     OperatorKernel,
     Symbol2D,
-    _symmetric_expand,
     _transport,
     kernel_to_symbol,
     moyal_product,
@@ -173,6 +172,34 @@ def count_fft_passes(monkeypatch) -> list[str]:
     import scipy.fft
 
     return count_calls(monkeypatch, scipy.fft, ("fft", "ifft"))
+
+
+def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:
+    """Symmetric-ordered polynomial in two operators, applied to `start`.
+
+    Each monomial x^i xi^j becomes 2^{-i} sum_r C(i, r) X^r P^j X^{i-r},
+    applied right to left by the callables x_act(term) and p_act(term, j) for
+    P^j, j >= 1: the dense expansion mccoy_kernel ran on the identity before
+    it skipped the entries a diagonal X leaves zero.
+    """
+    total = np.zeros_like(start, dtype=np.complex128)
+    for i in range(coeffs.shape[0]):
+        for j in range(coeffs.shape[1]):
+            c = coeffs[i, j]
+            if c == 0:
+                continue
+            word = np.zeros_like(total)
+            for r in range(i + 1):
+                term = np.asarray(start, dtype=np.complex128)
+                for _ in range(i - r):
+                    term = x_act(term)
+                if j:
+                    term = p_act(term, j)
+                for _ in range(r):
+                    term = x_act(term)
+                word += math.comb(i, r) * term
+            total += c * 0.5**i * word
+    return total
 
 
 def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:

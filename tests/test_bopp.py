@@ -777,6 +777,13 @@ def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def _cold_grid_tables():
+    """Drop the per-grid tables a harness call builds on first use: the
+    derivative matrix and its powers, and the held plans."""
+    for cache in (weyl._derivative_matrix, weyl._derivative_power, metaplectic._plan):
+        cache.cache_clear()
+
+
 def test_evolution_makes_no_shift_call(monkeypatch):
     # the lifts of psi0 and its checkpoints are one plain batch in the frame
     # and only the returned phase leaves it: outside the Lanczos actions (4
@@ -784,7 +791,9 @@ def test_evolution_makes_no_shift_call(monkeypatch):
     # eta passes are n times the reversal), 2 make the batch at THETA_WIGNER
     # and 2 the crossing back.  A segment
     # runs up to _KRYLOV_CHECK - 1 actions past its dimension, so the
-    # actions are counted as run
+    # actions are counted as run.  The first call on a grid also builds the
+    # per-grid tables, with no shift call either; the passes are counted on
+    # the next, the per-call route
     grid = Grid1D.centered(16, 5.0)
     window, symbol, psi0 = _window(grid), symbol_oscillator(grid), states.coherent(grid, 0.8)
     actions = []
@@ -794,8 +803,12 @@ def test_evolution_makes_no_shift_call(monkeypatch):
         return evolve(lambda v: actions.append(1) or action(v), start, times)
 
     monkeypatch.setattr(bopp, "_krylov_evolve", counted)
+    _cold_grid_tables()
     shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     passes = count_fft_passes(monkeypatch)
+    evolve_pair(symbol, psi0, window, 1.0, 4)
+    passes.clear()
+    actions.clear()
     result = evolve_pair(symbol, psi0, window, 1.0, 4)
     assert shifts == []
     assert len(passes) == 2 + 4 * len(actions) + 2
@@ -818,10 +831,15 @@ def test_eigenstate_window_rows_need_no_pass(n):
 
 
 def test_spectrum_makes_no_shift_call(monkeypatch):
+    # neither the first call on a grid, which builds the per-grid tables,
+    # nor a later one makes a shift call; the passes are the later call's
     grid = Grid1D.centered(16, 5.0)
     window, symbol = _window(grid), symbol_oscillator(grid)
+    _cold_grid_tables()
     shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
     passes = count_fft_passes(monkeypatch)
+    bopp_spectrum(symbol, 2, window)
+    passes.clear()
     bopp_spectrum(symbol, 2, window)
     assert shifts == []
     # per member a 2-pass lift at THETA_WIGNER and the 4-pass conjugated

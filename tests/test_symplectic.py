@@ -1,5 +1,6 @@
 """Closed-form flow matrix and the quadratic Hamiltonian behind it."""
 
+import re
 import warnings
 
 import numpy as np
@@ -24,10 +25,12 @@ from phasekit.symplectic import (
 def test_flow_refuses_a_phase_that_is_not_finite(matrix, theta):
     # sqrt(7)*theta overflows for a finite theta near the float limit; the
     # flow refuses it, without a RuntimeWarning, rather than return nan, and
-    # the shear factorization meets the same refusal
+    # the shear factorization meets the same refusal; each names the
+    # caller's theta, not the flow parameter it passes on
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError, match=r"flow phase sqrt\(7\)\*theta is not finite"):
+        with pytest.raises(ConfigurationError, match=r"flow phase sqrt\(7\)\*theta is not finite "
+                           + re.escape(f"at theta={theta}") + "$"):
             matrix(theta)
 
 

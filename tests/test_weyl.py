@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (count_calls, count_fft_passes, diagonal_dictionary, identity_kernel,
-                     midpoint_dictionary, theta_product_oracle)
+from helpers import (_symmetric_expand, count_calls, count_fft_passes, diagonal_dictionary,
+                     identity_kernel, midpoint_dictionary, theta_product_oracle)
 from phasekit import metaplectic, states, weyl
 from phasekit.grid import (
     ConfigurationError,
@@ -26,7 +26,6 @@ from phasekit.weyl import (
     _midpoint_layout,
     _moyal_poly,
     _poly_trim,
-    _symmetric_expand,
     expectation,
     fractional_symbol,
     kernel_to_symbol,
@@ -230,6 +229,41 @@ def test_mccoy_kernel_matches_the_product_chain(n):
     symbol = polynomial_symbol(x2xi2, grid)
     got, want = mccoy_kernel(symbol).values, _mccoy_product_chain(symbol)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_mccoy_kernel_makes_no_shift_call(monkeypatch):
+    # cold, P costs two plain passes (its centred pair's signs cancel) and
+    # P^2 one product; warm, the kernel makes no pass at all
+    grid = Grid1D.centered(32, 5.0)
+    symbol = symbol_oscillator(grid)
+    _derivative_matrix.cache_clear()
+    _derivative_power.cache_clear()
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    cold = mccoy_kernel(symbol).values
+    assert len(passes) == 2
+    passes.clear()
+    assert np.array_equal(mccoy_kernel(symbol).values, cold)
+    assert passes == [] and shifts == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.floats(0.5, 20.0), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_mccoy_kernel_is_the_dense_expansion_bit_for_bit(quarter_n, half_width, rows, cols,
+                                                          seed):
+    # the expansion on the identity with the cached powers scaling its
+    # diagonal, every entry computed: skipping the entries X leaves zero
+    # changes no bit, for complex coefficients up to degree 4 per variable
+    grid = Grid1D.centered(4 * quarter_n, half_width)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    coeffs[rng.random((rows, cols)) < 0.4] = 0.0
+    nodes = grid.nodes()[:, None]
+    want = _symmetric_expand(coeffs, np.eye(grid.n, dtype=np.complex128), lambda m: nodes * m,
+                             lambda m, j: _derivative_power(grid, j) * m.diagonal())
+    got = mccoy_kernel(polynomial_symbol(coeffs, grid)).values
+    assert np.array_equal(got, want / grid.dx)
 
 
 def _loop_moyal_poly(ca, cb):
