@@ -11,9 +11,10 @@ coefficient is exactly 0 is skipped: at +-THETA_WIGNER, the midpoint map
 generic angle.  A plan holds one angle's factorization and read-only chirp tables (one
 whole table per chirp if held) and applies them by one frame flow, in the checkerboard frame
 where plain passes stand for centred ones, on values transformed along either axis or
-neither.  Callers that repeat an angle take plans from _plan, built once per process;
-_propagate_values, whose callers bring arbitrary angles, builds its own and alone keeps the
-centred substitute, because the benchmark's propagate workload counts its passes and shifts.
+neither.  Callers that repeat an angle (theta_product, expectation, bopp's harnesses) take
+plans from _plan, built once per process; _propagate_values, whose callers bring arbitrary
+angles, builds its own and alone keeps the centred substitute, because the benchmark's
+propagate workload counts its passes and shifts.
 """
 
 from __future__ import annotations

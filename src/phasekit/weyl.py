@@ -48,11 +48,12 @@ from .grid import (
     _centered_fft,
     _centered_ifft,
     _fft_pass,
+    fourier_1d,
 )
 from .metaplectic import (_GRID_TABLES, _checkerboard, _frozen, _into_frame, _out_of_frame,
                           _plan, propagate)
 from .symplectic import THETA_WIGNER
-from .wigner import _is_wigner_angle, wigner_fractional
+from .wigner import _is_wigner_angle
 
 __all__ = [
     "OperatorKernel",
@@ -546,13 +547,18 @@ def expectation(
 ) -> ExpectationResult:
     """Expectation of an operator in a state, with a phase-space cross-check.
 
-    The reference value is the kernel action (A psi, psi).  The cross-check
-    pairs the angle-theta symbol of the adjoint operator, conjugated,
-    against the angle-theta phase-space distribution of the state; by
-    unitarity of the angle flow the pairing is independent of theta.  A
-    kernel that is not conj-symmetric within SELF_ADJOINT_TOL triggers a
-    warning and the result also reports (psi, A psi).
+    The reference value is the kernel action (A psi, psi).  The cross-check pairs the
+    angle-theta symbol of the adjoint operator, conjugated, against the angle-theta
+    phase-space distribution of the state; by unitarity of the angle flow the pairing is
+    independent of theta.  Both sides stay in the spectral frame under cached plans: the
+    adjoint's frame dictionary symbol flowed by theta - THETA_WIGNER, the seed (D psi) (x)
+    row, row = D conj(FT psi), by theta (passed along eta as n R row, F F = n R, if the plan
+    starts with an eta shear); Parseval pairs them, with the dictionary's sign (-1)^(n/2).  The
+    angle is refused before any other work.  A kernel that is not conj-symmetric within
+    SELF_ADJOINT_TOL triggers a warning and the result also reports (psi, A psi).
     """
+    lift, push = (_plan(state.grid, state.grid.dual(), angle, False)  # at 0 the identity
+                  for angle in (theta, 0.0 if _is_wigner_angle(theta) else theta - THETA_WIGNER))
     kernel = _operator_kernel(op)
     if not state.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match operator grid")
@@ -567,12 +573,14 @@ def expectation(
             stacklevel=2,
         )
         adjoint_value = state.inner(kernel.adjoint().apply(state))
-    adj_symbol = kernel_to_symbol(kernel.adjoint())
-    b_theta = theta_symbol(adj_symbol, theta)
-    dist = wigner_fractional(state, state, theta)
-    phase_value = complex(
-        np.sum(np.conj(b_theta.values) * dist.values) * b_theta.weight
-    )
+    n, sign = kernel.grid.n, _checkerboard(1, kernel.grid.n)[0]
+    adj = push.flow(_frame_symbols(kernel.adjoint().values, kernel.grid), -2, -2)
+    row = np.conj(fourier_1d(state).values) * sign
+    eta = not lift.factorization.quarters and [axis for axis, _ in lift.shears[:1]] == [-1]
+    seed = n * row[-np.arange(n)] if eta else _fft_pass(row, -1, False)
+    dist = lift.flow((state.values * sign)[:, None] * seed, -1 if eta else None, -2)
+    # dx dxi / (sqrt(2 pi) n^2) = sqrt(2 pi) / n^3: Parseval's n^2 and the distribution's prefactor
+    phase_value = complex(np.vdot(adj, dist) * ((-1) ** (n // 2) * SQRT_TWO_PI / n**3))
     residual = abs(value - phase_value) / max(1.0, abs(value))
     return ExpectationResult(
         value=complex(value),

@@ -11,7 +11,8 @@ import numpy as np
 
 from phasekit import states
 from phasekit.bopp import _KRYLOV_MAX_DIM, _KRYLOV_TOL, PhaseOperator
-from phasekit.grid import Grid1D, PhaseFunction2D, _centered_fft, _centered_ifft, _spectral_step
+from phasekit.grid import (Grid1D, PhaseFunction2D, SampledFunction1D, _centered_fft, _centered_ifft,
+                           _spectral_step)
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
 from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
@@ -22,7 +23,9 @@ from phasekit.weyl import (
     kernel_to_symbol,
     moyal_product,
     symbol_to_kernel,
+    theta_symbol,
 )
+from phasekit.wigner import wigner_fractional
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
 GENERATOR = np.array(
@@ -268,6 +271,18 @@ def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
     back = THETA_WIGNER - theta
     base = moyal_product(_transport(a, back), _transport(b, back), method="kernel")
     return _transport(base, -back)
+
+
+def expectation_oracle(kernel: OperatorKernel, state: SampledFunction1D,
+                       theta: float) -> tuple[complex, complex]:
+    """expectation's value and phase-space pairing by the centred route: the
+    kernel action (A psi, psi), and the adjoint's symbol by kernel_to_symbol,
+    carried to theta by theta_symbol, conjugated and summed in (x, p) against
+    wigner_fractional(psi, psi, theta)."""
+    value = kernel.apply(state).inner(state)
+    b_theta = theta_symbol(kernel_to_symbol(kernel.adjoint()), theta)
+    dist = wigner_fractional(state, state, theta)
+    return complex(value), complex(np.sum(np.conj(b_theta.values) * dist.values) * b_theta.weight)
 
 
 def diagonal_dictionary(values: np.ndarray, dx: float, inverse: bool = False) -> np.ndarray:

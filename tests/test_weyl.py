@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (_symmetric_expand, count_calls, count_fft_passes, diagonal_dictionary,
-                     identity_kernel, midpoint_dictionary, theta_product_oracle)
-from phasekit import metaplectic, states, weyl
+                     expectation_oracle, identity_kernel, midpoint_dictionary,
+                     theta_product_oracle)
+from phasekit import metaplectic, states, weyl, wigner
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
@@ -693,6 +695,72 @@ def test_expectation_oscillator_modes():
         h = states.hermite(GRID, m)
         r = expectation(symbol_oscillator(GRID), h)
         assert r.value == pytest.approx(m + 0.5, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [16, 30, 32, 64, 126, 128])
+@pytest.mark.parametrize("which", ["oscillator", "decaying", "not-self-adjoint"])
+def test_expectation_pairs_in_the_frame_as_by_the_centred_route(n, which):
+    # the frame pairing against expectation_oracle's centred one, at angles with
+    # and without quarter turns and at THETA_WIGNER, whose lift starts with an
+    # eta shear; value keeps its code, so the same bits.  n = 30 and 126 are
+    # 2 (mod 4), where the dictionary's sign (-1)^(n/2) is -1: only they catch
+    # a pairing that leaves the sign out
+    grid = Grid1D.centered(n, 8.0)
+    rng = np.random.default_rng(n)
+    psi = states.random_wave(grid, rng)
+    op = {"oscillator": symbol_oscillator(grid),
+          "decaying": _random_decaying_symbol(grid, rng),
+          "not-self-adjoint": _decaying_kernel(grid, n)}[which]
+    kernel = weyl._operator_kernel(op)
+    for theta in (THETA_WIGNER, 0.0, 0.3, -0.45, 0.9, 1.3, 2.9, -2.0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = expectation(op, psi, theta)
+        assert len(caught) == (which != "oscillator")  # the decaying symbol's chirp is complex
+        value, phase_value = expectation_oracle(kernel, psi, theta)
+        assert r.value == value
+        assert abs(r.phase_value - phase_value) <= 1e-13 * max(1.0, abs(value))
+
+
+def test_expectation_stays_in_the_frame(monkeypatch):
+    # neither propagate nor wigner_fractional: a cold call builds its two plans
+    # (the lift at theta and the symbol's push at theta - THETA_WIGNER, the
+    # identity at THETA_WIGNER), a warm call none and gives the same result;
+    # the only shift calls are fourier_1d's two, on the 1D state
+    grid = Grid1D.centered(64, 8.0)
+    psi = states.random_wave(grid, np.random.default_rng(5))
+    op = symbol_oscillator(grid)
+    shifts = []
+    for name in ("fftshift", "ifftshift"):
+        def shift(values, *args, _inner=getattr(np.fft, name), **kwargs):
+            shifts.append(np.ndim(values))
+            return _inner(values, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, shift)
+    built = count_calls(monkeypatch, metaplectic, ("_Plan", "_propagate_values"))
+    centred = count_calls(monkeypatch, wigner, ("wigner_fractional",))
+    for theta in (THETA_WIGNER, 0.4):
+        metaplectic._plan.cache_clear()
+        cold = expectation(op, psi, theta)
+        assert built == ["_Plan", "_Plan"]
+        built.clear()
+        assert expectation(op, psi, theta) == cold
+        assert built == []
+    assert shifts == [1] * 8 and centred == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_expectation_refuses_the_angle_before_any_work(monkeypatch, bad):
+    # the kernel is not self-adjoint and would warn once built; the angle is
+    # refused first, naming theta, with no warning and no pass
+    grid = Grid1D.centered(32, 6.0)
+    kernel = _decaying_kernel(grid, 79)
+    psi = states.random_wave(grid, np.random.default_rng(80))
+    passes = count_fft_passes(monkeypatch)
+    with (pytest.raises(ConfigurationError, match=re.escape(f"theta={bad}")),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        expectation(kernel, psi, bad)
+    assert passes == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
