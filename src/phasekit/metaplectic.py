@@ -14,14 +14,17 @@ where plain passes stand for centred ones, on values transformed along either ax
 neither.  Callers that repeat an angle (theta_product, expectation, bopp's harnesses) take
 plans from _plan, built once per process; _propagate_values, whose callers bring arbitrary
 angles, builds its own and alone keeps the centred substitute, because the benchmark's
-propagate workload counts its passes and shifts.
+propagate workload counts its passes and shifts.  A plan's lift psi -> U(psi (x) conj FT w)
+and sandwich U (K (x) I) U* take values at its entry, where they meet it with no pass.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .grid import (
     ConfigurationError,
     Grid1D,
     PhaseFunction2D,
+    SQRT_TWO_PI,
     _centered_fft,
     _centered_ifft,
     _fft_pass,
@@ -108,16 +112,27 @@ def shear_factorization(theta: float, allow_quarter: bool = True) -> ShearFactor
     return ShearFactorization(*min(candidates)[1:])
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _chirp_layout(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct |q| over hi's rows q then lo's, and hi's and lo's flat indices into their
+    exponentials at k = sign(q) j = -m/2..m/2, so each entry reads the one of its product q j."""
+    block = max(q for q in range(1, math.isqrt(n) + 1) if n % q == 0)
+    q = np.concatenate((np.arange(0, n, block) - n // 2, np.arange(block)))
+    levels = np.array(sorted(set(np.abs(q).tolist())))
+    where = np.searchsorted(levels, np.abs(q))
+    index = where[:, None] * (m + 1) + m // 2 + np.sign(q)[:, None] * (np.arange(m) - m // 2)
+    return levels, _frozen(index[:n // block]), _frozen(index[n // block:])
+
+
 def _chirp_tables(coeff: float, rows: Grid1D, cols: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """exp(i*coeff*outer(rows.nodes(), cols.nodes())) on centred grids as two
     tables over integer centred indices: row B*q + r is hi[q] * lo[r], with B
-    the largest divisor of n = rows.n up to sqrt(n), so (n/B + B) exp per column."""
-    n = rows.n
-    block = max(q for q in range(1, math.isqrt(n) + 1) if n % q == 0)
-    j = np.arange(cols.n) - cols.n // 2
-    phase = 1j * coeff * rows.dx * cols.dx
-    return (np.exp(phase * np.outer(np.arange(0, n, block) - n // 2, j)),
-            np.exp(phase * np.outer(np.arange(block), j)))
+    the largest divisor of n = rows.n up to sqrt(n), from exponentials at |q|, j >= 0 alone:
+    exp(-iy) = conj exp(iy) bit for bit, so about (n/(2B) + B) n/2 of them."""
+    levels, hi, lo = _chirp_layout(rows.n, cols.n)
+    half = np.exp(1j * coeff * rows.dx * cols.dx * np.outer(levels, np.arange(cols.n // 2 + 1)))
+    signed = np.concatenate((half[:, :0:-1].conj(), half), axis=1)
+    return signed.take(hi), signed.take(lo)
 
 
 def _chirp(spec: np.ndarray, tables: tuple, keep: bool = False) -> np.ndarray:
@@ -132,17 +147,17 @@ def _chirp(spec: np.ndarray, tables: tuple, keep: bool = False) -> np.ndarray:
     return view.reshape(spec.shape)
 
 
-def _shear(values: np.ndarray, axis: int, tables: tuple) -> np.ndarray:
-    """One shear: a centred FFT along `axis`, the chirp, the inverse FFT."""
-    return _centered_ifft(_chirp(_centered_fft(values, axis=axis), tables), axis=axis)
-
-
 def _quarter_turns(values: np.ndarray, turns: int) -> np.ndarray:
-    """Quarter turns (x, eta) -> (eta, -x) as index maps (batched), each C-contiguous."""
-    neg = (-np.arange(values.shape[-1])) % values.shape[-1]
-    for _ in range(turns):
-        values = np.ascontiguousarray(np.swapaxes(values, -1, -2)[..., neg, :])
-    return values
+    """Quarter turns (x, eta) -> (eta, -x) as one index map (batched) into a C-contiguous copy:
+    an odd count transposes, rows (1, 2 turns) and columns (2, 3) go to index 0, n-1, ..., 1."""
+    whole, neg = [(slice(None),) * 2], [(slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1))]
+    if not (turns := turns % 4):
+        return values
+    src, out = values.swapaxes(-1, -2) if turns % 2 else values, np.empty_like(values, order="C")
+    for (row, row_from), (col, col_from) in itertools.product(neg if turns < 3 else whole,
+                                                              neg if turns > 1 else whole):
+        out[..., row, col] = src[..., row_from, col_from]
+    return out
 
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
@@ -172,7 +187,9 @@ def _move(values: np.ndarray, at: int | None, to: int | None, keep: bool) -> np.
 class _Plan:
     """U(theta) on one pair of centred grids: the factorization and each nonzero shear's
     (axis, read-only chirp tables) in `shears`, built once; if `held`, each chirp is expanded
-    into one whole table.  A caller that repeats an angle takes its plan from _plan."""
+    into one whole table.  `entry` is where values meet the plan with no pass: untransformed
+    (None) after quarter turns, else along the first shear's axis, and along x for the identity.
+    A caller that repeats an angle takes its plan from _plan."""
 
     def __init__(self, grid_x: Grid1D, grid_p: Grid1D, theta: float, held: bool = False):
         self.grids, self.theta, self.held = (grid_x, grid_p), theta, held
@@ -186,6 +203,7 @@ class _Plan:
                 if held:
                     tables = (_chirp(np.ones((grid_x.n, grid_p.n), complex), tables),)
                 self.shears.append((axis, tuple(map(_frozen, tables))))
+        self.entry = None if self.factorization.quarters else next((a for a, _ in self.shears), -2)
 
     def flow(self, values: np.ndarray, enter: int | None, leave: int | None,
              keep: bool = False) -> np.ndarray:
@@ -203,15 +221,42 @@ class _Plan:
         return out if at == leave else _move(out, at, leave, keep and out is values)
 
     def substitute(self, values: np.ndarray) -> np.ndarray:
-        """flow's substitution on untransformed values with centred shears (_propagate_values)."""
+        """flow's substitution on untransformed values with centred shears (_propagate_values),
+        each a centred FFT along its axis, the chirp, the inverse FFT."""
         out = _quarter_turns(values, self.factorization.quarters)
         for axis, tables in self.shears:
-            out = _shear(out, axis, tables)
+            out = _centered_ifft(_chirp(_centered_fft(out, axis=axis), tables), axis=axis)
         return out
 
     def inverse(self) -> "_Plan":
         """The plan at -theta, held if this one is, from _plan."""
         return _plan(*self.grids, -self.theta, self.held)
+
+    def lift(self, window_ft: np.ndarray,
+             windows: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+        """psi (last axis) -> U(theta)(psi (x) conj(FT w)) in the spectral frame along x, for FT w =
+        window_ft and, first in one batch, each state w in `windows`.  The seed (D psi) (x) row,
+        row = F(D conj(FT w)), meets `entry`: at x D psi takes the pass, at eta F F = n R folds the
+        row's two; a state's row is (dx/sqrt(2 pi)) (-1)^(n/2) n conj(D w), as F conj F = n conj."""
+        n, dx, sign = self.grids[0].n, self.grids[0].dx, _checkerboard(1, self.grids[0].n)[0]
+        row, eta = window_ft.conj() * sign, self.entry == -1
+        rows = n * row[-np.arange(n)] if eta else _fft_pass(row, -1, False)
+        if windows is not None:
+            states = (dx / SQRT_TWO_PI) * (-1) ** (n // 2) * n * (windows * sign).conj()
+            rows = np.concatenate((_fft_pass(states, -1, False) if eta else states, rows[None]))
+        return lambda psi: self.flow(
+            (_fft_pass(psi * sign, -1, False) if self.entry == -2 else psi * sign)[..., :, None]
+            * rows[..., None, :], self.entry, -2)
+
+    def sandwich(self, kernel_values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> U (K (x) I) U* v on spectral-frame values (batched), keeping v: the inverse's flow
+        leaves at `entry`, where D K D acts (as F D K D F^-1, built once, if that is x)."""
+        kernel_values = kernel_values * _checkerboard(*kernel_values.shape)
+        if self.entry == -2:
+            kernel_values = _fft_pass(_fft_pass(kernel_values, -2, False), -1, True)
+        inverse = self.inverse()
+        return lambda values: self.flow(np.matmul(
+            kernel_values, inverse.flow(values, -2, self.entry, keep=True)), self.entry, -2)
 
 
 @functools.lru_cache(maxsize=_GRID_TABLES)

@@ -551,41 +551,28 @@ def expectation(
     angle-theta symbol of the adjoint operator, conjugated, against the angle-theta
     phase-space distribution of the state; by unitarity of the angle flow the pairing is
     independent of theta.  Both sides stay in the spectral frame under cached plans: the
-    adjoint's frame dictionary symbol flowed by theta - THETA_WIGNER, the seed (D psi) (x)
-    row, row = D conj(FT psi), by theta (passed along eta as n R row, F F = n R, if the plan
-    starts with an eta shear); Parseval pairs them, with the dictionary's sign (-1)^(n/2).  The
-    angle is refused before any other work.  A kernel that is not conj-symmetric within
-    SELF_ADJOINT_TOL triggers a warning and the result also reports (psi, A psi).
+    adjoint's frame dictionary symbol flowed by theta - THETA_WIGNER, and the plan's rank-one
+    lift of psi against itself as window (_Plan.lift) at theta; Parseval pairs them, with the
+    dictionary's sign (-1)^(n/2).  The angle is refused before any other work.  A kernel that
+    is not conj-symmetric within SELF_ADJOINT_TOL triggers a warning and the result also
+    reports (psi, A psi).
     """
     lift, push = (_plan(state.grid, state.grid.dual(), angle, False)  # at 0 the identity
                   for angle in (theta, 0.0 if _is_wigner_angle(theta) else theta - THETA_WIGNER))
     kernel = _operator_kernel(op)
     if not state.grid.matches(kernel.grid):
         raise ConfigurationError("state grid does not match operator grid")
-    applied = kernel.apply(state)
-    value = applied.inner(state)
+    value = kernel.apply(state).inner(state)
     self_adjoint, defect = _self_adjoint(kernel)
-    adjoint_value = None
     if not self_adjoint:
-        warnings.warn(
-            f"kernel deviates from self-adjointness by {defect:.3e}; "
-            "reporting both pairings",
-            stacklevel=2,
-        )
-        adjoint_value = state.inner(kernel.adjoint().apply(state))
-    n, sign = kernel.grid.n, _checkerboard(1, kernel.grid.n)[0]
+        warnings.warn(f"kernel deviates from self-adjointness by {defect:.3e}; "
+                      "reporting both pairings", stacklevel=2)
+    adjoint_value = None if self_adjoint else state.inner(kernel.adjoint().apply(state))
+    n = kernel.grid.n
     adj = push.flow(_frame_symbols(kernel.adjoint().values, kernel.grid), -2, -2)
-    row = np.conj(fourier_1d(state).values) * sign
-    eta = not lift.factorization.quarters and [axis for axis, _ in lift.shears[:1]] == [-1]
-    seed = n * row[-np.arange(n)] if eta else _fft_pass(row, -1, False)
-    dist = lift.flow((state.values * sign)[:, None] * seed, -1 if eta else None, -2)
+    dist = lift.lift(fourier_1d(state).values)(state.values)
     # dx dxi / (sqrt(2 pi) n^2) = sqrt(2 pi) / n^3: Parseval's n^2 and the distribution's prefactor
     phase_value = complex(np.vdot(adj, dist) * ((-1) ** (n // 2) * SQRT_TWO_PI / n**3))
     residual = abs(value - phase_value) / max(1.0, abs(value))
-    return ExpectationResult(
-        value=complex(value),
-        phase_value=phase_value,
-        residual=float(residual),
-        self_adjoint=bool(self_adjoint),
-        adjoint_value=None if adjoint_value is None else complex(adjoint_value),
-    )
+    return ExpectationResult(complex(value), phase_value, float(residual), bool(self_adjoint),
+                             None if adjoint_value is None else complex(adjoint_value))

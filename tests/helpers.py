@@ -250,9 +250,14 @@ def plane_action_oracle(op: PhaseOperator, grid_x: Grid1D, grid_p: Grid1D,
         return sandwich
     if op.representation == "extended":
         return lambda values: kernel_values @ values
+    return sandwich_oracle(kernel_values, grid_x, grid_p, THETA_WIGNER)
+
+
+def sandwich_oracle(kernel_values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D, theta: float):
+    """The propagator sandwich U(theta) (K (x) I) U(-theta) on (x, p) values, K acting along
+    x, by the centred propagator on both sides."""
     return lambda values: _propagate_values(
-        kernel_values @ _propagate_values(values, grid_x, grid_p, -THETA_WIGNER),
-        grid_x, grid_p, THETA_WIGNER)
+        kernel_values @ _propagate_values(values, grid_x, grid_p, -theta), grid_x, grid_p, theta)
 
 
 def evolve_dense(hermitian: np.ndarray, start: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from phasekit.bopp import (
     _KRYLOV_MAX_DIM,
     _action,
     _cluster,
-    _held_maps,
+    _held_plan,
     _in_plane,
     _krylov_evolve,
     bopp_intertwining_residual,
@@ -400,7 +400,7 @@ def test_krylov_phase_matches_the_dense_oracle(half_n, half_width, seed,
     # batched plain inverse pass along each axis and M bring the checkpoints
     # back to the plane
     M = _checkerboard(grid.n)
-    lift0 = _held_maps(op, grid, window)[1]()(psi0.values)
+    lift0 = _held_plan(op, grid, grid.dual()).lift(window.transform.values)(psi0.values)
     mixed, dims = _krylov_evolve(
         lambda v: action(v.reshape(grid.n, grid.n)).reshape(-1), lift0.reshape(-1), result.times)
     krylov = (scipy.fft.ifft(scipy.fft.ifft(mixed.reshape(-1, grid.n, grid.n), axis=-2), axis=-1)
@@ -460,7 +460,8 @@ def _harness_start(n, half_width, representation):
     op = PhaseOperator(symbol_oscillator(grid), representation)
     h = grid.dx * op.kernel().values
     action = _action(op, grid, grid.dual(), (h + h.conj().T) / 2.0)
-    start = _held_maps(op, grid, _window(grid))[1]()(states.coherent(grid, 0.8).values)
+    start = _held_plan(op, grid, grid.dual()).lift(_window(grid).transform.values)(
+        states.coherent(grid, 0.8).values)
     return lambda v: action(v.reshape(n, n)).reshape(-1), start.reshape(-1)
 
 
@@ -623,14 +624,16 @@ def test_held_maps_expand_their_chirps_once(monkeypatch):
         return chirp(spec, tables, *args)
 
     monkeypatch.setattr(metaplectic, "_chirp", recorded)
-    _, lifts = _held_maps(op, grid, _window(grid))
+    window_ft = _window(grid).transform.values
+    _held_plan(op, grid, grid.dual()).lift(window_ft)
     assert chirps == ["hi/lo"] * 2
     chirps.clear()
     _action(op, grid, grid.dual())
     assert chirps == ["hi/lo"] * 2
     chirps.clear()
     for _ in range(3):
-        action, lift = _action(op, grid, grid.dual()), _held_maps(op, grid, _window(grid))[1]()
+        action = _action(op, grid, grid.dual())
+        lift = _held_plan(op, grid, grid.dual()).lift(window_ft)
         action(batch)
         action(batch[0])
         lift(batch[0])
@@ -741,7 +744,7 @@ def test_harness_steps_make_no_shift_call(monkeypatch):
                        np.array([0.0, 0.25]))
     for representation in REPRESENTATIONS:
         op = PhaseOperator(symbol_oscillator(grid), representation)
-        _held_maps(op, grid, window)[1]()(start[:2])
+        _held_plan(op, grid, grid.dual()).lift(window.transform.values)(start[:2])
     assert shifts == []
     _centered_fft(start)  # the counter sees the centred pass's two shifts
     assert shifts == ["ifftshift", "fftshift"]
@@ -756,23 +759,23 @@ def test_frame_lift_is_the_centred_lift_taken_into_the_frame(n, angle):
     # frame, for n/2 even and odd and for the lift angle of each realization
     # (0 for extended, THETA_WIGNER for both Bopp ones); at THETA_WIGNER the
     # caller's row's two eta passes are n times the reversal, which only a
-    # window that is not even can tell from no reversal; a further window's
-    # row F(D conj(FT w)) lifts in the same batch, ahead of the caller's
+    # window that is not even can tell from no reversal; a further window,
+    # given as a state (its row F(D conj(FT w)) is a multiple of conj(D w),
+    # F conj F = n conj), lifts in the same batch, ahead of the caller's
     grid = Grid1D.centered(n, 5.0)
     rng = np.random.default_rng(n)
     psi = SampledFunction1D(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     shifted = states.coherent(grid, 0.6 + 0.4j)
     shifted = Window(SampledFunction1D(grid, shifted.values / shifted.norm()))
-    sign = 1.0 - 2.0 * (np.arange(n) % 2)
     for representation, (window, other) in itertools.product(
             ["extended"] if angle == 0.0 else ["bopp_conjugated", "bopp_direct"],
             [(_window(grid), shifted), (shifted, _window(grid))]):
-        op = PhaseOperator(symbol_oscillator(grid), representation)
-        held_angle, lifts = _held_maps(op, grid, window)
-        assert held_angle == angle
-        rows = _fft_pass(other.transform.values.conj() * sign, -1, False)[None]
-        batch = lifts(rows)(psi.values)
-        for got, w in ((lifts()(psi.values), window), (batch[0], other), (batch[1], window)):
+        plan = _held_plan(PhaseOperator(symbol_oscillator(grid), representation), grid,
+                          grid.dual())
+        assert plan.theta == angle
+        batch = plan.lift(window.transform.values, other.state.values[None])(psi.values)
+        single = plan.lift(window.transform.values)(psi.values)
+        for got, w in ((single, window), (batch[0], other), (batch[1], window)):
             want = scipy.fft.fft(_into_frame(windowed_transform(psi, w, angle).values), axis=-2)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 

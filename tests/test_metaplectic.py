@@ -3,17 +3,20 @@
 from unittest import mock
 
 import numpy as np
+import scipy.fft
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import count_fft_passes, factorization_matrix
+from helpers import count_fft_passes, factorization_matrix, sandwich_oracle
 from phasekit import metaplectic, states
 from phasekit.grid import (
     ConfigurationError,
     Grid1D,
     PhaseFunction2D,
+    SampledFunction1D,
     _centered_fft,
     _fft_pass,
+    fourier_1d,
 )
 from phasekit.metaplectic import (
     ShearFactorization,
@@ -22,6 +25,7 @@ from phasekit.metaplectic import (
     _into_frame,
     _out_of_frame,
     _propagate_values,
+    _quarter_turns,
     generator_apply,
     propagate,
     shear_factorization,
@@ -395,6 +399,115 @@ def test_chirp_tables_match_the_outer_product(n):
                 ref = np.exp(1j * coeff * np.outer(rows.nodes(), cols.nodes()))
                 assert np.max(np.abs(chirp - ref)) < 1e-12
                 assert np.max(np.abs(np.abs(chirp) - 1.0)) <= 4 * eps
+
+
+@pytest.mark.parametrize("n", [30, 126, 254, 256])
+def test_chirp_tables_are_the_direct_exponentials_bit_for_bit(n):
+    # each table row is built from the exponentials at |q| and j >= 0 and
+    # the rest by conjugation; every bit, the signs of zeros included (the
+    # q = 0 row and j = 0 column are exp of an exact 0), must be that of
+    # exp(phase * outer(q, j)) on the integer centred indices, at n = 2*prime
+    # (B = 2) and at n with larger divisors, for coefficients of both signs
+    def bits(table):
+        return np.ascontiguousarray(table).view(np.uint64)
+
+    gx = Grid1D.centered(n, np.sqrt(np.pi * n / 2.0))
+    block = max(q for q in range(1, int(np.sqrt(n)) + 1) if n % q == 0)
+    for gp in (gx.dual(), Grid1D.centered(n, 7.0)):
+        ge = gp.dual()
+        j = np.arange(n) - n // 2
+        for rows, cols in ((gx.dual(), ge), (gx, ge.dual())):
+            for coeff in (1.51, -0.37, 0.25, -1.2):
+                phase = 1j * coeff * rows.dx * cols.dx
+                hi, lo = _chirp_tables(coeff, rows, cols)
+                want_hi = np.exp(phase * np.outer(np.arange(0, n, block) - n // 2, j))
+                want_lo = np.exp(phase * np.outer(np.arange(block), j))
+                assert np.array_equal(bits(hi), bits(want_hi))
+                assert np.array_equal(bits(lo), bits(want_lo))
+
+
+@pytest.mark.parametrize("shape", [(18, 18), (3, 16, 16), (2, 2, 8, 8)])
+def test_quarter_turns_are_repeated_single_turns(shape):
+    # one index map for any count, 0 to 7 turns: bit for bit the single turn
+    # (x, eta) -> (eta, -x) applied that many times, batched or not, and a
+    # C-contiguous result wherever it turns at all
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    neg = (-np.arange(shape[-1])) % shape[-1]
+    want = values
+    for turns in range(8):
+        got = _quarter_turns(values, turns)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+        want = np.swapaxes(want, -1, -2)[..., neg, :]
+
+
+#: Angles whose plans meet values untransformed (0.3, 1.0: quarter turns),
+#: along eta (THETA_WIGNER) and along x (0, the identity; -0.45; -THETA_WIGNER).
+_LIFT_ANGLES = [0.0, THETA_WIGNER, -THETA_WIGNER, -0.45, 0.3, 1.0]
+
+
+def test_lift_angles_reach_every_entry():
+    grid = Grid1D.centered(16, 5.0)
+    entries = {_Plan(grid, grid.dual(), theta).entry for theta in _LIFT_ANGLES}
+    assert entries == {None, -1, -2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_n=st.integers(1, 24), half_width=st.floats(2.0, 12.0),
+       theta=st.one_of(st.sampled_from(_LIFT_ANGLES), st.floats(-PERIOD, PERIOD)),
+       held=st.booleans(), windows=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_lift_is_the_centred_lift_in_the_spectral_frame(half_n, half_width, theta, held,
+                                                          windows, seed):
+    # psi -> U(theta)(psi (x) conj(FT w)) in the spectral frame, the
+    # x-transform of the checkerboard frame, is the centred propagator's lift
+    # taken there, for every entry (untransformed, eta with the row's two
+    # passes folded, x with psi's one pass), held or not, batched in psi, and
+    # for window states lifted first in the same batch (their rows by
+    # F conj F = n conj), which a batch of psi then needs an axis for
+    n = 2 * half_n
+    grid = Grid1D.centered(n, half_width)
+    rng = np.random.default_rng(seed)
+
+    def wave(*shape):
+        return rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+
+    psi, window, others = wave(2), wave(), wave(windows)
+    plan = _Plan(grid, grid.dual(), theta, held)
+    got = plan.lift(window, others if windows else None)(psi[:, None] if windows else psi)
+    rows = [fourier_1d(SampledFunction1D(grid, w)).values for w in others] + [window]
+    for k, row in enumerate(rows):
+        seed_values = psi[:, :, None] * row.conj()
+        centred = _propagate_values(seed_values, grid, grid.dual(), theta)
+        want = scipy.fft.fft(_into_frame(centred), axis=-2)
+        lifted = got[:, k] if windows else got
+        assert np.linalg.norm(lifted - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("theta", [-0.45, 0.3, 0.9, THETA_WIGNER, 0.0])
+def test_sandwich_is_the_propagator_sandwich(theta):
+    # v -> U (K (x) I) U* v in the spectral frame, wrapped in the crossings,
+    # is the centred propagator's sandwich to rounding: at -0.45 three shears
+    # meet K along x, at 0.3 and 0.9 three quarter turns meet it untransformed,
+    # at THETA_WIGNER along eta and at 0 the identity plan along x; the map
+    # keeps its argument, batched or not
+    grid = Grid1D.centered(16, 5.0)
+    plan = _Plan(grid, grid.dual(), theta)
+    if theta in (0.3, 0.9):
+        assert plan.factorization.quarters == 3 and plan.entry is None
+    if theta == -0.45:
+        assert plan.factorization.quarters == 0 and len(plan.shears) == 3
+    rng = np.random.default_rng(5)
+    K = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    batch = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    sandwich, oracle = plan.sandwich(K), sandwich_oracle(K, grid, grid.dual(), theta)
+    for v in (batch, batch[1]):
+        frame = _fft_pass(_into_frame(v), -2, False)
+        kept = frame.copy()
+        got = _out_of_frame(_fft_pass(sandwich(frame), -2, True))
+        want = oracle(v)
+        assert np.array_equal(frame, kept)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @settings(max_examples=60, deadline=None)
