@@ -156,11 +156,11 @@ class PhaseFunction2D:
 # the 1/N, along one axis; it overwrites a C-ordered argument unless told to
 # keep it.  _centered_fft (sum_j e^{-i xi_m x_j} v_j on centred orderings, no
 # measure factor) is that pass between shifts, _centered_ifft its exact
-# inverse: a unitary pair, which keeps every propagator norm-preserving to
-# rounding.  ifftshift returns a fresh copy in the caller's memory order, which
-# the pass overwrites when C-ordered, the order an out-of-place transform
-# returns; sums downstream round by memory order.  For even N the centred DFT
-# is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): metaplectic's frame.
+# inverse, a unitary pair; ifftshift returns a fresh copy in the caller's
+# memory order, which the pass overwrites when C-ordered.  For even N the
+# centred DFT is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): the
+# frame the package's transforms run in; the pair serves fourier_1d, the
+# propagator's pinned substitute and the wigner_direct oracle.
 
 
 def _fft_pass(values: np.ndarray, axis: int, inverse: bool, keep: bool = False) -> np.ndarray:
@@ -174,14 +174,6 @@ def _centered_fft(values: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _centered_ifft(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.fftshift(_fft_pass(np.fft.ifftshift(values, axes=axis), axis, True), axes=axis)
-
-
-def _spectral_step(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
-    """Fourier multiplier along one axis: centred FFT, multiply in place by
-    `multiplier` (broadcast against the spectrum), inverse FFT."""
-    spec = _centered_fft(values, axis=axis)
-    spec *= multiplier
-    return _centered_ifft(spec, axis=axis)
 
 
 def fourier_1d(f: SampledFunction1D) -> SampledFunction1D:

@@ -12,10 +12,11 @@ generic angle.  A plan holds one angle's factorization and read-only chirp table
 whole table per chirp if held) and applies them by one frame flow, in the checkerboard frame
 where plain passes stand for centred ones, on values transformed along either axis or
 neither.  Callers that repeat an angle (theta_product, expectation, bopp's harnesses) take
-plans from _plan, built once per process; _propagate_values, whose callers bring arbitrary
-angles, builds its own and alone keeps the centred substitute, because the benchmark's
-propagate workload counts its passes and shifts.  A plan's lift psi -> U(psi (x) conj FT w)
-and sandwich U (K (x) I) U* take values at its entry, where they meet it with no pass.
+plans from _plan, built once per process; callers that bring arbitrary angles build their
+own.  Of these weyl's symbol transports flow in the frame, as generator_apply's derivatives
+run there; _propagate_values alone keeps the centred substitute, because the benchmark's
+phase-transforms workload counts propagate's passes and shifts.  A plan's lift
+psi -> U(psi (x) conj FT w) and sandwich U (K (x) I) U* take values at its entry.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .grid import (
     _centered_fft,
     _centered_ifft,
     _fft_pass,
-    _spectral_step,
 )
 from .symplectic import FREQUENCY, _flow_phase, flow_matrix, plane_block
 
@@ -289,13 +289,14 @@ def generator_apply(F: PhaseFunction2D) -> PhaseFunction2D:
 
     In the mixed (x, xi_p) representation the generator reads
     -2i*xi*d/dx + i*x*d/dx - i*xi*d/dxi + 4i*x*d/dxi; derivatives are
-    spectral, and the partial transforms wrapping it are the bare pair.
+    spectral.  All of it runs in the checkerboard frame, where D commutes with
+    the multipliers and each derivative is F^-1 (i k) F by plain passes.
     """
     grid_e = F.grid_p.dual()
-    x = F.grid_x.nodes()[:, None]
-    xi = grid_e.nodes()[None, :]
-    mixed = _centered_fft(F.values, axis=-1)
-    dx = _spectral_step(mixed, 1j * F.grid_x.dual().nodes()[:, None], axis=-2)
-    dxi = _spectral_step(mixed, 1j * grid_e.dual().nodes()[None, :], axis=-1)
+    x, xi = F.grid_x.nodes()[:, None], grid_e.nodes()[None, :]
+    mixed = _into_frame(F.values)
+    dx, dxi = (_fft_pass(_fft_pass(mixed, axis, False, keep=True) * (1j * k), axis, True)
+               for axis, k in ((-2, F.grid_x.dual().nodes()[:, None]),
+                               (-1, grid_e.dual().nodes()[None, :])))
     h = (-2j * xi + 1j * x) * dx + (-1j * xi + 4j * x) * dxi
-    return PhaseFunction2D(F.grid_x, F.grid_p, _centered_ifft(h, axis=-1))
+    return PhaseFunction2D(F.grid_x, F.grid_p, _out_of_frame(h))

@@ -12,10 +12,12 @@ and symbol_to_kernel invert each other to machine precision on arbitrary data.
 
 The star product composes kernels: a * b = kernel_to_symbol of the composed
 operator.  At another angle theta the angle-theta symbol of a kernel is its
-separation values after one metaplectic substitution, so theta_product runs
-substitution, dictionary and composition as one pipeline.  A brute-force
-phase-space quadrature (symplectic Fourier transform, twisted convolution)
-certifies the kernel route on small grids with no periodic wrapping.
+values, read as the mixed plane (x, eta), after one metaplectic substitution
+(fractional_symbol, with no transform pair before it), so theta_product runs
+substitution, dictionary and composition as one pipeline.  All of these, and
+theta_symbol's transport, run on plain passes in the checkerboard frame.  A
+brute-force phase-space quadrature (symplectic Fourier transform, twisted
+convolution) certifies the kernel route on small grids with no wrapping.
 
 Symbols of unbounded operators (position, momentum, oscillator energy) wrap
 around the box edge when rendered on the grid, so they carry their
@@ -41,17 +43,14 @@ from numpy.polynomial import polynomial as npoly
 from .grid import (
     ConfigurationError,
     Grid1D,
-    PhaseFunction2D,
     SampledFunction1D,
     SQRT_TWO_PI,
     TWO_PI,
-    _centered_fft,
-    _centered_ifft,
     _fft_pass,
     fourier_1d,
 )
-from .metaplectic import (_GRID_TABLES, _checkerboard, _frozen, _into_frame, _out_of_frame,
-                          _plan, propagate)
+from .metaplectic import (_GRID_TABLES, _Plan, _checkerboard, _frozen, _into_frame,
+                          _out_of_frame, _plan)
 from .symplectic import THETA_WIGNER
 from .wigner import _is_wigner_angle
 
@@ -153,9 +152,6 @@ class Symbol2D:
     def weight(self) -> float:
         return self.grid_x.dx * self.grid_xi.dx
 
-    def as_phase_function(self) -> PhaseFunction2D:
-        return PhaseFunction2D(self.grid_x, self.grid_xi, self.values)
-
 
 @dataclass(frozen=True)
 class ExpectationResult:
@@ -241,16 +237,17 @@ def _frame_symbols(kernels: np.ndarray, grid: Grid1D) -> np.ndarray:
 def fractional_symbol(kernel: OperatorKernel, theta: float) -> Symbol2D:
     """Angle-theta symbol straight from the kernel.
 
-    Inverse Fourier transform of the kernel in its second argument, then the
-    phase-plane propagator at theta, scaled by sqrt(2*pi).  At the special
-    angle this reproduces kernel_to_symbol up to resampling error; at other
-    angles it provides an independent route to theta_symbol.
+    The kernel K(x, y) is the mixed plane (x, eta) of the propagator on grid and
+    its dual, so the symbol is length * C^-1 S K: the flow's substitution S at
+    theta by a plan built for it, then one inverse pass along eta, in the frame
+    from M K (-1)^(n/2), with no pass pair before it.  At the special angle this
+    reproduces kernel_to_symbol up to resampling error; at other angles it
+    provides an independent route to theta_symbol.
     """
-    grid = kernel.grid
-    seed = (grid.length / SQRT_TWO_PI) * _centered_ifft(kernel.values, axis=1)
-    field = PhaseFunction2D(grid, grid.dual(), seed)
-    out = propagate(field, theta)
-    return Symbol2D(out.grid_x, out.grid_p, SQRT_TWO_PI * out.values)
+    grid, n = kernel.grid, kernel.grid.n
+    frame = kernel.values * ((-1) ** (n // 2) * _checkerboard(n, n))
+    out = _out_of_frame(_Plan(grid, grid.dual(), theta).flow(frame, None, None))
+    return Symbol2D(grid, grid.dual(), grid.length * out)
 
 
 def theta_symbol(symbol: Symbol2D, theta: float) -> Symbol2D:
@@ -278,10 +275,11 @@ def _refuse_polynomial(symbol: Symbol2D) -> None:
 
 
 def _transport(symbol: Symbol2D, angle: float) -> Symbol2D:
-    """Carry a decaying symbol through the propagator by `angle`."""
+    """Carry a decaying symbol through the propagator by `angle`, in the frame, by a fresh plan."""
     _refuse_polynomial(symbol)
-    out = propagate(symbol.as_phase_function(), angle)
-    return Symbol2D(out.grid_x, out.grid_p, out.values)
+    plan = _Plan(symbol.grid_x, symbol.grid_xi, angle)
+    return Symbol2D(symbol.grid_x, symbol.grid_xi,
+                    _out_of_frame(plan.flow(_into_frame(symbol.values), None, None)))
 
 
 # --------------------------------------------------------------------------
@@ -415,11 +413,11 @@ def _require_common_grids(a: Symbol2D, b: Symbol2D) -> None:
 
 
 def _symplectic_fourier(values: np.ndarray, grid_x: Grid1D, grid_xi: Grid1D) -> np.ndarray:
-    """Self-inverse phase-space transform pairing x with the second frequency axis."""
-    n = grid_x.n
-    step1 = _centered_fft(values, axis=0)
-    step2 = n * _centered_ifft(step1, axis=1)
-    return (grid_x.dx * grid_xi.dx / TWO_PI) * step2.T
+    """Self-inverse phase-space transform pairing x with the second frequency axis:
+    n C_0 C_1^-1 with centred transforms, n M F_0 F_1^-1 M by plain passes, M = _checkerboard."""
+    sign = _checkerboard(grid_x.n, grid_xi.n)
+    step = _fft_pass(_fft_pass(values * sign, 0, False), 1, True)
+    return (grid_x.n * grid_x.dx * grid_xi.dx / TWO_PI * sign * step).T
 
 
 def _twisted_convolution(

@@ -11,20 +11,12 @@ import numpy as np
 
 from phasekit import states
 from phasekit.bopp import _KRYLOV_MAX_DIM, _KRYLOV_TOL, PhaseOperator
-from phasekit.grid import (Grid1D, PhaseFunction2D, SampledFunction1D, _centered_fft, _centered_ifft,
-                           _spectral_step)
+from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D, _centered_fft, _centered_ifft
 from phasekit.gridfile import FileFormatError
-from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _propagate_values
+from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _Plan, _propagate_values
 from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
-from phasekit.weyl import (
-    OperatorKernel,
-    Symbol2D,
-    _transport,
-    kernel_to_symbol,
-    moyal_product,
-    symbol_to_kernel,
-    theta_symbol,
-)
+from phasekit.weyl import (OperatorKernel, Symbol2D, kernel_to_symbol, moyal_product,
+                           symbol_to_kernel)
 from phasekit.wigner import wigner_fractional
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
@@ -206,20 +198,22 @@ def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np
 
 
 def _momentum_action(values: np.ndarray, grid_x: Grid1D, grid_p: Grid1D) -> np.ndarray:
-    """p - (i/2) d/dx on raw (x, p) value arrays (batchable over leading axes)."""
-    out = grid_p.nodes() * values
-    return out + _spectral_step(values, 0.5 * grid_x.dual().nodes()[:, None], axis=-2)
+    """p - (i/2) d/dx on raw (x, p) value arrays (batchable over leading axes), the
+    derivative by the centred pair."""
+    step = _centered_fft(values, axis=-2) * (0.5 * grid_x.dual().nodes()[:, None])
+    return grid_p.nodes() * values + _centered_ifft(step, axis=-2)
 
 
 def generator_word_oracle(symbol: Symbol2D, grid_x: Grid1D, grid_p: Grid1D):
     """The map on (x, p) values of the symmetric-ordered word in x + (i/2) d/dp,
-    the spectral step along p, and p - (i/2) d/dx, for a polynomial-tagged
+    the centred spectral step along p, and p - (i/2) d/dx, for a polynomial-tagged
     symbol: the second route to the Bopp operator that the left star product
     replaced, wrapping at the box edge where the generators do."""
     eta = grid_p.dual().nodes()
 
     def position(v):
-        return grid_x.nodes()[:, None] * v + _spectral_step(v, -0.5 * eta, axis=-1)
+        return grid_x.nodes()[:, None] * v + _centered_ifft(_centered_fft(v, axis=-1)
+                                                           * (-0.5 * eta), axis=-1)
 
     def momentum(v, power):
         for _ in range(power):
@@ -269,23 +263,51 @@ def evolve_dense(hermitian: np.ndarray, start: np.ndarray, times: np.ndarray) ->
     return vecs @ (phases * coeffs[:, None])
 
 
+def transport_oracle(symbol: Symbol2D, angle: float) -> Symbol2D:
+    """A symbol carried through the propagator by `angle` on the centred route,
+    _propagate_values, which shares no frame flow with weyl's transport."""
+    values = _propagate_values(symbol.values, symbol.grid_x, symbol.grid_xi, angle)
+    return Symbol2D(symbol.grid_x, symbol.grid_xi, values)
+
+
+def fractional_symbol_oracle(kernel: OperatorKernel, theta: float) -> Symbol2D:
+    """fractional_symbol by the centred route: the kernel read as the mixed plane
+    (x, eta), the plan's centred substitute at theta, then length * C^-1 along eta."""
+    grid = kernel.grid
+    mixed = _Plan(grid, grid.dual(), theta).substitute(kernel.values)
+    return Symbol2D(grid, grid.dual(), grid.length * _centered_ifft(mixed, axis=-1))
+
+
+def generator_oracle(F: PhaseFunction2D) -> np.ndarray:
+    """generator_apply's values by the centred route: the partial transform C_p,
+    each derivative C^-1 (i k) C along its axis, the coefficients, then C_p^-1."""
+    grid_e = F.grid_p.dual()
+    x, xi = F.grid_x.nodes()[:, None], grid_e.nodes()[None, :]
+    mixed = _centered_fft(F.values, axis=-1)
+    dx, dxi = (_centered_ifft(_centered_fft(mixed, axis=axis) * (1j * k), axis=axis)
+               for axis, k in ((-2, F.grid_x.dual().nodes()[:, None]),
+                               (-1, grid_e.dual().nodes()[None, :])))
+    return _centered_ifft((-2j * xi + 1j * x) * dx + (-1j * xi + 4j * x) * dxi, axis=-1)
+
+
 def theta_product_oracle(a: Symbol2D, b: Symbol2D, theta: float) -> Symbol2D:
     """The angle star product by the composed route: each factor carried to
-    the standard angle by the propagator, symbol_to_kernel, composition,
+    the standard angle by the centred propagator, symbol_to_kernel, composition,
     kernel_to_symbol, and the result carried back."""
     back = THETA_WIGNER - theta
-    base = moyal_product(_transport(a, back), _transport(b, back), method="kernel")
-    return _transport(base, -back)
+    base = moyal_product(transport_oracle(a, back), transport_oracle(b, back), method="kernel")
+    return transport_oracle(base, -back)
 
 
 def expectation_oracle(kernel: OperatorKernel, state: SampledFunction1D,
                        theta: float) -> tuple[complex, complex]:
     """expectation's value and phase-space pairing by the centred route: the
     kernel action (A psi, psi), and the adjoint's symbol by kernel_to_symbol,
-    carried to theta by theta_symbol, conjugated and summed in (x, p) against
+    carried to theta by the centred propagator (at the standard angle the
+    identity, whose values it copies), conjugated and summed in (x, p) against
     wigner_fractional(psi, psi, theta)."""
     value = kernel.apply(state).inner(state)
-    b_theta = theta_symbol(kernel_to_symbol(kernel.adjoint()), theta)
+    b_theta = transport_oracle(kernel_to_symbol(kernel.adjoint()), theta - THETA_WIGNER)
     dist = wigner_fractional(state, state, theta)
     return complex(value), complex(np.sum(np.conj(b_theta.values) * dist.values) * b_theta.weight)
 

@@ -7,7 +7,8 @@ import scipy.fft
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import count_fft_passes, factorization_matrix, sandwich_oracle
+from helpers import (count_calls, count_fft_passes, factorization_matrix, generator_oracle,
+                     sandwich_oracle)
 from phasekit import metaplectic, states
 from phasekit.grid import (
     ConfigurationError,
@@ -107,6 +108,30 @@ def test_generator_matches_difference_quotient():
     gen = generator_apply(F).values
     resid = np.linalg.norm(fd + 1j * gen) / np.linalg.norm(fd)
     assert resid < 1e-5
+
+
+@pytest.mark.parametrize("n", [16, 30, 32, 64, 126, 128, 256])
+def test_generator_in_the_frame_is_the_centred_route(n):
+    # each derivative F^-1 (i k) F between checkerboard signs: the centred
+    # pair's bits where n % 4 == 0, its values to rounding at n = 2 (mod 4)
+    grid = Grid1D.centered(n, 8.0)
+    rng = np.random.default_rng(n)
+    F = PhaseFunction2D(grid, grid.dual(), rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    got, want = generator_apply(F).values, generator_oracle(F)
+    if n % 4 == 0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
+def test_generator_makes_six_passes_and_no_shift_call(monkeypatch):
+    # into the frame, a pass pair per derivative, out of the frame
+    F = _smooth_function()
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    passes = count_fft_passes(monkeypatch)
+    generator_apply(F)
+    assert shifts == [] and len(passes) == 6
 
 
 def test_propagator_realizes_distribution_covariance():

@@ -46,3 +46,31 @@ def test_the_cli_loads_no_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+#: The centred transform pair and numpy's shifts, and the functions that may still use them:
+#: the pair itself and fourier_1d, the propagator's centred substitute (whose passes and shifts
+#: the benchmark counts), and the wigner_direct oracle's half-shift matrices.
+CENTRED = {"_centered_fft", "_centered_ifft", "fftshift", "ifftshift"}
+CENTRED_HOLDERS = {"grid._centered_fft", "grid._centered_ifft", "grid.fourier_1d",
+                   "metaplectic._Plan.substitute", "metaplectic._propagate_values",
+                   "wigner._half_shifted", "wigner._half_shifted_upsample"}
+
+
+def _centred_holders(node: ast.AST, scope: str):
+    """The qualified scope of each name or attribute in CENTRED read under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _centred_holders(child, f"{scope}.{child.name}")
+            continue
+        if getattr(child, "id", None) in CENTRED or getattr(child, "attr", None) in CENTRED:
+            yield scope
+        yield from _centred_holders(child, scope)
+
+
+def test_only_the_pinned_sites_use_the_centred_transform():
+    package = pathlib.Path(phasekit.__file__).resolve().parent
+    holders = {holder for path in sorted(package.glob("*.py"))
+               for holder in _centred_holders(ast.parse(path.read_text()), path.stem)}
+    extra = sorted(holders - CENTRED_HOLDERS)
+    assert not extra, f"the centred transform is used in {', '.join(extra)}"

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (_symmetric_expand, count_calls, count_fft_passes, diagonal_dictionary,
-                     expectation_oracle, identity_kernel, midpoint_dictionary,
-                     theta_product_oracle)
+                     expectation_oracle, fractional_symbol_oracle, identity_kernel,
+                     midpoint_dictionary, theta_product_oracle, transport_oracle)
 from phasekit import metaplectic, states, weyl, wigner
 from phasekit.grid import (
     ConfigurationError,
@@ -380,6 +380,51 @@ def test_fractional_symbol_at_distinguished_angle():
     b = kernel_to_symbol(K)
     scale = np.max(np.abs(b.values))
     assert np.max(np.abs(a.values - b.values)) < 1e-6 * scale
+
+
+_FRAME_SIZES = [16, 30, 32, 64, 126, 128, 256]
+_FRAME_ANGLES = [0.0, 0.3, -0.45, 0.9, 1.3, 2.0 * THETA_WIGNER, THETA_WIGNER + 0.7, 2.9]
+
+
+@pytest.mark.parametrize("n", _FRAME_SIZES)
+def test_fractional_symbol_in_the_frame_is_the_centred_route(n):
+    # the kernel is the mixed plane: the frame flow then one inverse pass
+    # along eta, against length * C^-1 of the centred substitute, at every
+    # angle class (identity, quarter turns, three shears)
+    grid = Grid1D.centered(n, 8.0)
+    K = _decaying_kernel(grid, 90 + n)
+    for theta in _FRAME_ANGLES:
+        got, want = fractional_symbol(K, theta), fractional_symbol_oracle(K, theta)
+        assert got.grid_x == want.grid_x and got.grid_xi == want.grid_xi
+        assert np.abs(got.values - want.values).max() <= 2e-15 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("n", _FRAME_SIZES)
+def test_theta_symbol_in_the_frame_is_the_centred_transport(n):
+    # plain passes between checkerboard signs give the centred pair's bits
+    # where n % 4 == 0, and its values to rounding at n = 2 (mod 4)
+    grid = Grid1D.centered(n, 8.0)
+    symbol = _random_decaying_symbol(grid, np.random.default_rng(n))
+    for theta in _FRAME_ANGLES:
+        got = theta_symbol(symbol, theta).values
+        want = transport_oracle(symbol, theta - THETA_WIGNER).values
+        if n % 4 == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
+def test_angle_symbol_routes_make_no_shift_call(monkeypatch):
+    grid = Grid1D.centered(16, 5.0)
+    rng = np.random.default_rng(8)
+    a, b = (_random_decaying_symbol(grid, rng) for _ in range(2))
+    K = _decaying_kernel(grid, 9)
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    for theta in (0.3, 1.3):
+        fractional_symbol(K, theta)
+        theta_symbol(a, theta)
+        theta_product(a, b, theta, method="quadrature")
+    assert shifts == []
 
 
 def test_rank_one_symbol_is_scaled_distribution():
