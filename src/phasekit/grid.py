@@ -159,8 +159,8 @@ class PhaseFunction2D:
 # inverse, a unitary pair; ifftshift returns a fresh copy in the caller's
 # memory order, which the pass overwrites when C-ordered.  For even N the
 # centred DFT is also (-1)^(N/2) D F D, F plain and D = diag((-1)^j): the
-# frame the package's transforms run in; the pair serves fourier_1d, the
-# propagator's pinned substitute and the wigner_direct oracle.
+# frame every transform of the package runs in but those whose passes and
+# shifts the benchmark counts, fourier_1d and the propagator's substitute.
 
 
 def _fft_pass(values: np.ndarray, axis: int, inverse: bool, keep: bool = False) -> np.ndarray:
@@ -180,11 +180,6 @@ def fourier_1d(f: SampledFunction1D) -> SampledFunction1D:
     """Unitary Fourier transform onto the dual grid:
     (2*pi)**-0.5 * integral e^{-i xi x} f(x) dx, sampled on f.grid.dual()."""
     return SampledFunction1D(f.grid.dual(), (f.grid.dx / SQRT_TWO_PI) * _centered_fft(f.values))
-
-
-def tensor_outer(f: SampledFunction1D, g: SampledFunction1D) -> PhaseFunction2D:
-    """Product function F(x, p) = f(x) * g(p) on the tensor grid."""
-    return PhaseFunction2D(f.grid, g.grid, np.outer(f.values, g.values))
 
 
 def conjugate(f: SampledFunction1D) -> SampledFunction1D:

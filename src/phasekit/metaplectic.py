@@ -14,7 +14,8 @@ where plain passes stand for centred ones, on values transformed along either ax
 neither.  Callers that repeat an angle (theta_product, expectation, bopp's harnesses) take
 plans from _plan, built once per process; callers that bring arbitrary angles build their
 own.  Of these weyl's symbol transports flow in the frame, as generator_apply's derivatives
-run there; _propagate_values alone keeps the centred substitute, because the benchmark's
+and wigner_direct's half shifts run there; _propagate_values alone keeps the centred
+substitute, the one centred route besides fourier_1d, because the benchmark's
 phase-transforms workload counts propagate's passes and shifts.  A plan's lift
 psi -> U(psi (x) conj FT w) and sandwich U (K (x) I) U* take values at its entry.
 """

@@ -26,13 +26,10 @@ from .grid import (
     PhaseFunction2D,
     SampledFunction1D,
     SQRT_TWO_PI,
-    _centered_fft,
-    _centered_ifft,
-    conjugate,
+    _fft_pass,
     fourier_1d,
-    tensor_outer,
 )
-from .metaplectic import propagate
+from .metaplectic import _checkerboard, propagate
 from .symplectic import PERIOD, THETA_WIGNER
 
 __all__ = [
@@ -88,12 +85,17 @@ class Window:
         return self.state.grid
 
 
+def _lift(psi: SampledFunction1D, row: SampledFunction1D, theta: float) -> PhaseFunction2D:
+    """U(theta)(psi (x) conj(row)), row on the dual grid: the seed both lifts below share."""
+    return propagate(PhaseFunction2D(psi.grid, row.grid, np.outer(psi.values, row.values.conj())),
+                     theta)
+
+
 def windowed_transform(psi: SampledFunction1D, window: Window, theta: float) -> PhaseFunction2D:
     """U(theta)(psi (x) conj(FT window)): isometric analysis transform."""
     if not psi.grid.matches(window.grid):
         raise ConfigurationError("state and window live on different grids")
-    seed = tensor_outer(psi, conjugate(window.transform))
-    return propagate(seed, theta)
+    return _lift(psi, window.transform, theta)
 
 
 def windowed_adjoint(phase: PhaseFunction2D, window: Window, theta: float) -> SampledFunction1D:
@@ -125,8 +127,7 @@ def wigner_fractional(psi: SampledFunction1D, phi: SampledFunction1D,
     """
     if not psi.grid.matches(phi.grid):
         raise ConfigurationError("states live on different grids")
-    seed = tensor_outer(psi, conjugate(fourier_1d(phi)))
-    out = propagate(seed, theta)
+    out = _lift(psi, fourier_1d(phi), theta)
     return PhaseFunction2D(out.grid_x, out.grid_p, out.values / SQRT_TWO_PI)
 
 
@@ -139,27 +140,27 @@ def _half_shifted(values: np.ndarray, grid: Grid1D, sign: float) -> np.ndarray:
     """Matrix S[k, j] = f(x_j + sign * xi_k / 2) with xi_k = (k - N/2) dx.
 
     Built from the trigonometric interpolant: one phase ramp per shift k
-    applied to the centered spectrum, then a batched inverse transform.
+    applied to the spectrum, then a batched inverse transform, both plain
+    passes between the signs D = diag((-1)^j), as C^-1 R C = D F^-1 R F D.
     """
-    n = grid.n
-    spectrum = _centered_fft(values)
+    n, signs = grid.n, _checkerboard(1, grid.n)[0]
+    spectrum = _fft_pass(values * signs, -1, False)
     freqs = grid.dual().nodes()
     shifts = (np.arange(n) - n // 2) * (grid.dx / 2.0)
     ramps = np.exp(1j * sign * np.outer(shifts, freqs))
-    return _centered_ifft(ramps * spectrum[None, :], axis=1)
+    return _fft_pass(ramps * spectrum[None, :], 1, True) * signs
 
 
 def _half_shifted_upsample(values: np.ndarray, grid: Grid1D, sign: float) -> np.ndarray:
-    """Same matrix as _half_shifted via a doubled grid and index gymnastics."""
+    """Same matrix as _half_shifted via a doubled grid and index gymnastics; the
+    spectrum's signs cancel the doubled grid's on the padded band."""
     n = grid.n
-    spectrum = _centered_fft(values)
     pad = np.zeros(2 * n, dtype=complex)
-    pad[n // 2 : n // 2 + n] = spectrum
-    fine = 2.0 * _centered_ifft(pad)
-    j = np.arange(n)[None, :]
-    k = np.arange(n)[:, None]
+    pad[n // 2 : n // 2 + n] = _fft_pass(values * _checkerboard(1, n)[0], -1, False)
+    fine = 2.0 * _fft_pass(pad, -1, True) * _checkerboard(1, 2 * n)[0]
+    k, j = np.ogrid[:n, :n]
     offset = np.rint(sign).astype(int) * (k - n // 2)
-    return fine[(2 * j + offset + 0) % (2 * n)]
+    return fine[(2 * j + offset) % (2 * n)]
 
 
 def wigner_direct(

@@ -3,21 +3,26 @@ the small constructions only tests use."""
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 from array import array
 from typing import Callable
 
 import numpy as np
 
+import phasekit
 from phasekit import states
-from phasekit.bopp import _KRYLOV_MAX_DIM, _KRYLOV_TOL, PhaseOperator
-from phasekit.grid import Grid1D, PhaseFunction2D, SampledFunction1D, _centered_fft, _centered_ifft
+from phasekit.bopp import (_KRYLOV_MAX_DIM, _KRYLOV_TOL, _RESIDUAL_FLOOR, PhaseOperator, _action,
+                           _held_plan, _in_plane)
+from phasekit.grid import (Grid1D, PhaseFunction2D, SampledFunction1D, _centered_fft,
+                           _centered_ifft, _fft_pass)
 from phasekit.gridfile import FileFormatError
 from phasekit.metaplectic import QUARTER_TURN, ShearFactorization, _Plan, _propagate_values
 from phasekit.symplectic import SYMPLECTIC_J, THETA_WIGNER, flow_matrix
 from phasekit.weyl import (OperatorKernel, Symbol2D, kernel_to_symbol, moyal_product,
                            symbol_to_kernel)
-from phasekit.wigner import wigner_fractional
+from phasekit.wigner import Window, wigner_fractional
 
 #: Generator matrix G = dM/dtheta at theta = 0 (Hamilton equations).
 GENERATOR = np.array(
@@ -162,11 +167,20 @@ def count_calls(monkeypatch, module, names: tuple[str, ...]) -> list[str]:
 
 
 def count_fft_passes(monkeypatch) -> list[str]:
-    """Record the name of every scipy.fft.fft/ifft call made from now on,
-    which is every FFT pass the package makes."""
-    import scipy.fft
+    """Record "fft" or "ifft" for every FFT pass the package makes from now on:
+    each call of grid._fft_pass, its one transform call site, patched in every
+    phasekit module that binds it."""
+    passes: list[str] = []
 
-    return count_calls(monkeypatch, scipy.fft, ("fft", "ifft"))
+    def counted(values, axis, inverse, keep=False):
+        passes.append("ifft" if inverse else "fft")
+        return _fft_pass(values, axis, inverse, keep)
+
+    for info in pkgutil.iter_modules(phasekit.__path__):
+        module = importlib.import_module(f"phasekit.{info.name}")
+        if vars(module).get("_fft_pass") is _fft_pass:
+            monkeypatch.setattr(module, "_fft_pass", counted)
+    return passes
 
 
 def _symmetric_expand(coeffs: np.ndarray, start: np.ndarray, x_act, p_act) -> np.ndarray:
@@ -276,6 +290,41 @@ def fractional_symbol_oracle(kernel: OperatorKernel, theta: float) -> Symbol2D:
     grid = kernel.grid
     mixed = _Plan(grid, grid.dual(), theta).substitute(kernel.values)
     return Symbol2D(grid, grid.dual(), grid.length * _centered_ifft(mixed, axis=-1))
+
+
+def half_shifted_oracle(values: np.ndarray, grid: Grid1D, sign: float) -> np.ndarray:
+    """wigner._half_shifted by the centred pair: S[k, j] = f(x_j + sign * xi_k / 2),
+    each shift k a phase ramp on the centred spectrum, then one batched C^-1."""
+    n = grid.n
+    shifts = (np.arange(n) - n // 2) * (grid.dx / 2.0)
+    ramps = np.exp(1j * sign * np.outer(shifts, grid.dual().nodes()))
+    return _centered_ifft(ramps * _centered_fft(values)[None, :], axis=1)
+
+
+def half_shifted_upsample_oracle(values: np.ndarray, grid: Grid1D, sign: float) -> np.ndarray:
+    """wigner._half_shifted_upsample by the centred pair: the centred spectrum padded
+    into the doubled grid's, C^-1 there, then a lookup per shift."""
+    n = grid.n
+    pad = np.zeros(2 * n, dtype=complex)
+    pad[n // 2 : n // 2 + n] = _centered_fft(values)
+    fine = 2.0 * _centered_ifft(pad)
+    k, j = np.ogrid[:n, :n]
+    return fine[(2 * j + np.rint(sign).astype(int) * (k - n // 2)) % (2 * n)]
+
+
+def intertwining_residual_oracle(symbol: Symbol2D, psi: SampledFunction1D, window: Window,
+                                 representation: str) -> float:
+    """bopp_intertwining_residual with the lifts of psi and K psi made as one stacked
+    batch through the centred propagator, _propagate_values, not by windowed_transform."""
+    op = PhaseOperator(symbol, representation)
+    kernel = op.kernel()
+    plane = (psi.grid, psi.grid.dual())
+    seeds = np.stack((psi.values, kernel.apply(psi).values))[:, :, None]
+    lift, lifted = _propagate_values(seeds * window.transform.values.conj(), *plane,
+                                     _held_plan(op, *plane).theta)
+    pushed = _in_plane(_action(op, *plane, psi.grid.dx * kernel.values), lift)
+    defect, scale = (PhaseFunction2D(*plane, v).norm() for v in (pushed - lifted, lifted))
+    return float(defect if scale <= _RESIDUAL_FLOOR * max(1.0, psi.norm()) else defect / scale)
 
 
 def generator_oracle(F: PhaseFunction2D) -> np.ndarray:

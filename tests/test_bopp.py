@@ -10,7 +10,8 @@ import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (count_calls, count_fft_passes, evolve_dense, generator_word_oracle,
-                     krylov_evolve_per_step, plane_action_oracle, random_phase_wave)
+                     intertwining_residual_oracle, krylov_evolve_per_step, plane_action_oracle,
+                     random_phase_wave)
 from phasekit import bopp, metaplectic, states, weyl
 from phasekit.bopp import (
     PhaseOperator,
@@ -125,6 +126,18 @@ def test_intertwining_residuals():
         for rep in ("extended", "bopp_conjugated"):
             res = bopp_intertwining_residual(sym, h, window, rep)
             assert res < 1e-5
+
+
+@pytest.mark.parametrize("n", [16, 30, 32])
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_residual_lifts_are_the_stacked_centred_lift(n, representation):
+    # windowed_transform lifts psi and K psi one at a time to the same floats
+    # as one stacked batch through the centred propagator
+    grid = Grid1D.centered(n, 5.0)
+    psi = states.random_wave(grid, np.random.default_rng(n))
+    for symbol in (symbol_oscillator(grid), symbol_x(grid), symbol_xi(grid)):
+        assert (bopp_intertwining_residual(symbol, psi, _window(grid), representation)
+                == intertwining_residual_oracle(symbol, psi, _window(grid), representation))
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)

@@ -17,7 +17,6 @@ from phasekit.grid import (
     _fft_pass,
     conjugate,
     fourier_1d,
-    tensor_outer,
 )
 
 
@@ -169,13 +168,10 @@ def test_fourier_shift_modulation():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_tensor_outer_and_conjugate():
+def test_conjugate():
     g = Grid1D.centered(32, 4.0)
     rng = np.random.default_rng(24)
     f = SampledFunction1D(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    h = SampledFunction1D(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    F = tensor_outer(f, h)
-    assert F.values[3, 7] == pytest.approx(f.values[3] * h.values[7])
     assert np.array_equal(conjugate(f).values, np.conj(f.values))
 
 

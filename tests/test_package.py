@@ -49,28 +49,69 @@ def test_the_cli_loads_no_scipy_linalg():
 
 
 #: The centred transform pair and numpy's shifts, and the functions that may still use them:
-#: the pair itself and fourier_1d, the propagator's centred substitute (whose passes and shifts
-#: the benchmark counts), and the wigner_direct oracle's half-shift matrices.
+#: the pair itself and fourier_1d, and the propagator's centred substitute, whose passes and
+#: shifts the benchmark counts.
 CENTRED = {"_centered_fft", "_centered_ifft", "fftshift", "ifftshift"}
 CENTRED_HOLDERS = {"grid._centered_fft", "grid._centered_ifft", "grid.fourier_1d",
-                   "metaplectic._Plan.substitute", "metaplectic._propagate_values",
-                   "wigner._half_shifted", "wigner._half_shifted_upsample"}
+                   "metaplectic._Plan.substitute", "metaplectic._propagate_values"}
+
+#: numpy.fft's transforms; fftfreq and the shifts make no pass.
+NUMPY_PASSES = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"}
 
 
-def _centred_holders(node: ast.AST, scope: str):
-    """The qualified scope of each name or attribute in CENTRED read under `node`."""
+def _package_trees():
+    package = pathlib.Path(phasekit.__file__).resolve().parent
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
+
+
+def _scoped(node: ast.AST, scope: str):
+    """Each node under `node`, with the qualified name of the function or class it is in."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _centred_holders(child, f"{scope}.{child.name}")
-            continue
-        if getattr(child, "id", None) in CENTRED or getattr(child, "attr", None) in CENTRED:
-            yield scope
-        yield from _centred_holders(child, scope)
+        inner = (f"{scope}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+        yield inner, child
+        yield from _scoped(child, inner)
 
 
 def test_only_the_pinned_sites_use_the_centred_transform():
-    package = pathlib.Path(phasekit.__file__).resolve().parent
-    holders = {holder for path in sorted(package.glob("*.py"))
-               for holder in _centred_holders(ast.parse(path.read_text()), path.stem)}
+    holders = {scope for stem, tree in _package_trees() for scope, node in _scoped(tree, stem)
+               if getattr(node, "id", None) in CENTRED or getattr(node, "attr", None) in CENTRED}
     extra = sorted(holders - CENTRED_HOLDERS)
     assert not extra, f"the centred transform is used in {', '.join(extra)}"
+
+
+def _imported(tree: ast.Module) -> dict[str, str]:
+    """Each name the module's absolute imports bind, with the dotted path it stands for."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name if alias.asname else alias.name.partition(".")[0]
+                bound[alias.asname or head] = head
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    return bound
+
+
+def _dotted(node: ast.AST, bound: dict[str, str]) -> str | None:
+    """The dotted path a name or attribute chain reads, its head resolved by the imports."""
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value, bound)
+        return head and f"{head}.{node.attr}"
+    return bound.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def test_only_the_pass_site_names_an_fft():
+    # pass counts are taken at grid._fft_pass, so no other function may
+    # reach scipy.fft or a numpy.fft transform, by any import or alias
+    holders = set()
+    for stem, tree in _package_trees():
+        bound = _imported(tree)
+        for scope, node in _scoped(tree, stem):
+            path = _dotted(node, bound) or ""
+            module, _, name = path.rpartition(".")
+            if (path == "scipy.fft" or path.startswith("scipy.fft.")
+                    or module == "numpy.fft" and name in NUMPY_PASSES):
+                holders.add(scope)
+    assert holders == {"grid._fft_pass"}

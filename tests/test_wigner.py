@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_phase_wave
+from helpers import (count_calls, half_shifted_oracle, half_shifted_upsample_oracle,
+                     random_phase_wave)
 from phasekit import states
 from phasekit.grid import (TWO_PI, ConfigurationError, Grid1D, PhaseFunction2D,
                            SampledFunction1D)
@@ -14,6 +15,8 @@ from phasekit.symplectic import PERIOD, THETA_WIGNER
 from phasekit.weyl import symbol_oscillator, theta_product, theta_symbol
 from phasekit.wigner import (
     Window,
+    _half_shifted,
+    _half_shifted_upsample,
     _is_wigner_angle,
     position_marginal,
     wigner_direct,
@@ -52,6 +55,31 @@ def test_metaplectic_equals_direct_integral():
         for method in ("trig", "upsample"):
             D = wigner_direct(psi, phi, method=method)
             assert np.max(np.abs(W.values - D.values)) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 128), st.sampled_from((-1.0, 1.0)), st.integers(0, 2**32 - 1))
+def test_half_shift_builders_are_the_centred_ones(half_n, sign, seed):
+    # plain passes between the signs D make the centred builders' matrices:
+    # bit for bit where n is a power of two, to rounding elsewhere (measured
+    # at most 8.8e-16 by norm over 2,540 draws at n = 4..256)
+    grid = Grid1D.centered(2 * half_n, 6.0)
+    values = states.random_wave(grid, np.random.default_rng(seed)).values
+    for built, oracle in ((_half_shifted, half_shifted_oracle),
+                          (_half_shifted_upsample, half_shifted_upsample_oracle)):
+        got, want = built(values, grid, sign), oracle(values, grid, sign)
+        if half_n & (half_n - 1) == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want)
+
+
+def test_direct_integral_makes_no_shift_call(monkeypatch):
+    psi, phi = (states.random_wave(GRID, np.random.default_rng(seed)) for seed in (52, 53))
+    shifts = count_calls(monkeypatch, np.fft, ("fftshift", "ifftshift"))
+    for method in ("trig", "upsample"):
+        wigner_direct(psi, phi, method=method)
+    assert shifts == []
 
 
 def test_fractional_at_zero_is_tensor_route():
